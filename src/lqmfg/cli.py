@@ -78,6 +78,14 @@ class ExperimentConfig:
     validation_reps: int = 2000
     validation_horizon: int = 50
 
+    def __post_init__(self):
+        if self.repeats < 1:
+            raise SchemaError("repeats must be >= 1")
+        if min(self.validation_ns) < 1 or self.validation_horizon < 1:
+            raise SchemaError("validation sizes and horizon must be >= 1")
+        if self.validation_reps < 2:
+            raise SchemaError("validation reps must be >= 2 for a standard error")
+
 
 def _parse_matrix(text: str, field: str) -> np.ndarray:
     try:
@@ -99,6 +107,10 @@ def _parse_int(text: str, field: str) -> int:
         return int(text)
     except ValueError:
         raise ParseError(f"field '{field}': cannot parse integer from {text!r}") from None
+
+
+def _parse_ints(text: str, field: str) -> tuple[int, ...]:
+    return tuple(_parse_int(v, field) for v in text.split(","))
 
 
 def _parse_bool(text: str, field: str) -> bool:
@@ -234,13 +246,16 @@ def load_config(path) -> ExperimentConfig:
         smoothing = est_items["smoothing_dim"].strip().lower()
         if smoothing not in ("parameter", "state"):
             raise SchemaError(f"smoothing_dim must be 'parameter' or 'state', got {smoothing!r}")
-        estimator = EstimatorConfig(
-            M=_parse_int(est_items["M"], "M"),
-            horizon=_parse_int(est_items["horizon"], "horizon"),
-            tau=_parse_float(est_items["tau"], "tau"),
-            seed=master_seed,
-            smoothing_dim=smoothing,
-        )
+        try:
+            estimator = EstimatorConfig(
+                M=_parse_int(est_items["M"], "M"),
+                horizon=_parse_int(est_items["horizon"], "horizon"),
+                tau=_parse_float(est_items["tau"], "tau"),
+                seed=master_seed,
+                smoothing_dim=smoothing,
+            )
+        except ValueError as exc:
+            raise SchemaError(f"estimator: {exc}") from None
 
     try:
         optimizer = OptimizerConfig(
@@ -259,16 +274,11 @@ def load_config(path) -> ExperimentConfig:
     except ValueError as exc:
         raise SchemaError(f"optimizer: {exc}") from None
 
-    repeats = _parse_int(exp_items["repeats"], "repeats")
-    if repeats < 1:
-        raise SchemaError("repeats must be >= 1")
-
-    ns = tuple(int(v) for v in val_items.get("ns", "10,100,1000").split(","))
     return ExperimentConfig(
         model=model, method=method, oracle=oracle, optimizer=optimizer,
-        estimator=estimator, repeats=repeats,
+        estimator=estimator, repeats=_parse_int(exp_items["repeats"], "repeats"),
         output_dir=exp_items["output_dir"], master_seed=master_seed,
-        validation_ns=ns,
+        validation_ns=_parse_ints(val_items.get("ns", "10,100,1000"), "ns"),
         validation_reps=_parse_int(val_items.get("reps", "2000"), "reps"),
         validation_horizon=_parse_int(val_items.get("horizon", "50"), "horizon"),
     )
@@ -300,18 +310,10 @@ def write_benchmark(cfg: ExperimentConfig, out: Path) -> tuple[PolicyPair, float
 
 
 def _repeat_config(cfg: ExperimentConfig, repeat: int) -> OptimizerConfig:
-    opt = cfg.optimizer
     if cfg.oracle != "sampled":
-        return opt
-    est = cfg.estimator
-    seeded = EstimatorConfig(M=est.M, horizon=est.horizon, tau=est.tau,
-                             seed=derive_seed(cfg.master_seed, repeat),
-                             smoothing_dim=est.smoothing_dim)
-    return OptimizerConfig(mode=opt.mode, eta1=opt.eta1, eta2=opt.eta2,
-                           T1=opt.T1, T2=opt.T2, T=opt.T, theta0=opt.theta0,
-                           oracle=opt.oracle, estimator=seeded,
-                           log_every=opt.log_every,
-                           shrink_on_exit=opt.shrink_on_exit)
+        return cfg.optimizer
+    seeded = replace(cfg.estimator, seed=derive_seed(cfg.master_seed, repeat))
+    return replace(cfg.optimizer, estimator=seeded)
 
 
 def _run_one_repeat(args) -> RunLog:
@@ -462,13 +464,10 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if oracle and oracle != cfg.oracle:
         if oracle == "sampled" and cfg.estimator is None:
             raise CrossFieldError("--oracle sampled requires an [estimator] section")
-        opt = cfg.optimizer
         changes["oracle"] = oracle
-        changes["optimizer"] = OptimizerConfig(
-            mode=opt.mode, eta1=opt.eta1, eta2=opt.eta2, T1=opt.T1, T2=opt.T2,
-            T=opt.T, theta0=opt.theta0, oracle=oracle,
-            estimator=cfg.estimator if oracle == "sampled" else None,
-            log_every=opt.log_every, shrink_on_exit=opt.shrink_on_exit)
+        changes["optimizer"] = replace(
+            cfg.optimizer, oracle=oracle,
+            estimator=cfg.estimator if oracle == "sampled" else None)
     if not changes:
         return cfg
     return replace(cfg, **changes)
@@ -520,13 +519,16 @@ def main(argv=None) -> int:
                               "termination": summary["termination_per_run"]},
                              sort_keys=True))
         elif args.verb == "validate-nagent":
-            ns = tuple(int(v) for v in args.ns.split(",")) if args.ns else None
-            payload = run_nagent_validation(cfg, Ns=ns, reps=args.reps,
-                                            horizon=args.horizon)
+            flags = {"validation_ns": _parse_ints(args.ns, "--ns") if args.ns else None,
+                     "validation_reps": args.reps, "validation_horizon": args.horizon}
+            cfg = replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+            payload = run_nagent_validation(cfg)
             print(json.dumps({"mkv_mean": payload["mkv_mean"],
                               "gaps": {str(r["N"]): r["rel_gap"] for r in payload["rows"]}},
                              sort_keys=True))
         else:
+            if args.horizon < 1:
+                raise SchemaError("--horizon must be >= 1")
             written = run_simulate(cfg, args.paths, args.horizon)
             print(json.dumps({"files": [str(p) for p in written]}))
     except ConfigError as exc:

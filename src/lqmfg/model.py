@@ -199,13 +199,39 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
+class LQBlock:
+    """One of the two LQ problems a linear policy pair splits the game into.
+
+    The deviation block holds the plain matrices A, B1, B2, Q, R1, R2 and is
+    driven by the K gains; the mean block holds their aggregated "tilde"
+    counterparts and is driven by the L gains. ``V0`` is the initial second
+    moment of the block's state and ``W`` the covariance of its step noise.
+    Every formula that acts on one block is written once against this type.
+    """
+
+    A: np.ndarray
+    B1: np.ndarray
+    B2: np.ndarray
+    Q: np.ndarray
+    R1: np.ndarray
+    R2: np.ndarray
+    V0: np.ndarray
+    W: np.ndarray
+
+    def closed_loop(self, G1, G2) -> np.ndarray:
+        """Closed-loop matrix A - B1 G1 + B2 G2 under the gains (G1, G2)."""
+        return self.A - self.B1 @ np.atleast_2d(G1) + self.B2 @ np.atleast_2d(G2)
+
+
+@dataclass(frozen=True)
 class DerivedParams:
     """Aggregated matrices and the per-player feedback coefficients.
 
     ``dev_coef_i`` maps the deviation value matrix to player i's signed
     deviation feedback, ``mean_coef_i`` does the same for the mean part, and
     ``mf_coef_i`` is the mean-field correction between the two:
-    mean_coef_i = dev_coef_i + mf_coef_i.
+    mean_coef_i = dev_coef_i + mf_coef_i. ``dev`` and ``mean`` are the two
+    blocks the game splits into; the tilde fields are the mean block's.
     """
 
     A_tilde: np.ndarray
@@ -220,6 +246,12 @@ class DerivedParams:
     mf_coef_2: np.ndarray
     mean_coef_1: np.ndarray
     mean_coef_2: np.ndarray
+    dev: LQBlock
+    mean: LQBlock
+
+    def blocks(self, theta: PolicyPair):
+        """(block, G1, G2) for the deviation and the mean part of a policy pair."""
+        return ((self.dev, theta.K1, theta.K2), (self.mean, theta.L1, theta.L2))
 
 
 @dataclass(frozen=True)
@@ -297,18 +329,28 @@ def validate(params: ModelParams) -> DerivedParams:
         )
         coefs[i] = (dev, mf, mean)
 
+    # The deviation process starts at the recentred idiosyncratic draw, so its
+    # initial second moment is that draw's covariance; the mean process starts
+    # at the common draw plus the idiosyncratic mean.
+    d, noise = params.d, params.noise
+    mu = noise.init_common.mean(d) + noise.init_idio.mean(d)
     return DerivedParams(
         A_tilde=A_tilde, B1_tilde=B1_tilde, B2_tilde=B2_tilde,
         Q_tilde=Q_tilde, R1_tilde=R1_tilde, R2_tilde=R2_tilde,
         dev_coef_1=coefs[1][0], dev_coef_2=coefs[2][0],
         mf_coef_1=coefs[1][1], mf_coef_2=coefs[2][1],
         mean_coef_1=coefs[1][2], mean_coef_2=coefs[2][2],
+        dev=LQBlock(params.A, params.B1, params.B2, params.Q, params.R1, params.R2,
+                    V0=noise.init_idio.cov(d), W=noise.step_idio.cov(d)),
+        mean=LQBlock(A_tilde, B1_tilde, B2_tilde, Q_tilde, R1_tilde, R2_tilde,
+                     V0=noise.init_common.cov(d) + np.outer(mu, mu),
+                     W=noise.step_common.cov(d)),
     )
 
 
 def dev_closed_loop(params: ModelParams, K1: np.ndarray, K2: np.ndarray) -> np.ndarray:
     """Closed-loop matrix of the deviation recursion: A - B1 K1 + B2 K2."""
-    return params.A - params.B1 @ np.atleast_2d(K1) + params.B2 @ np.atleast_2d(K2)
+    return validate(params).dev.closed_loop(K1, K2)
 
 
 def mean_closed_loop(
@@ -317,23 +359,18 @@ def mean_closed_loop(
 ) -> np.ndarray:
     """Closed-loop matrix of the mean recursion (tilde quantities)."""
     der = derived if derived is not None else validate(params)
-    return der.A_tilde - der.B1_tilde @ np.atleast_2d(L1) + der.B2_tilde @ np.atleast_2d(L2)
+    return der.mean.closed_loop(L1, L2)
 
 
 def spectral_norm(mat: np.ndarray) -> float:
     return float(np.linalg.norm(mat, ord=2))
 
 
-def dev_block_stable(params: ModelParams, K1, K2) -> bool:
-    """gamma * ||A - B1 K1 + B2 K2||^2 < 1 (operator 2-norm)."""
-    sn = spectral_norm(dev_closed_loop(params, K1, K2))
-    return params.gamma * sn * sn < 1.0
-
-
-def mean_block_stable(params: ModelParams, L1, L2,
-                      derived: DerivedParams | None = None) -> bool:
-    sn = spectral_norm(mean_closed_loop(params, L1, L2, derived))
-    return params.gamma * sn * sn < 1.0
+def loop_stable(M: np.ndarray, gamma: float) -> bool:
+    """gamma * ||M||^2 < 1 (operator 2-norm): the one admissibility test for
+    a closed loop, sufficient for its discounted sums to converge."""
+    sn = spectral_norm(M)
+    return gamma * sn * sn < 1.0
 
 
 def in_stabilizing_set(params: ModelParams, theta: PolicyPair,
@@ -341,8 +378,9 @@ def in_stabilizing_set(params: ModelParams, theta: PolicyPair,
     """Membership test for the set of policy pairs with summable discounted
     second moments: both closed loops must pass the spectral-norm test."""
     theta.check_dims(params)
-    return (dev_block_stable(params, theta.K1, theta.K2)
-            and mean_block_stable(params, theta.L1, theta.L2, derived))
+    der = derived if derived is not None else validate(params)
+    return all(loop_stable(block.closed_loop(G1, G2), params.gamma)
+               for block, G1, G2 in der.blocks(theta))
 
 
 def control_from_policy(

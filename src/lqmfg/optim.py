@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -65,7 +65,6 @@ class RunRecord:
     cost: float                     # exact utility when evaluable, else NaN
     grad_norms: tuple[float, float, float, float]
     rel_err: float
-    wall_time: float
 
 
 @dataclass
@@ -121,13 +120,23 @@ def compute_benchmark(params: ModelParams) -> tuple[PolicyPair, float]:
 
 
 class _Oracle:
-    """Gradient oracle with a monotone call counter for seed derivation."""
+    """Gradient oracle with a monotone call counter for seed derivation.
+
+    It keeps the last exact evaluation, so the progress record at an iterate
+    and the exact gradient at the same iterate share one evaluation."""
 
     def __init__(self, params: ModelParams, cfg: OptimizerConfig):
         self.params = params
         self.cfg = cfg
         self.derived = validate(params)
         self.calls = 0
+        self._last = (None, None)
+
+    def utility(self, theta: PolicyPair):
+        """exact_utility at theta, reused while theta is the same object."""
+        if self._last[0] is not theta:
+            self._last = (theta, exact_utility(self.params, theta, self.derived))
+        return self._last[1]
 
     def player_blocks(self, theta: PolicyPair, player: int):
         """(grad_K, grad_L) for one player at theta.
@@ -137,14 +146,12 @@ class _Oracle:
         a per-call derived seed."""
         self.calls += 1
         if self.cfg.oracle == "exact":
-            grad = exact_gradient(self.params, theta, self.derived)
+            grad = exact_gradient(self.params, theta, self.derived, self.utility(theta))
             if player == 1:
                 return grad.dK1, grad.dL1, grad
             return grad.dK2, grad.dL2, grad
         est = self.cfg.estimator
-        seed = derive_seed(est.seed, self.calls, player)
-        call_cfg = EstimatorConfig(M=est.M, horizon=est.horizon, tau=est.tau,
-                                   seed=seed, smoothing_dim=est.smoothing_dim)
+        call_cfg = replace(est, seed=derive_seed(est.seed, self.calls, player))
         gK, gL = estimate_gradient(self.params, theta, player, call_cfg)
         return gK, gL, None
 
@@ -172,17 +179,16 @@ def _same_theta(a: PolicyPair, b: PolicyPair) -> bool:
 class _Tracker:
     """Logging helper shared by both schemes."""
 
-    def __init__(self, params, cfg, benchmark_theta, benchmark_cost, derived):
-        self.params = params
+    def __init__(self, cfg, oracle, benchmark_theta, benchmark_cost):
         self.cfg = cfg
-        self.derived = derived
+        self.oracle = oracle
         self.log = RunLog(benchmark_theta=benchmark_theta,
                           benchmark_cost=benchmark_cost)
         self.t0 = time.perf_counter()
 
     def exact_cost(self, theta: PolicyPair) -> float:
         try:
-            return exact_utility(self.params, theta, self.derived).cost
+            return self.oracle.utility(theta).cost
         except NotStabilizing:
             return float("nan")
 
@@ -194,7 +200,7 @@ class _Tracker:
                if np.isfinite(cost) else float("nan"))
         self.log.records.append(RunRecord(
             k=k, theta=theta, cost=cost, grad_norms=tuple(grad_norms),
-            rel_err=rel, wall_time=time.perf_counter() - self.t0))
+            rel_err=rel))
 
     def finish(self, theta: PolicyPair, termination: str) -> RunLog:
         self.log.final_theta = theta
@@ -207,8 +213,7 @@ class _Tracker:
                    if np.isfinite(cost) else float("nan"))
             self.log.records.append(RunRecord(
                 k=k_last + 1, theta=theta, cost=cost,
-                grad_norms=(float("nan"),) * 4, rel_err=rel,
-                wall_time=self.log.wall_time))
+                grad_norms=(float("nan"),) * 4, rel_err=rel))
         return self.log
 
 
@@ -218,6 +223,22 @@ def _grad_norms(gK, gL, player: int, full=None):
     nK, nL = float(np.linalg.norm(gK)), float(np.linalg.norm(gL))
     return (nK, nL, float("nan"), float("nan")) if player == 1 \
         else (float("nan"), float("nan"), nK, nL)
+
+
+def _step_into_set(params, cfg, oracle, step):
+    """step(1), or with shrink_on_exit under the exact oracle the first of
+    step(1), step(1/2), ... inside the stabilizing set; None when
+    MAX_STEP_HALVINGS halvings do not get there."""
+    new_theta = step(1.0)
+    if not (cfg.shrink_on_exit and cfg.oracle == "exact"):
+        return new_theta
+    scale = 1.0
+    for _ in range(MAX_STEP_HALVINGS):
+        if in_stabilizing_set(params, new_theta, oracle.derived):
+            return new_theta
+        scale *= 0.5
+        new_theta = step(scale)
+    return None
 
 
 def _attempt_step(params, cfg, oracle, theta, player, eta):
@@ -230,32 +251,25 @@ def _attempt_step(params, cfg, oracle, theta, player, eta):
         return theta, (float("nan"),) * 4, "left_stabilizing_set"
     gK, gL, full = oracle.player_blocks(theta, player)
     norms = _grad_norms(gK, gL, player, full)
-    new_theta = _theta_update(theta, player, gK, gL, eta)
-    if cfg.shrink_on_exit and cfg.oracle == "exact":
-        step = eta
-        for _ in range(MAX_STEP_HALVINGS):
-            if in_stabilizing_set(params, new_theta, oracle.derived):
-                break
-            step *= 0.5
-            new_theta = _theta_update(theta, player, gK, gL, step)
-        else:
-            return theta, norms, "left_stabilizing_set"
+    new_theta = _step_into_set(
+        params, cfg, oracle, lambda s: _theta_update(theta, player, gK, gL, s * eta))
+    if new_theta is None:
+        return theta, norms, "left_stabilizing_set"
     if not _is_finite(new_theta):
         return theta, norms, "non_finite"
     return new_theta, norms, "ok"
 
 
 def _prepare(params, cfg, benchmark):
-    derived = validate(params)
+    oracle = _Oracle(params, cfg)
     theta = cfg.theta0 if cfg.theta0 is not None else PolicyPair.zero(params.d, params.ell)
     theta.check_dims(params)
     if benchmark is None:
         bench_theta, bench_cost = compute_benchmark(params)
     else:
         bench_theta = benchmark
-        bench_cost = exact_utility(params, benchmark, derived).cost
-    oracle = _Oracle(params, cfg)
-    tracker = _Tracker(params, cfg, bench_theta, bench_cost, derived)
+        bench_cost = exact_utility(params, benchmark, oracle.derived).cost
+    tracker = _Tracker(cfg, oracle, bench_theta, bench_cost)
     return theta, oracle, tracker
 
 
@@ -304,23 +318,12 @@ def run_gda(params: ModelParams, cfg: OptimizerConfig,
         else:
             gK2, gL2, _ = oracle.player_blocks(theta, 2)
             norms = tuple(float(np.linalg.norm(b)) for b in (gK1, gL1, gK2, gL2))
-        tentative = PolicyPair(K1=theta.K1 - cfg.eta1 * gK1,
-                               L1=theta.L1 - cfg.eta1 * gL1,
-                               K2=theta.K2 + cfg.eta2 * gK2,
-                               L2=theta.L2 + cfg.eta2 * gL2)
-        if cfg.shrink_on_exit and cfg.oracle == "exact":
-            step = 1.0
-            for _ in range(MAX_STEP_HALVINGS):
-                if in_stabilizing_set(params, tentative, oracle.derived):
-                    break
-                step *= 0.5
-                tentative = PolicyPair(K1=theta.K1 - step * cfg.eta1 * gK1,
-                                       L1=theta.L1 - step * cfg.eta1 * gL1,
-                                       K2=theta.K2 + step * cfg.eta2 * gK2,
-                                       L2=theta.L2 + step * cfg.eta2 * gL2)
-            else:
-                tracker.record(k, theta, norms)
-                return tracker.finish(theta, "left_stabilizing_set")
+        tentative = _step_into_set(params, cfg, oracle, lambda s: PolicyPair(
+            K1=theta.K1 - s * cfg.eta1 * gK1, L1=theta.L1 - s * cfg.eta1 * gL1,
+            K2=theta.K2 + s * cfg.eta2 * gK2, L2=theta.L2 + s * cfg.eta2 * gL2))
+        if tentative is None:
+            tracker.record(k, theta, norms)
+            return tracker.finish(theta, "left_stabilizing_set")
         theta = tentative
         if not _is_finite(theta):
             tracker.record(k, theta, norms)

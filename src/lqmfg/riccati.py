@@ -5,6 +5,7 @@ the gains they induce, best responses, and a scalar root-finding benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -17,15 +18,9 @@ from .errors import (
     NotStabilizing,
     SingularR,
 )
-from .model import (
-    DerivedParams,
-    ModelParams,
-    PolicyPair,
-    dev_block_stable,
-    mean_block_stable,
-    validate,
-)
-from .value import solve_dev_value, solve_mean_value
+from .model import DerivedParams, LQBlock, ModelParams, PolicyPair, loop_stable, validate
+# solve_dev_value / solve_mean_value: looked up here by perfbench/spans.py
+from .value import block_value, gradient_coefs, solve_dev_value, solve_mean_value  # noqa: F401
 
 DIVERGENCE_CAP = 1e8
 DEFAULT_TOL = 1e-12
@@ -74,29 +69,35 @@ def solve_riccati(params: ModelParams, tol: float = DEFAULT_TOL,
     der = validate(params)
     g = params.gamma
 
-    dev_gain = params.B1 @ der.dev_coef_1 + params.B2 @ der.dev_coef_2
-    mean_gain = der.B1_tilde @ der.mean_coef_1 + der.B2_tilde @ der.mean_coef_2
+    def fixed_point(block, c1, c2, label):
+        gain = block.B1 @ c1 + block.B2 @ c2
 
-    def dev_map(P):
-        return g * (params.A.T @ P + 2.0 * params.Q) @ (params.A + dev_gain @ P)
+        def riccati_map(P):
+            return g * (block.A.T @ P + 2.0 * block.Q) @ (block.A + gain @ P)
 
-    def mean_map(P):
-        return g * (der.A_tilde.T @ P + 2.0 * der.Q_tilde) @ (der.A_tilde + mean_gain @ P)
+        return _fixed_point(riccati_map, 2.0 * block.Q, tol, max_iter, damping, label)
 
-    P_dev, res_dev, it_dev = _fixed_point(
-        dev_map, 2.0 * params.Q, tol, max_iter, damping, "deviation equation")
-    P_mean, res_mean, it_mean = _fixed_point(
-        mean_map, 2.0 * der.Q_tilde, tol, max_iter, damping, "mean equation")
+    P_dev, res_dev, it_dev = fixed_point(
+        der.dev, der.dev_coef_1, der.dev_coef_2, "deviation equation")
+    P_mean, res_mean, it_mean = fixed_point(
+        der.mean, der.mean_coef_1, der.mean_coef_2, "mean equation")
 
     sol = RiccatiSolution(P_dev=P_dev, P_mean=P_mean,
                           residual_dev=res_dev, residual_mean=res_mean,
                           iterations=it_dev + it_mean)
     theta = nash_policy(params, sol, derived=der)
-    if not dev_block_stable(params, theta.K1, theta.K2):
-        raise NonStabilizingSolution("deviation fixed point induces an unstable loop")
-    if not mean_block_stable(params, theta.L1, theta.L2, der):
-        raise NonStabilizingSolution("mean fixed point induces an unstable loop")
+    for label, (block, G1, G2) in zip(("deviation", "mean"), der.blocks(theta)):
+        if not loop_stable(block.closed_loop(G1, G2), g):
+            raise NonStabilizingSolution(f"{label} fixed point induces an unstable loop")
     return sol
+
+
+def _nash_gains(block: LQBlock, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    try:
+        return (0.5 * np.linalg.solve(block.R1, block.B1.T @ P),
+                0.5 * np.linalg.solve(block.R2, block.B2.T @ P))
+    except np.linalg.LinAlgError as exc:  # precluded by validation
+        raise SingularR(str(exc)) from None
 
 
 def nash_policy(params: ModelParams, sol: RiccatiSolution,
@@ -105,13 +106,8 @@ def nash_policy(params: ModelParams, sol: RiccatiSolution,
     K_i = 1/2 R_i^{-1} B_i' P_dev and L_i = 1/2 R_tilde_i^{-1} B_tilde_i' P_mean.
     """
     der = derived if derived is not None else validate(params)
-    try:
-        K1 = 0.5 * np.linalg.solve(params.R1, params.B1.T @ sol.P_dev)
-        K2 = 0.5 * np.linalg.solve(params.R2, params.B2.T @ sol.P_dev)
-        L1 = 0.5 * np.linalg.solve(der.R1_tilde, der.B1_tilde.T @ sol.P_mean)
-        L2 = 0.5 * np.linalg.solve(der.R2_tilde, der.B2_tilde.T @ sol.P_mean)
-    except np.linalg.LinAlgError as exc:  # precluded by validation
-        raise SingularR(str(exc)) from None
+    K1, K2 = _nash_gains(der.dev, sol.P_dev)
+    L1, L2 = _nash_gains(der.mean, sol.P_mean)
     return PolicyPair(K1=K1, L1=L1, K2=K2, L2=L2)
 
 
@@ -213,58 +209,47 @@ def _inner_value_iterate(Q_eff, A_eff, B, R, gamma, minimizer,
     raise NoConvergence(f"inner equation: no fixed point after {max_iter} iterations")
 
 
+def _best_response(block: LQBlock, player: int, G_opp, gamma: float,
+                   tol: float, max_iter: int, damping: float) -> np.ndarray:
+    """Optimal gain of `player` in one block against the opponent's frozen
+    gain G_opp:
+      G = g (R +- g B'PB)^{-1} B'P A_eff,
+    P the inner value matrix for effective weight Q -+ G_opp' R_opp G_opp and
+    drift A_eff = A +- B_opp G_opp (upper signs for the minimizing player 1,
+    lower signs for the maximizing player 2)."""
+    sgn = 1.0 if player == 1 else -1.0
+    B, R, B_opp, R_opp = ((block.B1, block.R1, block.B2, block.R2) if player == 1
+                          else (block.B2, block.R2, block.B1, block.R1))
+    G_opp = np.atleast_2d(G_opp)
+    A_eff = block.A + sgn * B_opp @ G_opp
+    Q_eff = block.Q - sgn * G_opp.T @ R_opp @ G_opp
+    P = _inner_value(Q_eff, A_eff, B, R, gamma, player == 1, tol, max_iter, damping)
+    lhs = R + sgn * gamma * B.T @ P @ B
+    return gamma * np.linalg.solve(lhs, B.T @ P @ A_eff)
+
+
 def best_response_K1(params: ModelParams, K2, tol: float = DEFAULT_TOL,
                      max_iter: int = DEFAULT_MAX_ITER, damping: float = 1.0) -> np.ndarray:
-    """Optimal K1 against a frozen K2:
-    K1 = g (R1 + g B1'PB1)^{-1} B1'P (A + B2 K2), P the inner value matrix
-    for effective weight Q - K2'R2 K2 and drift A + B2 K2."""
-    K2 = np.atleast_2d(K2)
-    g = params.gamma
-    A_eff = params.A + params.B2 @ K2
-    Q_eff = params.Q - K2.T @ params.R2 @ K2
-    P = _inner_value(Q_eff, A_eff, params.B1, params.R1, g, True, tol, max_iter, damping)
-    lhs = params.R1 + g * params.B1.T @ P @ params.B1
-    return g * np.linalg.solve(lhs, params.B1.T @ P @ A_eff)
+    """Optimal K1 against a frozen K2 (deviation block)."""
+    return _best_response(validate(params).dev, 1, K2, params.gamma, tol, max_iter, damping)
 
 
 def best_response_K2(params: ModelParams, K1, tol: float = DEFAULT_TOL,
                      max_iter: int = DEFAULT_MAX_ITER, damping: float = 1.0) -> np.ndarray:
     """Optimal K2 against a frozen K1 (maximizing player; sign-flipped R2)."""
-    K1 = np.atleast_2d(K1)
-    g = params.gamma
-    A_eff = params.A - params.B1 @ K1
-    Q_eff = params.Q + K1.T @ params.R1 @ K1
-    P = _inner_value(Q_eff, A_eff, params.B2, params.R2, g, False, tol, max_iter, damping)
-    lhs = params.R2 - g * params.B2.T @ P @ params.B2
-    return g * np.linalg.solve(lhs, params.B2.T @ P @ A_eff)
+    return _best_response(validate(params).dev, 2, K1, params.gamma, tol, max_iter, damping)
 
 
 def best_response_L1(params: ModelParams, L2, tol: float = DEFAULT_TOL,
                      max_iter: int = DEFAULT_MAX_ITER, damping: float = 1.0) -> np.ndarray:
     """Optimal L1 against a frozen L2 (tilde quantities)."""
-    der = validate(params)
-    L2 = np.atleast_2d(L2)
-    g = params.gamma
-    A_eff = der.A_tilde + der.B2_tilde @ L2
-    Q_eff = der.Q_tilde - L2.T @ der.R2_tilde @ L2
-    P = _inner_value(Q_eff, A_eff, der.B1_tilde, der.R1_tilde, g, True,
-                     tol, max_iter, damping)
-    lhs = der.R1_tilde + g * der.B1_tilde.T @ P @ der.B1_tilde
-    return g * np.linalg.solve(lhs, der.B1_tilde.T @ P @ A_eff)
+    return _best_response(validate(params).mean, 1, L2, params.gamma, tol, max_iter, damping)
 
 
 def best_response_L2(params: ModelParams, L1, tol: float = DEFAULT_TOL,
                      max_iter: int = DEFAULT_MAX_ITER, damping: float = 1.0) -> np.ndarray:
     """Optimal L2 against a frozen L1 (tilde quantities, sign-flipped)."""
-    der = validate(params)
-    L1 = np.atleast_2d(L1)
-    g = params.gamma
-    A_eff = der.A_tilde - der.B1_tilde @ L1
-    Q_eff = der.Q_tilde + L1.T @ der.R1_tilde @ L1
-    P = _inner_value(Q_eff, A_eff, der.B2_tilde, der.R2_tilde, g, False,
-                     tol, max_iter, damping)
-    lhs = der.R2_tilde - g * der.B2_tilde.T @ P @ der.B2_tilde
-    return g * np.linalg.solve(lhs, der.B2_tilde.T @ P @ A_eff)
+    return _best_response(validate(params).mean, 2, L1, params.gamma, tol, max_iter, damping)
 
 
 def _scalar_root(eval_slope, lo: float, hi: float, tol: float,
@@ -320,6 +305,15 @@ def _scalar_root(eval_slope, lo: float, hi: float, tol: float,
     return 0.5 * (lo + hi)
 
 
+def _slope(block: LQBlock, gamma: float, g2: float, tol_fp: float, max_iter: int) -> float:
+    """Player 2's utility slope in one scalar block at gain g2 against player
+    1's best response (the second-moment factor > 0 is dropped)."""
+    G2 = np.array([[g2]])
+    G1 = _best_response(block, 1, G2, gamma, tol_fp, max_iter, 1.0)
+    P = block_value(block, G1, G2, gamma)[1]
+    return float(gradient_coefs(block, P, G1, G2, gamma)[1][0, 0])
+
+
 def nash_via_gradient_root(params: ModelParams, tol: float = 1e-10) -> PolicyPair:
     """Scalar benchmark path to the equilibrium: find the opponent gain whose
     utility slope vanishes under the first player's best response, for the
@@ -328,42 +322,17 @@ def nash_via_gradient_root(params: ModelParams, tol: float = 1e-10) -> PolicyPai
         raise NoRoot("gradient-root benchmark is only defined for d = ell = 1")
     der = validate(params)
     g = params.gamma
-
-    def dev_slope(k2: float, tol_fp: float, max_iter: int) -> float:
-        K2 = np.array([[k2]])
-        K1 = best_response_K1(params, K2, tol=tol_fp, max_iter=max_iter)
-        P = solve_dev_value(params, K1, K2)
-        # slope of the deviation utility in K2 (second-moment factor > 0 dropped)
-        coef = (-g * params.B2.T @ P @ params.B1 @ K1
-                + (-params.R2 + g * params.B2.T @ P @ params.B2) @ K2
-                + g * params.B2.T @ P @ params.A)
-        return float(coef[0, 0])
-
-    def mean_slope(l2: float, tol_fp: float, max_iter: int) -> float:
-        L2 = np.array([[l2]])
-        L1 = best_response_L1(params, L2, tol=tol_fp, max_iter=max_iter)
-        P = solve_mean_value(params, L1, L2, der)
-        coef = (-g * der.B2_tilde.T @ P @ der.B1_tilde @ L1
-                + (-der.R2_tilde + g * der.B2_tilde.T @ P @ der.B2_tilde) @ L2
-                + g * der.B2_tilde.T @ P @ der.A_tilde)
-        return float(coef[0, 0])
-
-    a = float(params.A[0, 0])
-    b2 = float(params.B2[0, 0])
-    at = float(der.A_tilde[0, 0])
-    b2t = float(der.B2_tilde[0, 0])
+    if any(abs(block.B2[0, 0]) < 1e-14 for block in (der.dev, der.mean)):
+        raise DegenerateProblem("second player has no control authority")
     # scan where the uncompensated drift stays within twice the stability
     # bound; the other player's best response extends stability past the
     # naive interval, and non-evaluable points are skipped anyway
     bound = 2.0 / np.sqrt(g)
-
-    if abs(b2) < 1e-14 or abs(b2t) < 1e-14:
-        raise DegenerateProblem("second player has no control authority")
-    lo_k, hi_k = sorted(((-bound - a) / b2, (bound - a) / b2))
-    lo_l, hi_l = sorted(((-bound - at) / b2t, (bound - at) / b2t))
-    k2 = _scalar_root(dev_slope, lo_k, hi_k, tol, "deviation block")
-    l2 = _scalar_root(mean_slope, lo_l, hi_l, tol, "mean block")
-    K2 = np.array([[k2]])
-    L2 = np.array([[l2]])
-    return PolicyPair(K1=best_response_K1(params, K2), L1=best_response_L1(params, L2),
-                      K2=K2, L2=L2)
+    gains = []
+    for block, label in ((der.dev, "deviation block"), (der.mean, "mean block")):
+        a, b2 = float(block.A[0, 0]), float(block.B2[0, 0])
+        lo, hi = sorted(((-bound - a) / b2, (bound - a) / b2))
+        G2 = np.array([[_scalar_root(partial(_slope, block, g), lo, hi, tol, label)]])
+        gains.append((_best_response(block, 1, G2, g, DEFAULT_TOL, DEFAULT_MAX_ITER, 1.0), G2))
+    (K1, K2), (L1, L2) = gains
+    return PolicyPair(K1=K1, L1=L1, K2=K2, L2=L2)

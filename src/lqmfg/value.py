@@ -13,12 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotStabilizing
-from .model import (
+from .model import (  # noqa: F401  (spectral_norm: looked up here by perfbench/spans.py)
     DerivedParams,
+    LQBlock,
     ModelParams,
     PolicyPair,
-    dev_closed_loop,
-    mean_closed_loop,
+    loop_stable,
     spectral_norm,
     validate,
 )
@@ -55,12 +55,23 @@ def _dlyap(M: np.ndarray, source: np.ndarray, gamma: float) -> np.ndarray:
     raise NotStabilizing("Lyapunov series did not converge")
 
 
-def _require_dev_stable(params: ModelParams, M: np.ndarray) -> None:
-    sn = spectral_norm(M)
-    if params.gamma * sn * sn >= 1.0:
-        raise NotStabilizing(
-            "deviation closed loop fails gamma * ||M||^2 < 1"
-        )
+def _require_stable(M: np.ndarray, gamma: float) -> None:
+    if not loop_stable(M, gamma):
+        raise NotStabilizing("closed loop fails gamma * ||M||^2 < 1")
+
+
+def block_value(block: LQBlock, G1, G2, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Closed loop M and value matrix P of one block under gains (G1, G2).
+
+    P is the unique solution of P = Q + G1' R1 G1 - G2' R2 G2 + gamma M' P M
+    with M = A - B1 G1 + B2 G2; M must pass the spectral-norm test.
+    """
+    G1 = np.atleast_2d(G1)
+    G2 = np.atleast_2d(G2)
+    M = block.closed_loop(G1, G2)
+    _require_stable(M, gamma)
+    source = block.Q + G1.T @ block.R1 @ G1 - G2.T @ block.R2 @ G2
+    return M, _dlyap(M, source, gamma)
 
 
 def solve_dev_value(params: ModelParams, K1, K2) -> np.ndarray:
@@ -69,26 +80,21 @@ def solve_dev_value(params: ModelParams, K1, K2) -> np.ndarray:
     Unique solution of P = Q + K1' R1 K1 - K2' R2 K2 + gamma M' P M with
     M = A - B1 K1 + B2 K2.
     """
-    K1 = np.atleast_2d(K1)
-    K2 = np.atleast_2d(K2)
-    M = dev_closed_loop(params, K1, K2)
-    _require_dev_stable(params, M)
-    source = params.Q + K1.T @ params.R1 @ K1 - K2.T @ params.R2 @ K2
-    return _dlyap(M, source, params.gamma)
+    return block_value(validate(params).dev, K1, K2, params.gamma)[1]
 
 
 def solve_mean_value(params: ModelParams, L1, L2,
                      derived: DerivedParams | None = None) -> np.ndarray:
     """Value matrix of the mean process for gains (L1, L2); tilde variant."""
     der = derived if derived is not None else validate(params)
-    L1 = np.atleast_2d(L1)
-    L2 = np.atleast_2d(L2)
-    M = der.A_tilde - der.B1_tilde @ L1 + der.B2_tilde @ L2
-    sn = spectral_norm(M)
-    if params.gamma * sn * sn >= 1.0:
-        raise NotStabilizing("mean closed loop fails gamma * ||M||^2 < 1")
-    source = der.Q_tilde + L1.T @ der.R1_tilde @ L1 - L2.T @ der.R2_tilde @ L2
-    return _dlyap(M, source, params.gamma)
+    return block_value(der.mean, L1, L2, params.gamma)[1]
+
+
+def _second_moment(M: np.ndarray, V0: np.ndarray, W: np.ndarray,
+                   gamma: float) -> np.ndarray:
+    source = V0 + gamma / (1.0 - gamma) * W
+    # Sigma = source + gamma M Sigma M'  ==  transposed-loop Lyapunov solve
+    return _dlyap(M.T, source, gamma)
 
 
 def discounted_second_moment(M: np.ndarray, V0: np.ndarray, W: np.ndarray,
@@ -100,14 +106,9 @@ def discounted_second_moment(M: np.ndarray, V0: np.ndarray, W: np.ndarray,
     which follows from summing the moment recursion V_{t+1} = M V_t M' + W.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    V0 = np.atleast_2d(np.asarray(V0, dtype=float))
-    W = np.atleast_2d(np.asarray(W, dtype=float))
-    sn = spectral_norm(M)
-    if gamma * sn * sn >= 1.0:
-        raise NotStabilizing("closed loop fails gamma * ||M||^2 < 1")
-    source = V0 + gamma / (1.0 - gamma) * W
-    # Sigma = source + gamma M Sigma M'  ==  transposed-loop Lyapunov solve
-    return _dlyap(M.T, source, gamma)
+    _require_stable(M, gamma)
+    return _second_moment(M, np.atleast_2d(np.asarray(V0, dtype=float)),
+                          np.atleast_2d(np.asarray(W, dtype=float)), gamma)
 
 
 @dataclass(frozen=True)
@@ -130,45 +131,18 @@ class ValueSolution:
 
 @dataclass(frozen=True)
 class GradientPair:
-    """Exact utility gradient, one block per gain matrix.
-
-    Each gradient block is 2 * coef * Sigma for the matching coefficient
-    block; the stacked 2x2 weight matrices are kept for diagnostics.
-    """
+    """Exact utility gradient, one block per gain matrix."""
 
     dK1: np.ndarray
     dL1: np.ndarray
     dK2: np.ndarray
     dL2: np.ndarray
-    coef_K1: np.ndarray
-    coef_K2: np.ndarray
-    coef_L1: np.ndarray
-    coef_L2: np.ndarray
-    R_block_dev: np.ndarray
-    R_block_mean: np.ndarray
 
     def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return self.dK1, self.dL1, self.dK2, self.dL2
 
     def max_abs(self) -> float:
         return max(float(np.max(np.abs(b))) for b in self.blocks())
-
-
-def _moment_inputs(params: ModelParams):
-    """Initial second moments and step covariances of the two processes.
-
-    The deviation process starts at the recentred idiosyncratic draw, so its
-    initial second moment is that draw's covariance; the mean process starts
-    at the common draw plus the idiosyncratic mean.
-    """
-    d = params.d
-    noise = params.noise
-    V0_dev = noise.init_idio.cov(d)
-    mu = noise.init_common.mean(d) + noise.init_idio.mean(d)
-    V0_mean = noise.init_common.cov(d) + np.outer(mu, mu)
-    W_dev = noise.step_idio.cov(d)
-    W_mean = noise.step_common.cov(d)
-    return V0_dev, V0_mean, W_dev, W_mean
 
 
 def exact_utility(params: ModelParams, theta: PolicyPair,
@@ -180,17 +154,14 @@ def exact_utility(params: ModelParams, theta: PolicyPair,
     """
     der = derived if derived is not None else validate(params)
     theta.check_dims(params)
-    P_dev = solve_dev_value(params, theta.K1, theta.K2)
-    P_mean = solve_mean_value(params, theta.L1, theta.L2, der)
-    V0_dev, V0_mean, W_dev, W_mean = _moment_inputs(params)
     g = params.gamma
-    M_dev = dev_closed_loop(params, theta.K1, theta.K2)
-    M_mean = mean_closed_loop(params, theta.L1, theta.L2, der)
-    Sigma_dev = discounted_second_moment(M_dev, V0_dev, W_dev, g)
-    Sigma_mean = discounted_second_moment(M_mean, V0_mean, W_mean, g)
     tail = g / (1.0 - g)
-    cost_dev = float(np.trace(P_dev @ V0_dev) + tail * np.trace(P_dev @ W_dev))
-    cost_mean = float(np.trace(P_mean @ V0_mean) + tail * np.trace(P_mean @ W_mean))
+    parts = []
+    for block, G1, G2 in der.blocks(theta):
+        M, P = block_value(block, G1, G2, g)
+        cost = float(np.trace(P @ block.V0) + tail * np.trace(P @ block.W))
+        parts.append((P, _second_moment(M, block.V0, block.W, g), cost))
+    (P_dev, Sigma_dev, cost_dev), (P_mean, Sigma_mean, cost_mean) = parts
     return ValueSolution(
         P_dev=P_dev, P_mean=P_mean,
         Sigma_dev=Sigma_dev, Sigma_mean=Sigma_mean,
@@ -199,48 +170,41 @@ def exact_utility(params: ModelParams, theta: PolicyPair,
     )
 
 
+def gradient_coefs(block: LQBlock, P: np.ndarray, G1, G2,
+                   gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Left factors c1, c2 of the block utility gradient 2 c_i Sigma in G1, G2:
+
+      c1 = (R1 + g B1'PB1) G1 - g B1'PB2 G2 - g B1'P A
+      c2 = -g B2'PB1 G1 + (-R2 + g B2'PB2) G2 + g B2'P A
+    """
+    g = gamma
+    B1, B2 = block.B1, block.B2
+    B1PB1 = B1.T @ P @ B1
+    B1PB2 = B1.T @ P @ B2
+    B2PB1 = B2.T @ P @ B1
+    B2PB2 = B2.T @ P @ B2
+    B1PA = B1.T @ P @ block.A
+    B2PA = B2.T @ P @ block.A
+    coef_1 = (block.R1 + g * B1PB1) @ G1 - g * B1PB2 @ G2 - g * B1PA
+    coef_2 = -g * B2PB1 @ G1 + (-block.R2 + g * B2PB2) @ G2 + g * B2PA
+    return coef_1, coef_2
+
+
 def exact_gradient(params: ModelParams, theta: PolicyPair,
-                   derived: DerivedParams | None = None) -> GradientPair:
+                   derived: DerivedParams | None = None,
+                   solution: ValueSolution | None = None) -> GradientPair:
     """Exact utility gradient with respect to (K1, L1, K2, L2).
 
-    Deviation part: with P = P_dev and Sigma = Sigma_dev,
-      dK1 = 2 [ (R1 + g B1'PB1) K1 - g B1'PB2 K2 - g B1'P A ] Sigma
-      dK2 = 2 [ -g B2'PB1 K1 + (-R2 + g B2'PB2) K2 + g B2'P A ] Sigma
-    and the mean part is the tilde analogue.
+    Each block is 2 c_i Sigma with the ``gradient_coefs`` of its part: the
+    deviation part for K1, K2 and the tilde analogue for L1, L2.
+    ``solution`` is ``exact_utility`` at theta when the caller already has it.
     """
     der = derived if derived is not None else validate(params)
-    sol = exact_utility(params, theta, der)
-    g = params.gamma
-    K1, L1, K2, L2 = theta.K1, theta.L1, theta.K2, theta.L2
-
-    def blocks(P, Sigma, A, B1, B2, R1, R2, G1, G2):
-        B1PB1 = B1.T @ P @ B1
-        B1PB2 = B1.T @ P @ B2
-        B2PB1 = B2.T @ P @ B1
-        B2PB2 = B2.T @ P @ B2
-        B1PA = B1.T @ P @ A
-        B2PA = B2.T @ P @ A
-        R_block = np.block([
-            [R1 + g * B1PB1, -g * B1PB2],
-            [-g * B2PB1, -R2 + g * B2PB2],
-        ])
-        coef_1 = (R1 + g * B1PB1) @ G1 - g * B1PB2 @ G2 - g * B1PA
-        coef_2 = -g * B2PB1 @ G1 + (-R2 + g * B2PB2) @ G2 + g * B2PA
-        return coef_1, coef_2, R_block
-
-    coef_K1, coef_K2, R_block_dev = blocks(
-        sol.P_dev, sol.Sigma_dev, params.A, params.B1, params.B2,
-        params.R1, params.R2, K1, K2)
-    coef_L1, coef_L2, R_block_mean = blocks(
-        sol.P_mean, sol.Sigma_mean, der.A_tilde, der.B1_tilde, der.B2_tilde,
-        der.R1_tilde, der.R2_tilde, L1, L2)
-
-    return GradientPair(
-        dK1=2.0 * coef_K1 @ sol.Sigma_dev,
-        dL1=2.0 * coef_L1 @ sol.Sigma_mean,
-        dK2=2.0 * coef_K2 @ sol.Sigma_dev,
-        dL2=2.0 * coef_L2 @ sol.Sigma_mean,
-        coef_K1=coef_K1, coef_K2=coef_K2,
-        coef_L1=coef_L1, coef_L2=coef_L2,
-        R_block_dev=R_block_dev, R_block_mean=R_block_mean,
-    )
+    sol = solution if solution is not None else exact_utility(params, theta, der)
+    parts = []
+    for (block, G1, G2), P, Sigma in zip(der.blocks(theta), (sol.P_dev, sol.P_mean),
+                                         (sol.Sigma_dev, sol.Sigma_mean)):
+        coef_1, coef_2 = gradient_coefs(block, P, G1, G2, params.gamma)
+        parts.append((2.0 * coef_1 @ Sigma, 2.0 * coef_2 @ Sigma))
+    (dK1, dK2), (dL1, dL2) = parts
+    return GradientPair(dK1=dK1, dL1=dL1, dK2=dK2, dL2=dL2)

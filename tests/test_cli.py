@@ -237,6 +237,23 @@ class TestMainEntry:
         printed = json.loads(capsys.readouterr().out)
         assert printed["error"] == "ParseError"
 
+    @pytest.mark.parametrize("verb, flags, oracle, extra", [
+        ("optimize", [], "sampled", "[estimator]\nM = 0\n"),
+        ("validate-nagent", [], "exact", "[validation]\nns = 10,abc\n"),
+        ("validate-nagent", ["--ns", "10,abc"], "exact", ""),
+        ("validate-nagent", ["--ns", "0"], "exact", ""),
+        ("validate-nagent", ["--reps", "1"], "exact", ""),
+        ("simulate", ["--horizon", "0"], "exact", ""),
+    ], ids=["estimator-M-0", "config-ns-abc", "flag-ns-abc", "flag-ns-0",
+            "flag-reps-1", "simulate-horizon-0"])
+    def test_bad_setting_exit_code(self, tmp_path, capsys, verb, flags, oracle, extra):
+        path = write_config(tmp_path, oracle=oracle, extra=extra)
+        rc = main([verb, "--config", str(path)] + flags)
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 2
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] in ("ParseError", "SchemaError")
+
     def test_numerical_error_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path)
         text = path.read_text().replace("A = 0.4", "A = 2.0")

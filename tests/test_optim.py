@@ -1,4 +1,6 @@
 import csv
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from lqmfg import (
 from lqmfg.errors import BenchmarkZero
 
 from conftest import benchmark_scalars
+
+REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def theta_gap(a: PolicyPair, b: PolicyPair) -> float:
@@ -46,6 +50,27 @@ class TestRelativeError:
 
 
 class TestRunGda:
+    def test_four_lyapunov_solves_per_exact_iteration(self, monkeypatch):
+        """The progress record and the next gradient share one evaluation."""
+        import lqmfg.value
+        from lqmfg.cli import load_config
+
+        real = lqmfg.value._dlyap
+        solves = []
+
+        def counting(*args):
+            solves.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(lqmfg.value, "_dlyap", counting)
+        cfg = load_config(REPO_CONFIGS / "table1_gda_exact.cfg")
+        counts = []
+        for T in (50, 100):
+            solves.clear()
+            run_gda(cfg.model, replace(cfg.optimizer, T=T))
+            counts.append(len(solves))
+        assert counts[1] - counts[0] == 4 * 50
+
     def test_first_step_matches_hand_update(self, model):
         grad0 = exact_gradient(model, PolicyPair.zero())
         cfg = OptimizerConfig(mode="gda", T=1)

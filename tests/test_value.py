@@ -129,6 +129,22 @@ class TestDiscountedSecondMoment:
             resid = S - V0 - 0.9 * M @ S @ M.T - 9.0 * W
             assert np.linalg.norm(resid) <= 1e-10 * (1 + np.linalg.norm(S))
 
+    @pytest.mark.parametrize("d", [33, 40])
+    def test_series_branch_matches_scipy(self, d):
+        # above d = 32 the Lyapunov solve sums the series instead of
+        # solving the Kronecker system
+        from scipy.linalg import solve_discrete_lyapunov
+
+        rng = np.random.default_rng(d)
+        G = rng.standard_normal((d, d))
+        M = 0.9 * G / np.linalg.norm(G, 2)
+        base = rng.standard_normal((d, d))
+        V0 = base @ base.T / d
+        W = 0.01 * np.eye(d)
+        got = discounted_second_moment(M, V0, W, 0.9)
+        want = solve_discrete_lyapunov(np.sqrt(0.9) * M, V0 + 0.9 / (1 - 0.9) * W)
+        assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+
     def test_rejects_unstable(self):
         with pytest.raises(NotStabilizing):
             discounted_second_moment(np.array([[1.2]]), np.eye(1), np.eye(1), 0.9)
