@@ -13,6 +13,7 @@ import argparse
 import configparser
 import csv
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -90,16 +91,22 @@ class ExperimentConfig:
 def _parse_matrix(text: str, field: str) -> np.ndarray:
     try:
         rows = [[float(v) for v in row.split(",")] for row in text.split(";")]
-        return np.array(rows, dtype=float)
+        mat = np.array(rows, dtype=float)
     except ValueError:
         raise ParseError(f"field '{field}': cannot parse matrix from {text!r}") from None
+    if not np.isfinite(mat).all():
+        raise ParseError(f"field '{field}': non-finite entry in {text!r}")
+    return mat
 
 
 def _parse_float(text: str, field: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ParseError(f"field '{field}': cannot parse number from {text!r}") from None
+    if not math.isfinite(value):
+        raise ParseError(f"field '{field}': non-finite number {text!r}")
+    return value
 
 
 def _parse_int(text: str, field: str) -> int:
@@ -243,16 +250,13 @@ def load_config(path) -> ExperimentConfig:
     if has_estimator:
         est_items = dict(_ESTIMATOR_DEFAULTS)
         est_items.update(_check_section(parser, "estimator", _ESTIMATOR_KEYS, set()))
-        smoothing = est_items["smoothing_dim"].strip().lower()
-        if smoothing not in ("parameter", "state"):
-            raise SchemaError(f"smoothing_dim must be 'parameter' or 'state', got {smoothing!r}")
         try:
             estimator = EstimatorConfig(
                 M=_parse_int(est_items["M"], "M"),
                 horizon=_parse_int(est_items["horizon"], "horizon"),
                 tau=_parse_float(est_items["tau"], "tau"),
                 seed=master_seed,
-                smoothing_dim=smoothing,
+                smoothing_dim=est_items["smoothing_dim"].strip().lower(),
             )
         except ValueError as exc:
             raise SchemaError(f"estimator: {exc}") from None
@@ -473,8 +477,15 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     return replace(cfg, **changes)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Turns a bad command line into a ParseError, reported by main as JSON."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="lqmfg",
         description="Zero-sum linear-quadratic mean-field game experiments")
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -506,8 +517,8 @@ def main(argv=None) -> int:
     p_sim.add_argument("--paths", type=int, default=1, help="number of trajectories")
     p_sim.add_argument("--horizon", type=int, default=50, help="steps per trajectory")
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         cfg = _apply_overrides(load_config(args.config), args)
         if args.verb == "benchmark":
             theta_star, cost_star = write_benchmark(cfg, Path(cfg.output_dir))

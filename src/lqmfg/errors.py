@@ -62,10 +62,6 @@ class BenchmarkZero(LqmfgError):
     """Relative error requested against a zero benchmark utility."""
 
 
-class NonFinite(LqmfgError):
-    """An iterate became NaN or infinite."""
-
-
 class ConfigError(LqmfgError):
     """Base class for experiment-configuration errors."""
 

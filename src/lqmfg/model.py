@@ -367,8 +367,10 @@ def spectral_norm(mat: np.ndarray) -> float:
 
 
 def loop_stable(M: np.ndarray, gamma: float) -> bool:
-    """gamma * ||M||^2 < 1 (operator 2-norm): the one admissibility test for
-    a closed loop, sufficient for its discounted sums to converge."""
+    """gamma * ||M||^2 < 1 (operator 2-norm): the one admissibility test for a
+    closed loop, sufficient for its discounted sums to converge. NaN or inf fail."""
+    if not np.isfinite(M).all():
+        return False
     sn = spectral_norm(M)
     return gamma * sn * sn < 1.0
 

@@ -247,9 +247,10 @@ def _attempt_step(params, cfg, oracle, theta, player, eta):
 
     Returns (new_theta, grad_norms, status) where status is one of
     "ok", "left_stabilizing_set", "non_finite"."""
-    if cfg.oracle == "exact" and not in_stabilizing_set(params, theta, oracle.derived):
+    try:
+        gK, gL, full = oracle.player_blocks(theta, player)
+    except NotStabilizing:
         return theta, (float("nan"),) * 4, "left_stabilizing_set"
-    gK, gL, full = oracle.player_blocks(theta, player)
     norms = _grad_norms(gK, gL, player, full)
     new_theta = _step_into_set(
         params, cfg, oracle, lambda s: _theta_update(theta, player, gK, gL, s * eta))
@@ -308,10 +309,11 @@ def run_gda(params: ModelParams, cfg: OptimizerConfig,
         raise ValueError("config mode must be 'gda'")
     theta, oracle, tracker = _prepare(params, cfg, benchmark)
     for k in range(1, cfg.T + 1):
-        if cfg.oracle == "exact" and not in_stabilizing_set(params, theta, oracle.derived):
+        try:
+            gK1, gL1, full = oracle.player_blocks(theta, 1)
+        except NotStabilizing:
             tracker.record(k, theta, (float("nan"),) * 4)
             return tracker.finish(theta, "left_stabilizing_set")
-        gK1, gL1, full = oracle.player_blocks(theta, 1)
         if full is not None:
             gK2, gL2 = full.dK2, full.dL2
             norms = _grad_norms(None, None, 1, full)

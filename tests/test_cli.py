@@ -237,17 +237,33 @@ class TestMainEntry:
         printed = json.loads(capsys.readouterr().out)
         assert printed["error"] == "ParseError"
 
-    @pytest.mark.parametrize("verb, flags, oracle, extra", [
-        ("optimize", [], "sampled", "[estimator]\nM = 0\n"),
-        ("validate-nagent", [], "exact", "[validation]\nns = 10,abc\n"),
-        ("validate-nagent", ["--ns", "10,abc"], "exact", ""),
-        ("validate-nagent", ["--ns", "0"], "exact", ""),
-        ("validate-nagent", ["--reps", "1"], "exact", ""),
-        ("simulate", ["--horizon", "0"], "exact", ""),
+    @pytest.mark.parametrize("verb, flags, oracle, extra, edit", [
+        ("optimize", [], "sampled", "[estimator]\nM = 0\n", None),
+        ("validate-nagent", [], "exact", "[validation]\nns = 10,abc\n", None),
+        ("validate-nagent", ["--ns", "10,abc"], "exact", "", None),
+        ("validate-nagent", ["--ns", "0"], "exact", "", None),
+        ("validate-nagent", ["--reps", "1"], "exact", "", None),
+        ("simulate", ["--horizon", "0"], "exact", "", None),
+        ("optimize", [], "exact", "", ("\nA = 0.4\n", "\nA = nan\n")),
+        ("optimize", [], "exact", "",
+         ("init_common = uniform(-1, 1)", "init_common = uniform(nan, 1)")),
+        ("optimize", [], "exact", "eta1 = nan\n", None),
+        ("optimize", ["--seed", "abc"], "exact", "", None),
+        ("optimize", ["--repeats", "x"], "exact", "", None),
+        ("optimize", ["--workers", "x"], "exact", "", None),
+        ("validate-nagent", ["--reps", "x"], "exact", "", None),
+        ("simulate", ["--paths", "x"], "exact", "", None),
+        ("simulate", ["--horizon", "x"], "exact", "", None),
     ], ids=["estimator-M-0", "config-ns-abc", "flag-ns-abc", "flag-ns-0",
-            "flag-reps-1", "simulate-horizon-0"])
-    def test_bad_setting_exit_code(self, tmp_path, capsys, verb, flags, oracle, extra):
+            "flag-reps-1", "simulate-horizon-0", "model-A-nan",
+            "noise-uniform-nan", "optimizer-eta1-nan", "flag-seed-abc",
+            "flag-repeats-x", "flag-workers-x", "flag-reps-x", "flag-paths-x",
+            "flag-horizon-x"])
+    def test_bad_setting_exit_code(self, tmp_path, capsys, verb, flags, oracle,
+                                   extra, edit):
         path = write_config(tmp_path, oracle=oracle, extra=extra)
+        if edit is not None:
+            path.write_text(path.read_text().replace(*edit))
         rc = main([verb, "--config", str(path)] + flags)
         lines = capsys.readouterr().out.splitlines()
         assert rc == 2

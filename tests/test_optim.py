@@ -102,6 +102,13 @@ class TestRunGda:
         assert log.termination == "left_stabilizing_set"
         assert len(log.records) >= 1
 
+    def test_nan_step_ends_non_finite(self, model):
+        cfg = OptimizerConfig(mode="gda", T=10, eta1=float("nan"))
+        log = run_gda(model, cfg)
+        assert log.termination == "non_finite"
+        assert log.records[0].k == 1
+        assert np.isnan(log.records[-1].cost)
+
     def test_giant_step_exits_then_halts(self, model):
         cfg = OptimizerConfig(mode="gda", T=10, eta1=6.0, eta2=6.0)
         log = run_gda(model, cfg)
@@ -137,6 +144,15 @@ class TestRunAg:
         first = log.records[0].theta
         for rec in log.records:
             assert theta_gap(rec.theta, first) == 0.0
+
+    def test_halts_outside_stabilizing_set(self, model):
+        bad = PolicyPair(K1=np.zeros((1, 1)), L1=np.array([[-5.0]]),
+                         K2=np.zeros((1, 1)), L2=np.zeros((1, 1)))
+        cfg = OptimizerConfig(mode="ag", T1=5, T2=10, theta0=bad)
+        log = run_ag(model, cfg)
+        assert log.termination == "left_stabilizing_set"
+        assert len(log.records) == 1
+        assert np.isnan(log.records[0].grad_norms).all()
 
     def test_stationary_start_stays_put(self, model):
         theta_star, _ = compute_benchmark(model)

@@ -129,10 +129,9 @@ class TestDiscountedSecondMoment:
             resid = S - V0 - 0.9 * M @ S @ M.T - 9.0 * W
             assert np.linalg.norm(resid) <= 1e-10 * (1 + np.linalg.norm(S))
 
-    @pytest.mark.parametrize("d", [33, 40])
+    @pytest.mark.parametrize("d", [1, 2, 16, 33, 40, 64])
     def test_series_branch_matches_scipy(self, d):
-        # above d = 32 the Lyapunov solve sums the series instead of
-        # solving the Kronecker system
+        # the doubling kernel serves every dimension; scipy is the oracle
         from scipy.linalg import solve_discrete_lyapunov
 
         rng = np.random.default_rng(d)
@@ -143,11 +142,28 @@ class TestDiscountedSecondMoment:
         W = 0.01 * np.eye(d)
         got = discounted_second_moment(M, V0, W, 0.9)
         want = solve_discrete_lyapunov(np.sqrt(0.9) * M, V0 + 0.9 / (1 - 0.9) * W)
-        assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_near_boundary_scalar(self):
+        # gamma m^2 = 1 - 1e-9: about 36 doublings, and the closed form has
+        # condition number 1e9, so agreement is limited to ~1e-7
+        m = np.sqrt((1.0 - 1e-9) / 0.9)
+        out = discounted_second_moment(np.array([[m]]), np.array([[2.0]]),
+                                       np.zeros((1, 1)), 0.9)
+        assert out[0, 0] == pytest.approx(2.0 / (1.0 - 0.9 * m * m), rel=1e-6)
 
     def test_rejects_unstable(self):
         with pytest.raises(NotStabilizing):
             discounted_second_moment(np.array([[1.2]]), np.eye(1), np.eye(1), 0.9)
+
+    def test_rejects_non_finite(self):
+        from lqmfg.value import _dlyap
+
+        nan = np.array([[np.nan]])
+        with pytest.raises(NotStabilizing):
+            discounted_second_moment(nan, np.eye(1), np.eye(1), 0.9)
+        with pytest.raises(NotStabilizing):  # the doubling cap, past the gate
+            _dlyap(nan, np.eye(1), 0.9)
 
 
 class TestExactUtility:
