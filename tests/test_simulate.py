@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -207,3 +209,39 @@ class TestUtilityConsistency:
         assert abs(bias) <= 0.005 * exact
         se = utilities.std(ddof=1) / np.sqrt(len(utilities))
         assert abs(utilities.mean() - exact) <= abs(bias) + 3 * se
+
+
+def _digest(values: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=float).tobytes()).hexdigest()
+
+
+PIN_THETA = PolicyPair(K1=np.array([[0.2]]), L1=np.array([[0.4]]),
+                       K2=np.array([[0.1]]), L2=np.array([[0.3]]))
+MKV_SHARED_DIGEST = "7df89b7d965b5e897eb20ff846cc470b8d0778616959558636cbddfab87df661"
+MKV_STACKS_DIGEST = "1c21b5d9963a930e8af97c8d08612719778a8ae90ba55bd60bdb24db8480aeba"
+NAGENT_DIGEST = "839e93619db02a4bff3a642e809b19cac5056a7b31884c830d7e89d7a36b70a0"
+
+
+class TestPinnedBits:
+    """Rollout outputs on the scalar benchmark game, pinned bit for bit.
+
+    A change to how the engines multiply or sum must leave these digests
+    (sha256 of the float64 bytes) unchanged: the shipped sampled and
+    N-agent artifacts are built from exactly these products.
+    """
+
+    def test_mkv_shared_gains(self, model):
+        u = mkv_utility_batch(model, PIN_THETA, 50, 500, 20261018)
+        assert _digest(u) == MKV_SHARED_DIGEST
+
+    def test_mkv_gain_stacks(self, model):
+        rng = np.random.default_rng(5)
+        stacks = {"K1": 0.2 + 0.05 * rng.standard_normal((500, 1, 1)),
+                  "L1": 0.4 + 0.05 * rng.standard_normal((500, 1, 1))}
+        u = mkv_utility_batch(model, PIN_THETA, 50, 500, 20261018,
+                              gain_stacks=stacks)
+        assert _digest(u) == MKV_STACKS_DIGEST
+
+    def test_nagent(self, model):
+        u = nagent_utility_batch(model, PIN_THETA, 50, 50, 20, 20261018)
+        assert _digest(u) == NAGENT_DIGEST
