@@ -9,6 +9,12 @@ Randomness discipline: every rollout derives four named streams from its
 seed -- common-init, idio-init, common-step, idio-step, in that order -- so
 extending the horizon never reshuffles earlier draws, and engines sharing a
 seed share the common-noise path draw-for-draw.
+
+Every product of a shared matrix with a batch of vectors -- gains,
+dynamics and aggregated dynamics, in both batch engines -- is one BLAS call
+on the batch's 2-D view (`_batch_apply`). That gives the same bits as
+`v @ G.T` and is several times faster on the thin (n, 1) batches of the
+scalar game; per-path gain stacks go through one `einsum`.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, PolicyPair, validate
+from .model import DerivedParams, ModelParams, PolicyPair, validate
 
 
 def derive_seed(master: int, *keys: int) -> int:
@@ -34,23 +40,30 @@ def _streams(seed) -> tuple[np.random.Generator, ...]:
     return tuple(np.random.default_rng(s) for s in seed.spawn(4))
 
 
-def stage_cost(params: ModelParams, y, x_mean, du1, u1_mean, du2, u2_mean):
+def _batch_apply(G: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """G v for every vector of the batch v (..., d), as one BLAS call on the
+    batch's 2-D view (`np.dot` on a 3-D array is slower than `matmul`)."""
+    flat = np.dot(v.reshape(-1, v.shape[-1]), G.T)
+    return flat.reshape(v.shape[:-1] + (G.shape[0],))
+
+
+def _quad(v, W):
+    """v' W v for every vector of the batch v (..., d)."""
+    return np.einsum("...i,ij,...j->...", v, W, v)
+
+
+def stage_cost(der: DerivedParams, y, x_mean, du1, u1_mean, du2, u2_mean):
     """Instantaneous utility evaluated on recentred quantities.
 
-    y is the state deviation from its mean, du_i the control deviations.
-    Quadratic in all arguments; player 2's terms enter with a minus sign.
-    Supports batched leading axes.
+    y is the state deviation from its mean, du_i the control deviations;
+    deviation terms weigh with the `dev` block of `validate(params)`, mean
+    terms with its `mean` block. Quadratic in all arguments; player 2's
+    terms enter with a minus sign. Supports batched leading axes.
     """
-    Qt = params.Q + params.Q_bar
-    R1t = params.R1 + params.R1_bar
-    R2t = params.R2 + params.R2_bar
-
-    def quad(v, Wmat):
-        return np.einsum("...i,ij,...j->...", v, Wmat, v)
-
-    return (quad(y, params.Q) + quad(x_mean, Qt)
-            + quad(du1, params.R1) + quad(u1_mean, R1t)
-            - quad(du2, params.R2) - quad(u2_mean, R2t))
+    dev, mean = der.dev, der.mean
+    return (_quad(y, dev.Q) + _quad(x_mean, mean.Q)
+            + _quad(du1, dev.R1) + _quad(u1_mean, mean.R1)
+            - _quad(du2, dev.R2) - _quad(u2_mean, mean.R2))
 
 
 @dataclass(frozen=True)
@@ -115,7 +128,7 @@ def simulate_mkv(params: ModelParams, theta: PolicyPair, horizon: int,
         du2 = theta.K2 @ y
         u1_mean = -(theta.L1 @ z)
         u2_mean = theta.L2 @ z
-        c = float(stage_cost(params, y, z, du1, u1_mean, du2, u2_mean))
+        c = float(stage_cost(der, y, z, du1, u1_mean, du2, u2_mean))
         states[t] = y + z
         means[t] = z
         u1s[t] = du1 + u1_mean
@@ -136,7 +149,7 @@ def simulate_mkv(params: ModelParams, theta: PolicyPair, horizon: int,
 def _gain_apply(G: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Apply a gain to a batch of vectors; G is (ell, d) or (n, ell, d)."""
     if G.ndim == 2:
-        return v @ G.T
+        return _batch_apply(G, v)
     return np.einsum("nij,nj->ni", G, v)
 
 
@@ -181,14 +194,15 @@ def mkv_utility_batch(params: ModelParams, theta: PolicyPair, horizon: int,
         u2_mean = _gain_apply(L2, z)
         du1 = -_gain_apply(K1, y)
         du2 = _gain_apply(K2, y)
-        utility += discount * stage_cost(params, y, z, du1, u1_mean, du2, u2_mean)
+        utility += discount * stage_cost(der, y, z, du1, u1_mean, du2, u2_mean)
         discount *= g
         if t + 1 < horizon:
             w_common = noise.step_common.sample(rng_cs, (n_paths, d))
             w_idio = noise.step_idio.sample(rng_is, (n_paths, d))
-            y = y @ params.A.T + du1 @ params.B1.T + du2 @ params.B2.T + w_idio
-            z = (z @ der.A_tilde.T + u1_mean @ der.B1_tilde.T
-                 + u2_mean @ der.B2_tilde.T + w_common)
+            y = (_batch_apply(params.A, y) + _batch_apply(params.B1, du1)
+                 + _batch_apply(params.B2, du2) + w_idio)
+            z = (_batch_apply(der.A_tilde, z) + _batch_apply(der.B1_tilde, u1_mean)
+                 + _batch_apply(der.B2_tilde, u2_mean) + w_common)
     return utility
 
 
@@ -222,7 +236,7 @@ def _nagent_engine(params: ModelParams, theta: PolicyPair, N: int,
         raise ValueError("N must be >= 1")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    validate(params)
+    der = validate(params)
     theta.check_dims(params)
     d, ell = params.d, params.ell
     g = params.gamma
@@ -243,8 +257,8 @@ def _nagent_engine(params: ModelParams, theta: PolicyPair, N: int,
     for t in range(horizon):
         x_mean = x.mean(axis=1)                      # (reps, d)
         y = x - x_mean[:, None, :]                   # (reps, N, d)
-        u1 = -(y @ theta.K1.T) - (x_mean @ theta.L1.T)[:, None, :]
-        u2 = (y @ theta.K2.T) + (x_mean @ theta.L2.T)[:, None, :]
+        u1 = _batch_apply(-theta.K1, y) - _batch_apply(theta.L1, x_mean)[:, None, :]
+        u2 = _batch_apply(theta.K2, y) + _batch_apply(theta.L2, x_mean)[:, None, :]
         u1_mean = u1.mean(axis=1)
         u2_mean = u2.mean(axis=1)
         du1 = u1 - u1_mean[:, None, :]
@@ -253,9 +267,8 @@ def _nagent_engine(params: ModelParams, theta: PolicyPair, N: int,
         dev_part = (np.einsum("rni,ij,rnj->r", y, params.Q, y)
                     + np.einsum("rni,ij,rnj->r", du1, params.R1, du1)
                     - np.einsum("rni,ij,rnj->r", du2, params.R2, du2)) / N
-        mean_part = stage_cost(params, np.zeros_like(x_mean), x_mean,
-                               np.zeros_like(u1_mean), u1_mean,
-                               np.zeros_like(u2_mean), u2_mean)
+        mean_part = (_quad(x_mean, der.mean.Q) + _quad(u1_mean, der.mean.R1)
+                     - _quad(u2_mean, der.mean.R2))
         cbar = dev_part + mean_part
         utility += discount * cbar
         discount *= g
@@ -267,9 +280,12 @@ def _nagent_engine(params: ModelParams, theta: PolicyPair, N: int,
         if t + 1 < horizon:
             w_common = noise.step_common.sample(rng_cs, (n_reps, d))
             w_idio = noise.step_idio.sample(rng_is, (n_reps, N, d))
-            x = (x @ params.A.T + (x_mean @ params.A_bar.T)[:, None, :]
-                 + u1 @ params.B1.T + (u1_mean @ params.B1_bar.T)[:, None, :]
-                 + u2 @ params.B2.T + (u2_mean @ params.B2_bar.T)[:, None, :]
+            x = (_batch_apply(params.A, x)
+                 + _batch_apply(params.A_bar, x_mean)[:, None, :]
+                 + _batch_apply(params.B1, u1)
+                 + _batch_apply(params.B1_bar, u1_mean)[:, None, :]
+                 + _batch_apply(params.B2, u2)
+                 + _batch_apply(params.B2_bar, u2_mean)[:, None, :]
                  + w_common[:, None, :] + w_idio)
     if keep_trajectory:
         traj = NAgentTrajectory(states=states, means=means, u1_means=u1_means,
