@@ -71,3 +71,28 @@ def model_2d() -> ModelParams:
         R2=np.array([[0.50]]), R2_bar=np.array([[0.10]]),
         gamma=0.9, noise=benchmark_noise(), d=2, ell=1,
     )
+
+
+def random_game(d: int, ell: int, noise: NoiseSpec | None = None) -> ModelParams:
+    """Seeded random game beyond the scalar benchmark.
+
+    Every drift and input matrix is an independent Gaussian draw G from
+    ``default_rng(d)``: A = 0.5 G/||G||_2, A_bar = 0.1 G, B1 = 0.3 G,
+    B1_bar = 0.05 G, B2 = 0.2 G, B2_bar = 0.05 G; Q = 0.4 I, Q_bar = 0.2 I,
+    R1 = 0.4 I, R1_bar = 0.1 I, R2 = 0.5 I, R2_bar = 0.1 I, gamma = 0.9.
+    """
+    rng = np.random.default_rng(d)
+
+    def draw(rows, cols):
+        return rng.standard_normal((rows, cols))
+
+    A = draw(d, d)
+    eye_d, eye_l = np.eye(d), np.eye(ell)
+    return ModelParams(
+        A=0.5 * A / np.linalg.norm(A, 2), A_bar=0.1 * draw(d, d),
+        B1=0.3 * draw(d, ell), B1_bar=0.05 * draw(d, ell),
+        B2=0.2 * draw(d, ell), B2_bar=0.05 * draw(d, ell),
+        Q=0.4 * eye_d, Q_bar=0.2 * eye_d,
+        R1=0.4 * eye_l, R1_bar=0.1 * eye_l, R2=0.5 * eye_l, R2_bar=0.1 * eye_l,
+        gamma=0.9, noise=noise or benchmark_noise(), d=d, ell=ell,
+    )

@@ -19,7 +19,7 @@ from lqmfg import (
 )
 from lqmfg.simulate import dump_trajectory_csv
 
-from conftest import benchmark_scalars
+from conftest import benchmark_scalars, random_game
 
 
 def forced_start_noise(common: float, idio: float) -> NoiseSpec:
@@ -195,6 +195,35 @@ class TestNAgentSimulator:
             gaps.append(abs(pop.mean() - mkv.mean()) / abs(mkv.mean()))
         paired_se = 3 * (0.5 / np.sqrt(reps))  # generous error bar
         assert gaps[1] <= gaps[0] + paired_se
+
+
+def small_policy(model, seed: int = 0) -> PolicyPair:
+    rng = np.random.default_rng(seed)
+    return PolicyPair(*(0.1 * rng.standard_normal((model.ell, model.d))
+                        for _ in range(4)))
+
+
+class TestBeyondScalar:
+    """The batch engines on a d=3, ell=2 random game."""
+
+    def test_single_path_batch_matches_simulator(self):
+        model = random_game(3, 2)
+        theta = small_policy(model)
+        for seed in (1, 2024):
+            batch = mkv_utility_batch(model, theta, 40, 1, seed)[0]
+            single = simulate_mkv(model, theta, 40, seed).utility
+            assert batch == pytest.approx(single, rel=1e-12, abs=0.0)
+
+    def test_no_idiosyncratic_noise_matches_mkv_exactly(self):
+        noise = NoiseSpec(init_common=Distribution.uniform(-1, 1),
+                          init_idio=Distribution.point(0.0),
+                          step_common=Distribution.gaussian(0, 0.01),
+                          step_idio=Distribution.point(0.0))
+        model = random_game(3, 2, noise=noise)
+        theta = small_policy(model)
+        pop = nagent_utility_batch(model, theta, 8, 30, 200, 4242)
+        mkv = mkv_utility_batch(model, theta, 30, 200, 4242)
+        np.testing.assert_allclose(pop, mkv, atol=1e-10)
 
 
 class TestUtilityConsistency:
