@@ -172,7 +172,7 @@ def _is_finite(theta: PolicyPair) -> bool:
 
 
 def _same_theta(a: PolicyPair, b: PolicyPair) -> bool:
-    return all(np.array_equal(getattr(a, n), getattr(b, n))
+    return all(np.array_equal(getattr(a, n), getattr(b, n), equal_nan=True)
                for n in ("K1", "L1", "K2", "L2"))
 
 

@@ -109,6 +109,12 @@ class TestRunGda:
         assert log.records[0].k == 1
         assert np.isnan(log.records[-1].cost)
 
+    def test_nan_step_logs_one_record(self, model):
+        """The final NaN iterate is the one already logged, not a new one."""
+        cfg = OptimizerConfig(mode="gda", T=10, eta1=float("nan"))
+        log = run_gda(model, cfg)
+        assert [r.k for r in log.records] == [1]
+
     def test_giant_step_exits_then_halts(self, model):
         cfg = OptimizerConfig(mode="gda", T=10, eta1=6.0, eta2=6.0)
         log = run_gda(model, cfg)
