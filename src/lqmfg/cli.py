@@ -82,6 +82,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.repeats < 1:
             raise SchemaError("repeats must be >= 1")
+        if self.master_seed < 0:
+            raise SchemaError("master_seed must be >= 0")
         if min(self.validation_ns) < 1 or self.validation_horizon < 1:
             raise SchemaError("validation sizes and horizon must be >= 1")
         if self.validation_reps < 2:

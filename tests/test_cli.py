@@ -1,9 +1,13 @@
 import csv
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lqmfg.cli import (
     load_config,
@@ -254,11 +258,13 @@ class TestMainEntry:
         ("validate-nagent", ["--reps", "x"], "exact", "", None),
         ("simulate", ["--paths", "x"], "exact", "", None),
         ("simulate", ["--horizon", "x"], "exact", "", None),
+        ("simulate", ["--seed", "-1"], "exact", "", None),
+        ("optimize", [], "exact", "", ("master_seed = 7", "master_seed = -1")),
     ], ids=["estimator-M-0", "config-ns-abc", "flag-ns-abc", "flag-ns-0",
             "flag-reps-1", "simulate-horizon-0", "model-A-nan",
             "noise-uniform-nan", "optimizer-eta1-nan", "flag-seed-abc",
             "flag-repeats-x", "flag-workers-x", "flag-reps-x", "flag-paths-x",
-            "flag-horizon-x"])
+            "flag-horizon-x", "flag-seed-negative", "experiment-seed-negative"])
     def test_bad_setting_exit_code(self, tmp_path, capsys, verb, flags, oracle,
                                    extra, edit):
         path = write_config(tmp_path, oracle=oracle, extra=extra)
@@ -332,3 +338,83 @@ class TestDeterminism:
             a = (Path(cfg_a.output_dir) / name).read_bytes()
             b = (Path(cfg_b.output_dir) / name).read_bytes()
             assert a == b, name
+
+
+FUZZ_SECTIONS = {
+    "model": {"A": "0.4", "A_bar": "0.4", "B1": "0.4", "B1_bar": "0.4",
+              "B2": "0.3", "B2_bar": "0.3", "Q": "0.4", "Q_bar": "0.4",
+              "R1": "0.4", "R1_bar": "0.4", "R2": "0.4", "R2_bar": "0.4",
+              "gamma": "0.9"},
+    "noise": {"init_common": "uniform(-1, 1)", "init_idio": "uniform(-1, 1)",
+              "step_common": "gaussian(0, 0.01)", "step_idio": "gaussian(0, 0.01)"},
+    "optimizer": {"T": "3", "T1": "2", "T2": "3", "eta1": "0.1", "eta2": "0.1"},
+    "experiment": {"method": "gda", "oracle": "exact", "repeats": "1",
+                   "master_seed": "7"},
+}
+FUZZ_KEYS = [(section, key) for section, items in FUZZ_SECTIONS.items()
+             for key in items]
+# small integers keep every accepted run cheap (T, repeats, horizon, paths)
+FUZZ_VALUES = st.one_of(
+    st.floats(-2.0, 2.0).map(repr),
+    st.integers(-3, 6).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "", "abc", "0.4, 0.1",
+                     "0.4; 0.1", "uniform(-1, 1)", "uniform(1, -1)",
+                     "gaussian(0, -1)", "gaussian(0.5, 0.01)", "point(0.3)",
+                     "gda", "ag", "exact", "sampled", "true"]))
+FUZZ_FLAG = st.sampled_from(["0", "1", "2", "-1", "x", "", "2,3", "2,x",
+                             "1.5", "1e3"])
+FUZZ_VERB_FLAGS = {
+    "benchmark": [],
+    "simulate": ["--paths", "--horizon"],
+    "validate-nagent": ["--ns", "--reps", "--horizon"],
+    "optimize": ["--repeats", "--workers", "--oracle"],
+}
+
+
+@st.composite
+def fuzz_invocation(draw):
+    edits = draw(st.dictionaries(st.sampled_from(FUZZ_KEYS), FUZZ_VALUES,
+                                 max_size=3))
+    verb = draw(st.sampled_from(sorted(FUZZ_VERB_FLAGS)))
+    flags = []
+    for flag in ["--seed"] + FUZZ_VERB_FLAGS[verb]:
+        if flag == "--oracle":
+            value = draw(st.sampled_from(["exact", "sampled", "other"]))
+        elif flag == "--workers":
+            # never more than one worker: no process pool in a fuzz test
+            value = draw(st.sampled_from(["1", "0", "-2", "x", ""]))
+        else:
+            value = draw(FUZZ_FLAG)
+        # the population sweep always gets its small flags, so the config's
+        # large default sweep never runs
+        if verb == "validate-nagent" and flag != "--seed" or draw(st.booleans()):
+            flags += [flag, value]
+    return edits, verb, flags
+
+
+class TestMainFuzz:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(fuzz_invocation())
+    def test_exit_code_and_one_json_line(self, tmp_path_factory, invocation):
+        """Whatever the config values and the command line, main exits 0, 2
+        or 3 and prints exactly one JSON line, never a traceback."""
+        edits, verb, flags = invocation
+        tmp = tmp_path_factory.mktemp("fuzz")
+        lines = []
+        for section, items in FUZZ_SECTIONS.items():
+            lines.append(f"[{section}]")
+            for key, value in items.items():
+                lines.append(f"{key} = {edits.get((section, key), value)}")
+            if section == "experiment":
+                lines.append(f"output_dir = {tmp / 'out'}")
+            lines.append("")
+        path = tmp / "fuzz.cfg"
+        path.write_text("\n".join(lines))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main([verb, "--config", str(path)] + flags)
+        assert rc in (0, 2, 3)
+        printed = out.getvalue().splitlines()
+        assert len(printed) == 1
+        json.loads(printed[0])
+        assert "Traceback" not in err.getvalue()
