@@ -12,9 +12,10 @@ seed share the common-noise path draw-for-draw.
 
 Every product of a shared matrix with a batch of vectors -- gains,
 dynamics and aggregated dynamics, in both batch engines -- is one BLAS call
-on the batch's 2-D view (`_batch_apply`). That gives the same bits as
-`v @ G.T` and is several times faster on the thin (n, 1) batches of the
-scalar game; per-path gain stacks go through one `einsum`.
+on the batch's 2-D view (`_batch_apply`); per-path gain stacks go through
+one `einsum`. On the thin (n, 1) batches of the scalar game this is several
+times faster than `v @ G.T`, and the bits are the same: at d=1 every entry
+is a single product.
 """
 
 from __future__ import annotations

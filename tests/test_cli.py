@@ -387,7 +387,7 @@ def fuzz_invocation(draw):
             value = draw(FUZZ_FLAG)
         # the population sweep always gets its small flags, so the config's
         # large default sweep never runs
-        if verb == "validate-nagent" and flag != "--seed" or draw(st.booleans()):
+        if (verb == "validate-nagent" and flag != "--seed") or draw(st.booleans()):
             flags += [flag, value]
     return edits, verb, flags
 
