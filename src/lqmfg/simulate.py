@@ -15,7 +15,9 @@ dynamics and aggregated dynamics, in both batch engines -- is one BLAS call
 on the batch's 2-D view (`_batch_apply`); per-path gain stacks go through
 one `einsum`. On the thin (n, 1) batches of the scalar game this is several
 times faster than `v @ G.T`, and the bits are the same: at d=1 every entry
-is a single product.
+is a single product. State updates add their terms in place, one at a
+time in the order of the written sum, which rounds exactly as the
+one-expression sum does without a temporary array per term.
 """
 
 from __future__ import annotations
@@ -200,10 +202,14 @@ def mkv_utility_batch(params: ModelParams, theta: PolicyPair, horizon: int,
         if t + 1 < horizon:
             w_common = noise.step_common.sample(rng_cs, (n_paths, d))
             w_idio = noise.step_idio.sample(rng_is, (n_paths, d))
-            y = (_batch_apply(params.A, y) + _batch_apply(params.B1, du1)
-                 + _batch_apply(params.B2, du2) + w_idio)
-            z = (_batch_apply(der.A_tilde, z) + _batch_apply(der.B1_tilde, u1_mean)
-                 + _batch_apply(der.B2_tilde, u2_mean) + w_common)
+            y = _batch_apply(params.A, y)
+            y += _batch_apply(params.B1, du1)
+            y += _batch_apply(params.B2, du2)
+            y += w_idio
+            z = _batch_apply(der.A_tilde, z)
+            z += _batch_apply(der.B1_tilde, u1_mean)
+            z += _batch_apply(der.B2_tilde, u2_mean)
+            z += w_common
     return utility
 
 
@@ -281,13 +287,14 @@ def _nagent_engine(params: ModelParams, theta: PolicyPair, N: int,
         if t + 1 < horizon:
             w_common = noise.step_common.sample(rng_cs, (n_reps, d))
             w_idio = noise.step_idio.sample(rng_is, (n_reps, N, d))
-            x = (_batch_apply(params.A, x)
-                 + _batch_apply(params.A_bar, x_mean)[:, None, :]
-                 + _batch_apply(params.B1, u1)
-                 + _batch_apply(params.B1_bar, u1_mean)[:, None, :]
-                 + _batch_apply(params.B2, u2)
-                 + _batch_apply(params.B2_bar, u2_mean)[:, None, :]
-                 + w_common[:, None, :] + w_idio)
+            x = _batch_apply(params.A, x)
+            x += _batch_apply(params.A_bar, x_mean)[:, None, :]
+            x += _batch_apply(params.B1, u1)
+            x += _batch_apply(params.B1_bar, u1_mean)[:, None, :]
+            x += _batch_apply(params.B2, u2)
+            x += _batch_apply(params.B2_bar, u2_mean)[:, None, :]
+            x += w_common[:, None, :]
+            x += w_idio
     if keep_trajectory:
         traj = NAgentTrajectory(states=states, means=means, u1_means=u1_means,
                                 u2_means=u2_means, utility=float(utility[0]))
