@@ -240,8 +240,16 @@ class TestUtilityConsistency:
         assert abs(utilities.mean() - exact) <= abs(bias) + 3 * se
 
 
-def _digest(values: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(values, dtype=float).tobytes()).hexdigest()
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for values in arrays:
+        h.update(np.ascontiguousarray(values, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def _trajectory_digest(traj) -> str:
+    return _digest(traj.states, traj.means, traj.u1, traj.u2, traj.costs,
+                   [traj.utility])
 
 
 PIN_THETA = PolicyPair(K1=np.array([[0.2]]), L1=np.array([[0.4]]),
@@ -249,14 +257,17 @@ PIN_THETA = PolicyPair(K1=np.array([[0.2]]), L1=np.array([[0.4]]),
 MKV_SHARED_DIGEST = "7df89b7d965b5e897eb20ff846cc470b8d0778616959558636cbddfab87df661"
 MKV_STACKS_DIGEST = "1c21b5d9963a930e8af97c8d08612719778a8ae90ba55bd60bdb24db8480aeba"
 NAGENT_DIGEST = "839e93619db02a4bff3a642e809b19cac5056a7b31884c830d7e89d7a36b70a0"
+TRAJECTORY_DIGEST = "9e794681e562ced791003630b02af14c9f3144a864961f83793f3b7821b0c625"
+TRAJECTORY_D3_DIGEST = "564303dd1f10e6361387ef4ec5faf6cc27a17a2569b86c157545614ed271f5c6"
 
 
 class TestPinnedBits:
-    """Rollout outputs on the scalar benchmark game, pinned bit for bit.
+    """Rollout outputs pinned bit for bit, on the scalar benchmark game and
+    one d=3, ell=2 random game.
 
     A change to how the engines multiply or sum must leave these digests
-    (sha256 of the float64 bytes) unchanged: the shipped sampled and
-    N-agent artifacts are built from exactly these products.
+    (sha256 of the float64 bytes) unchanged: the shipped sampled, N-agent
+    and trajectory artifacts are built from exactly these products.
     """
 
     def test_mkv_shared_gains(self, model):
@@ -274,3 +285,14 @@ class TestPinnedBits:
     def test_nagent(self, model):
         u = nagent_utility_batch(model, PIN_THETA, 50, 50, 20, 20261018)
         assert _digest(u) == NAGENT_DIGEST
+
+    def test_mkv_trajectory(self, model):
+        """states, means, u1, u2, costs and utility of `simulate_mkv`; the
+        `simulate` verb writes its CSV from exactly these arrays."""
+        traj = simulate_mkv(model, PIN_THETA, 50, 20261018)
+        assert _trajectory_digest(traj) == TRAJECTORY_DIGEST
+
+    def test_mkv_trajectory_beyond_scalar(self):
+        model = random_game(3, 2)
+        traj = simulate_mkv(model, small_policy(model), 40, 20261018)
+        assert _trajectory_digest(traj) == TRAJECTORY_D3_DIGEST
