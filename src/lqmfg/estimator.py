@@ -43,6 +43,8 @@ class EstimatorConfig:
             raise ValueError("horizon must be >= 1")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.smoothing_dim not in ("parameter", "state"):
             raise ValueError("smoothing_dim must be 'parameter' or 'state'")
 
@@ -52,12 +54,7 @@ def sphere_sample(dim: int, tau: float, rng: np.random.Generator) -> np.ndarray:
     (normalized Gaussian; all-zero draws are redrawn)."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    for _ in range(_MAX_REDRAWS):
-        v = rng.standard_normal(dim)
-        norm = np.linalg.norm(v)
-        if norm > 0.0:
-            return tau * v / norm
-    raise DegenerateDraw(f"all-zero Gaussian draws {_MAX_REDRAWS} times in a row")
+    return _sphere_stack(1, dim, tau, rng)[0]
 
 
 def _sphere_stack(n: int, dim: int, tau: float, rng: np.random.Generator) -> np.ndarray:
@@ -107,17 +104,15 @@ def estimate_gradient(
     vL = _sphere_stack(cfg.M, block_dim, cfg.tau, rng).reshape(cfg.M, ell, d)
 
     own_K, own_L = ("K1", "L1") if player == 1 else ("K2", "L2")
-    own_K_mat = theta.K1 if player == 1 else theta.K2
-    own_L_mat = theta.L1 if player == 1 else theta.L2
-    gains: dict[str, np.ndarray] = {
-        "K1": theta.K1, "L1": theta.L1, "K2": theta.K2, "L2": theta.L2,
-    }
-    gains[own_K] = own_K_mat[None, :, :] + vK
-    gains[own_L] = own_L_mat[None, :, :] + vL
+    stacks = {own_K: getattr(theta, own_K)[None, :, :] + vK,
+              own_L: getattr(theta, own_L)[None, :, :] + vL}
 
     if utility_fn is None:
-        utilities = _rollout_utilities(params, theta, cfg, gains, sim_ss)
+        utilities = mkv_utility_batch(params, theta, cfg.horizon, cfg.M, sim_ss,
+                                      gain_stacks=stacks)
     else:
+        gains = {"K1": theta.K1, "L1": theta.L1, "K2": theta.K2, "L2": theta.L2,
+                 **stacks}
         utilities = np.asarray(utility_fn(gains, sim_ss), dtype=float)
     if utilities.shape != (cfg.M,):
         raise ValueError(f"utility samples must have shape ({cfg.M},)")
@@ -127,8 +122,3 @@ def estimate_gradient(
     grad_L = scale * np.einsum("m,mij->ij", utilities, vL) / cfg.M
     return grad_K, grad_L
 
-
-def _rollout_utilities(params, theta, cfg, gains, sim_ss):
-    stacks = {name: g for name, g in gains.items() if g.ndim == 3}
-    return mkv_utility_batch(params, theta, cfg.horizon, cfg.M, sim_ss,
-                             gain_stacks=stacks)

@@ -61,6 +61,10 @@ class Distribution:
     p1: float = 0.0
     p2: float = 0.0
 
+    def __post_init__(self):
+        if not (np.isfinite(self.p1) and np.isfinite(self.p2)):
+            raise InvalidNoise(f"{self.kind}: non-finite parameter ({self.p1}, {self.p2})")
+
     @classmethod
     def uniform(cls, low: float, high: float) -> "Distribution":
         if high < low:
@@ -284,9 +288,6 @@ class PolicyPair:
             raise DimensionMismatch(
                 f"gains must be {(params.ell, params.d)}, got {self.K1.shape}"
             )
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([m.ravel() for m in (self.K1, self.L1, self.K2, self.L2)])
 
 
 def validate(params: ModelParams) -> DerivedParams:

@@ -20,7 +20,7 @@ from .estimator import EstimatorConfig, estimate_gradient
 from .model import ModelParams, PolicyPair, in_stabilizing_set, validate
 from .riccati import nash_policy, solve_riccati
 from .simulate import derive_seed
-from .value import exact_gradient, exact_utility
+from .value import GradientPair, exact_gradient, exact_utility
 
 MAX_STEP_HALVINGS = 20
 
@@ -138,22 +138,24 @@ class _Oracle:
             self._last = (theta, exact_utility(self.params, theta, self.derived))
         return self._last[1]
 
-    def player_blocks(self, theta: PolicyPair, player: int):
-        """(grad_K, grad_L) for one player at theta.
+    def gradient(self, theta: PolicyPair, players) -> GradientPair:
+        """Utility gradient at theta for `players`, a tuple of 1 and/or 2.
 
-        Exact mode evaluates the closed form (theta must be stabilizing,
-        signalled via NotStabilizing); sampled mode runs the estimator with
-        a per-call derived seed."""
-        self.calls += 1
+        Exact mode evaluates the closed form for both players (theta must be
+        stabilizing, signalled via NotStabilizing). Sampled mode runs the
+        estimator once per listed player, each call with its own derived
+        seed; the blocks of a player not listed are NaN."""
         if self.cfg.oracle == "exact":
-            grad = exact_gradient(self.params, theta, self.derived, self.utility(theta))
-            if player == 1:
-                return grad.dK1, grad.dL1, grad
-            return grad.dK2, grad.dL2, grad
+            self.calls += 1
+            return exact_gradient(self.params, theta, self.derived, self.utility(theta))
         est = self.cfg.estimator
-        call_cfg = replace(est, seed=derive_seed(est.seed, self.calls, player))
-        gK, gL = estimate_gradient(self.params, theta, player, call_cfg)
-        return gK, gL, None
+        nan = np.full((self.params.ell, self.params.d), np.nan)
+        blocks = {1: (nan, nan), 2: (nan, nan)}
+        for player in players:
+            self.calls += 1
+            call_cfg = replace(est, seed=derive_seed(est.seed, self.calls, player))
+            blocks[player] = estimate_gradient(self.params, theta, player, call_cfg)
+        return GradientPair(*blocks[1], *blocks[2])
 
 
 def _theta_update(theta: PolicyPair, player: int, gK, gL, eta: float) -> PolicyPair:
@@ -192,9 +194,7 @@ class _Tracker:
         except NotStabilizing:
             return float("nan")
 
-    def record(self, k: int, theta: PolicyPair, grad_norms) -> None:
-        if k % self.cfg.log_every and k != 1:
-            return
+    def _append(self, k: int, theta: PolicyPair, grad_norms) -> None:
         cost = self.exact_cost(theta)
         rel = (relative_error(cost, self.log.benchmark_cost)
                if np.isfinite(cost) else float("nan"))
@@ -202,27 +202,21 @@ class _Tracker:
             k=k, theta=theta, cost=cost, grad_norms=tuple(grad_norms),
             rel_err=rel))
 
+    def record(self, k: int, theta: PolicyPair, grad_norms) -> None:
+        if k % self.cfg.log_every == 0 or k == 1:
+            self._append(k, theta, grad_norms)
+
     def finish(self, theta: PolicyPair, termination: str) -> RunLog:
         self.log.final_theta = theta
         self.log.termination = termination
         self.log.wall_time = time.perf_counter() - self.t0
         if self.log.records and not _same_theta(self.log.records[-1].theta, theta):
-            k_last = self.log.records[-1].k
-            cost = self.exact_cost(theta)
-            rel = (relative_error(cost, self.log.benchmark_cost)
-                   if np.isfinite(cost) else float("nan"))
-            self.log.records.append(RunRecord(
-                k=k_last + 1, theta=theta, cost=cost,
-                grad_norms=(float("nan"),) * 4, rel_err=rel))
+            self._append(self.log.records[-1].k + 1, theta, (float("nan"),) * 4)
         return self.log
 
 
-def _grad_norms(gK, gL, player: int, full=None):
-    if full is not None:
-        return tuple(float(np.linalg.norm(b)) for b in full.blocks())
-    nK, nL = float(np.linalg.norm(gK)), float(np.linalg.norm(gL))
-    return (nK, nL, float("nan"), float("nan")) if player == 1 \
-        else (float("nan"), float("nan"), nK, nL)
+def _grad_norms(grad: GradientPair):
+    return tuple(float(np.linalg.norm(b)) for b in grad.blocks())
 
 
 def _step_into_set(params, cfg, oracle, step):
@@ -248,10 +242,11 @@ def _attempt_step(params, cfg, oracle, theta, player, eta):
     Returns (new_theta, grad_norms, status) where status is one of
     "ok", "left_stabilizing_set", "non_finite"."""
     try:
-        gK, gL, full = oracle.player_blocks(theta, player)
+        grad = oracle.gradient(theta, (player,))
     except NotStabilizing:
         return theta, (float("nan"),) * 4, "left_stabilizing_set"
-    norms = _grad_norms(gK, gL, player, full)
+    norms = _grad_norms(grad)
+    gK, gL = (grad.dK1, grad.dL1) if player == 1 else (grad.dK2, grad.dL2)
     new_theta = _step_into_set(
         params, cfg, oracle, lambda s: _theta_update(theta, player, gK, gL, s * eta))
     if new_theta is None:
@@ -310,19 +305,14 @@ def run_gda(params: ModelParams, cfg: OptimizerConfig,
     theta, oracle, tracker = _prepare(params, cfg, benchmark)
     for k in range(1, cfg.T + 1):
         try:
-            gK1, gL1, full = oracle.player_blocks(theta, 1)
+            grad = oracle.gradient(theta, (1, 2))
         except NotStabilizing:
             tracker.record(k, theta, (float("nan"),) * 4)
             return tracker.finish(theta, "left_stabilizing_set")
-        if full is not None:
-            gK2, gL2 = full.dK2, full.dL2
-            norms = _grad_norms(None, None, 1, full)
-        else:
-            gK2, gL2, _ = oracle.player_blocks(theta, 2)
-            norms = tuple(float(np.linalg.norm(b)) for b in (gK1, gL1, gK2, gL2))
+        norms = _grad_norms(grad)
         tentative = _step_into_set(params, cfg, oracle, lambda s: PolicyPair(
-            K1=theta.K1 - s * cfg.eta1 * gK1, L1=theta.L1 - s * cfg.eta1 * gL1,
-            K2=theta.K2 + s * cfg.eta2 * gK2, L2=theta.L2 + s * cfg.eta2 * gL2))
+            K1=theta.K1 - s * cfg.eta1 * grad.dK1, L1=theta.L1 - s * cfg.eta1 * grad.dL1,
+            K2=theta.K2 + s * cfg.eta2 * grad.dK2, L2=theta.L2 + s * cfg.eta2 * grad.dL2))
         if tentative is None:
             tracker.record(k, theta, norms)
             return tracker.finish(theta, "left_stabilizing_set")

@@ -3,7 +3,10 @@
 Two views of the same game: the mean-field simulator propagates one state
 together with its conditional mean (the mean follows its own autonomous
 linear recursion given the common-noise path), while the finite-population
-simulator propagates N coupled agents with empirical means.
+simulator propagates N coupled agents with empirical means. Each view has
+one batched engine: `simulate_mkv` is path 0 of a one-path
+`mkv_utility_batch` run, and `simulate_n_agent` is replication 0 of a
+one-replication `nagent_utility_batch` run, each with its trajectory kept.
 
 Randomness discipline: every rollout derives four named streams from its
 seed -- common-init, idio-init, common-step, idio-step, in that order -- so
@@ -97,56 +100,14 @@ def simulate_mkv(params: ModelParams, theta: PolicyPair, horizon: int,
                  seed: int) -> MkvTrajectory:
     """Roll out the mean-field dynamics for `horizon` steps.
 
-    The conditional mean starts at the common draw plus the idiosyncratic
-    mean and follows the aggregated recursion driven by the common noise
-    only. Identical seeds give bit-identical trajectories.
+    The rollout is path 0 of a one-path `mkv_utility_batch` run with its
+    trajectory kept. The conditional mean starts at the common draw plus
+    the idiosyncratic mean and follows the aggregated recursion driven by
+    the common noise only. Identical seeds give bit-identical trajectories.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    der = validate(params)
-    theta.check_dims(params)
-    d = params.d
-    g = params.gamma
-    noise = params.noise
-    rng_ci, rng_ii, rng_cs, rng_is = _streams(seed)
-
-    eps_common = noise.init_common.sample(rng_ci, d)
-    eps_idio = noise.init_idio.sample(rng_ii, d)
-    idio_mean = noise.init_idio.mean(d)
-    # propagate the deviation and the mean separately (an exact regrouping
-    # of the state recursion); the idiosyncratic-noise-free case then keeps
-    # the state equal to its mean bit for bit
-    y = eps_idio - idio_mean
-    z = eps_common + idio_mean
-
-    states = np.empty((horizon, d))
-    means = np.empty((horizon, d))
-    u1s = np.empty((horizon, params.ell))
-    u2s = np.empty((horizon, params.ell))
-    costs = np.empty(horizon)
-    utility = 0.0
-    discount = 1.0
-    for t in range(horizon):
-        du1 = -(theta.K1 @ y)
-        du2 = theta.K2 @ y
-        u1_mean = -(theta.L1 @ z)
-        u2_mean = theta.L2 @ z
-        c = float(stage_cost(der, y, z, du1, u1_mean, du2, u2_mean))
-        states[t] = y + z
-        means[t] = z
-        u1s[t] = du1 + u1_mean
-        u2s[t] = du2 + u2_mean
-        costs[t] = c
-        utility += discount * c
-        discount *= g
-        if t + 1 < horizon:
-            w_common = noise.step_common.sample(rng_cs, d)
-            w_idio = noise.step_idio.sample(rng_is, d)
-            y = params.A @ y + params.B1 @ du1 + params.B2 @ du2 + w_idio
-            z = (der.A_tilde @ z + der.B1_tilde @ u1_mean
-                 + der.B2_tilde @ u2_mean + w_common)
-    return MkvTrajectory(states=states, means=means, u1=u1s, u2=u2s,
-                         costs=costs, utility=float(utility))
+    _, traj = _mkv_engine(params, theta, horizon, 1, seed, None,
+                          keep_trajectory=True)
+    return traj
 
 
 def _gain_apply(G: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -163,33 +124,46 @@ def mkv_utility_batch(params: ModelParams, theta: PolicyPair, horizon: int,
 
     `gain_stacks` may override individual gains with per-path stacks of
     shape (n_paths, ell, d); untouched gains are shared across paths. Draws
-    come from the same four named streams as `simulate_mkv`, one batched
-    draw per step, so two engines given the same seed see the same
-    common-noise arrays.
+    come from the four named streams, one batched draw per step, so
+    `nagent_utility_batch` given the same seed sees the same common-noise
+    arrays.
     """
+    utilities, _ = _mkv_engine(params, theta, horizon, n_paths, seed,
+                               gain_stacks, keep_trajectory=False)
+    return utilities
+
+
+def _mkv_engine(params: ModelParams, theta: PolicyPair, horizon: int,
+                n_paths: int, seed, stacks, keep_trajectory: bool):
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     der = validate(params)
     theta.check_dims(params)
-    d = params.d
+    d, ell = params.d, params.ell
     g = params.gamma
     noise = params.noise
     gains = {"K1": theta.K1, "L1": theta.L1, "K2": theta.K2, "L2": theta.L2}
-    if gain_stacks:
-        for name, stack in gain_stacks.items():
-            stack = np.asarray(stack, dtype=float)
-            if stack.shape != (n_paths, params.ell, params.d):
-                raise ValueError(f"{name} stack must be (n_paths, ell, d)")
-            gains[name] = stack
+    for name, stack in (stacks or {}).items():
+        stack = np.asarray(stack, dtype=float)
+        if stack.shape != (n_paths, ell, d):
+            raise ValueError(f"{name} stack must be (n_paths, ell, d)")
+        gains[name] = stack
     K1, L1, K2, L2 = gains["K1"], gains["L1"], gains["K2"], gains["L2"]
 
     rng_ci, rng_ii, rng_cs, rng_is = _streams(seed)
     eps_common = noise.init_common.sample(rng_ci, (n_paths, d))
     eps_idio = noise.init_idio.sample(rng_ii, (n_paths, d))
     idio_mean = noise.init_idio.mean(d)
+    # propagate the deviation and the mean separately (an exact regrouping
+    # of the state recursion); the idiosyncratic-noise-free case then keeps
+    # the state equal to its mean bit for bit
     y = eps_idio - idio_mean
     z = eps_common + idio_mean
 
+    if keep_trajectory:
+        states, means = np.empty((horizon, d)), np.empty((horizon, d))
+        u1s, u2s = np.empty((horizon, ell)), np.empty((horizon, ell))
+        costs = np.empty(horizon)
     utility = np.zeros(n_paths)
     discount = 1.0
     for t in range(horizon):
@@ -197,8 +171,16 @@ def mkv_utility_batch(params: ModelParams, theta: PolicyPair, horizon: int,
         u2_mean = _gain_apply(L2, z)
         du1 = -_gain_apply(K1, y)
         du2 = _gain_apply(K2, y)
-        utility += discount * stage_cost(der, y, z, du1, u1_mean, du2, u2_mean)
+        cost = stage_cost(der, y, z, du1, u1_mean, du2, u2_mean)
+        utility += discount * cost
         discount *= g
+        if keep_trajectory:
+            states[t] = y[0] + z[0]
+            means[t] = z[0]
+            u1s[t] = du1[0] + u1_mean[0]
+            u2s[t] = du2[0] + u2_mean[0]
+            costs[t] = cost[0]
+        del cost  # free the (n_paths,) costs before the next step allocates
         if t + 1 < horizon:
             w_common = noise.step_common.sample(rng_cs, (n_paths, d))
             w_idio = noise.step_idio.sample(rng_is, (n_paths, d))
@@ -210,7 +192,11 @@ def mkv_utility_batch(params: ModelParams, theta: PolicyPair, horizon: int,
             z += _batch_apply(der.B1_tilde, u1_mean)
             z += _batch_apply(der.B2_tilde, u2_mean)
             z += w_common
-    return utility
+    if keep_trajectory:
+        traj = MkvTrajectory(states=states, means=means, u1=u1s, u2=u2s,
+                             costs=costs, utility=float(utility[0]))
+        return utility, traj
+    return utility, None
 
 
 def simulate_n_agent(params: ModelParams, theta: PolicyPair, N: int,

@@ -207,5 +207,7 @@ class TestEstimateGradient:
         with pytest.raises(ValueError):
             EstimatorConfig(M=10, horizon=10, tau=0.0, seed=0)
         with pytest.raises(ValueError):
+            EstimatorConfig(M=10, horizon=10, tau=0.1, seed=-1)
+        with pytest.raises(ValueError):
             EstimatorConfig(M=10, horizon=10, tau=0.1, seed=0,
                             smoothing_dim="bogus")

@@ -174,6 +174,20 @@ class TestNoise:
                       step_common=Distribution.gaussian(0.3, 0.1),
                       step_idio=Distribution.point(0.0))
 
+    @pytest.mark.parametrize("make", [
+        lambda: Distribution.gaussian(0.0, float("nan")),
+        lambda: Distribution.gaussian(float("inf"), 0.01),
+        lambda: Distribution.uniform(float("-inf"), float("inf")),
+        lambda: Distribution.uniform(float("nan"), 1.0),
+        lambda: Distribution.point(float("nan")),
+    ], ids=["gaussian-nan-var", "gaussian-inf-mean", "uniform-inf",
+            "uniform-nan-low", "point-nan"])
+    def test_non_finite_parameter_rejected(self, make):
+        """A NaN or infinite parameter fails at construction, not later as
+        NaN utilities, a misleading NotStabilizing or an OverflowError."""
+        with pytest.raises(InvalidNoise):
+            make()
+
     def test_uniform_moments(self):
         dist = Distribution.uniform(-1.0, 1.0)
         assert dist.mean_scalar == pytest.approx(0.0)
