@@ -136,6 +136,7 @@ class TestRunGda:
         assert log.termination == "completed"
         assert len(log.records) == 5
         assert np.isfinite(log.records[-1].cost)
+        assert np.isfinite([r.grad_norms for r in log.records]).all()
 
     def test_requires_estimator_when_sampled(self):
         with pytest.raises(ValueError):
@@ -216,6 +217,10 @@ class TestRunAg:
         assert log.termination == "completed"
         # T1*T2 convention records plus the final maximizer-update record
         assert log.records[-1].k == 7
+        # a minimizer step estimates player 1 only; player 2's norms are NaN
+        for rec in log.records[:-1]:
+            assert np.isfinite(rec.grad_norms[:2]).all()
+            assert np.isnan(rec.grad_norms[2:]).all()
 
 
 class TestSimultaneity:
