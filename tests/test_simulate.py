@@ -259,6 +259,8 @@ MKV_STACKS_DIGEST = "1c21b5d9963a930e8af97c8d08612719778a8ae90ba55bd60bdb24db848
 NAGENT_DIGEST = "839e93619db02a4bff3a642e809b19cac5056a7b31884c830d7e89d7a36b70a0"
 TRAJECTORY_DIGEST = "9e794681e562ced791003630b02af14c9f3144a864961f83793f3b7821b0c625"
 TRAJECTORY_D3_DIGEST = "564303dd1f10e6361387ef4ec5faf6cc27a17a2569b86c157545614ed271f5c6"
+NAGENT_D3_DIGEST = "bf138044416126b9e0f76c213fbc5ec1c992b686d26967631d8b39c9d51b701e"
+NAGENT_TRAJECTORY_DIGEST = "083077b82ace1284e0c857229f01a9237be6c630e69d75f491c6aef9061e0a12"
 
 
 class TestPinnedBits:
@@ -285,6 +287,19 @@ class TestPinnedBits:
     def test_nagent(self, model):
         u = nagent_utility_batch(model, PIN_THETA, 50, 50, 20, 20261018)
         assert _digest(u) == NAGENT_DIGEST
+
+    def test_nagent_beyond_scalar(self):
+        model = random_game(3, 2)
+        u = nagent_utility_batch(model, small_policy(model), 20, 30, 10,
+                                 20261018)
+        assert _digest(u) == NAGENT_D3_DIGEST
+
+    def test_nagent_trajectory(self, model):
+        """states, means, u1_means, u2_means and utility of
+        `simulate_n_agent`."""
+        traj = simulate_n_agent(model, PIN_THETA, 40, 50, 20261018)
+        assert _digest(traj.states, traj.means, traj.u1_means, traj.u2_means,
+                       [traj.utility]) == NAGENT_TRAJECTORY_DIGEST
 
     def test_mkv_trajectory(self, model):
         """states, means, u1, u2, costs and utility of `simulate_mkv`; the
