@@ -41,8 +41,8 @@ class EstimatorConfig:
             raise ValueError("M must be >= 1")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0 < self.tau < np.inf:  # also rejects NaN
+            raise ValueError("tau must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.smoothing_dim not in ("parameter", "state"):

@@ -110,7 +110,12 @@ class Distribution:
         if self.kind == "uniform":
             return rng.uniform(self.p1, self.p2, shape)
         if self.kind == "gaussian":
-            return self.p1 + np.sqrt(self.p2) * rng.standard_normal(shape)
+            # in place, one array: IEEE * and + commute, so this rounds
+            # exactly as p1 + sqrt(p2) * z
+            z = rng.standard_normal(shape)
+            z *= np.sqrt(self.p2)
+            z += self.p1
+            return z
         return np.full(shape, self.p1)
 
 

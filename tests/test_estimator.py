@@ -207,6 +207,10 @@ class TestEstimateGradient:
         with pytest.raises(ValueError):
             EstimatorConfig(M=10, horizon=10, tau=0.0, seed=0)
         with pytest.raises(ValueError):
+            EstimatorConfig(M=10, horizon=10, tau=float("nan"), seed=0)
+        with pytest.raises(ValueError):
+            EstimatorConfig(M=10, horizon=10, tau=float("inf"), seed=0)
+        with pytest.raises(ValueError):
             EstimatorConfig(M=10, horizon=10, tau=0.1, seed=-1)
         with pytest.raises(ValueError):
             EstimatorConfig(M=10, horizon=10, tau=0.1, seed=0,

@@ -205,6 +205,19 @@ class TestNoise:
         vals = Distribution.point(1.5).sample(rng, (4, 2))
         np.testing.assert_array_equal(vals, np.full((4, 2), 1.5))
 
+    @pytest.mark.parametrize("mean, variance", [
+        (0.0, 0.01), (0.5, 0.01), (-1.25, 3.0), (2.0, 0.0), (1e-3, 1e6)])
+    def test_gaussian_sample_bits(self, mean, variance):
+        """The in-place draw rounds exactly as the one-expression sum."""
+        dist = Distribution.gaussian(mean, variance)
+        for seed in (0, 1, 20261018):
+            for shape in ((7,), (50, 1), (20, 30, 3)):
+                new = dist.sample(np.random.default_rng(seed), shape)
+                z = np.random.default_rng(seed).standard_normal(shape)
+                reference = mean + np.sqrt(variance) * z
+                assert new.shape == shape
+                assert new.tobytes() == reference.tobytes()
+
     def test_sampled_moments_match(self):
         rng = np.random.default_rng(7)
         dist = Distribution.uniform(-1.0, 1.0)

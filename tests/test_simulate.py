@@ -1,4 +1,5 @@
 import hashlib
+import threading
 
 import numpy as np
 import pytest
@@ -195,6 +196,33 @@ class TestNAgentSimulator:
             gaps.append(abs(pop.mean() - mkv.mean()) / abs(mkv.mean()))
         paired_se = 3 * (0.5 / np.sqrt(reps))  # generous error bar
         assert gaps[1] <= gaps[0] + paired_se
+
+    @pytest.mark.parametrize("horizon", [1, 2, 10])
+    def test_no_thread_outlives_the_call(self, model, horizon):
+        before = threading.active_count()
+        nagent_utility_batch(model, PIN_THETA, 20, horizon, 5, 3)
+        assert threading.active_count() == before
+
+    def test_failed_step_draw_reaches_caller(self, model, monkeypatch):
+        """The third draw, the first step draw, raises on the helper
+        thread: the caller gets that exception and no thread is left."""
+        error = RuntimeError("draw failed")
+        calls = []
+        sample = Distribution.sample
+
+        def failing_sample(dist, rng, shape):
+            calls.append(shape)
+            if len(calls) == 3:
+                raise error
+            return sample(dist, rng, shape)
+
+        monkeypatch.setattr(Distribution, "sample", failing_sample)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            nagent_utility_batch(model, PIN_THETA, 20, 10, 5, 3)
+        assert info.value is error
+        assert len(calls) == 3
+        assert threading.active_count() == before
 
 
 def small_policy(model, seed: int = 0) -> PolicyPair:
