@@ -295,9 +295,9 @@ class TestPinnedBits:
     """Rollout outputs pinned bit for bit, on the scalar benchmark game and
     one d=3, ell=2 random game.
 
-    A change to how the engines multiply or sum must leave these digests
-    (sha256 of the float64 bytes) unchanged: the shipped sampled, N-agent
-    and trajectory artifacts are built from exactly these products.
+    A change to how the engines draw, multiply or sum must leave these
+    digests (sha256 of the float64 bytes) unchanged: the shipped sampled,
+    N-agent and trajectory artifacts are built from exactly these products.
     """
 
     def test_mkv_shared_gains(self, model):
