@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from lqmfg import Distribution, ModelParams, NoiseSpec
+from lqmfg import Distribution, ModelParams, NoiseSpec, PolicyPair
 
 # Positive roots of the scalar equilibrium quadratics
 #   0.0315 P^2 + 0.919 P - 0.288 = 0   (deviation part)
@@ -96,3 +98,22 @@ def random_game(d: int, ell: int, noise: NoiseSpec | None = None) -> ModelParams
         R1=0.4 * eye_l, R1_bar=0.1 * eye_l, R2=0.5 * eye_l, R2_bar=0.1 * eye_l,
         gamma=0.9, noise=noise or benchmark_noise(), d=d, ell=ell,
     )
+
+
+def small_policy(model, seed: int = 0) -> PolicyPair:
+    rng = np.random.default_rng(seed)
+    return PolicyPair(*(0.1 * rng.standard_normal((model.ell, model.d))
+                        for _ in range(4)))
+
+
+# the scalar policy pair the pinned digests are taken at
+PIN_THETA = PolicyPair(K1=np.array([[0.2]]), L1=np.array([[0.4]]),
+                       K2=np.array([[0.1]]), L2=np.array([[0.3]]))
+
+
+def digest(*arrays) -> str:
+    """sha256 of the float64 bytes of the arrays, in order."""
+    h = hashlib.sha256()
+    for values in arrays:
+        h.update(np.ascontiguousarray(values, dtype=float).tobytes())
+    return h.hexdigest()

@@ -1,4 +1,3 @@
-import hashlib
 import threading
 
 import numpy as np
@@ -20,7 +19,7 @@ from lqmfg import (
 )
 from lqmfg.simulate import dump_trajectory_csv
 
-from conftest import benchmark_scalars, random_game
+from conftest import PIN_THETA, benchmark_scalars, digest, random_game, small_policy
 
 
 def forced_start_noise(common: float, idio: float) -> NoiseSpec:
@@ -225,12 +224,6 @@ class TestNAgentSimulator:
         assert threading.active_count() == before
 
 
-def small_policy(model, seed: int = 0) -> PolicyPair:
-    rng = np.random.default_rng(seed)
-    return PolicyPair(*(0.1 * rng.standard_normal((model.ell, model.d))
-                        for _ in range(4)))
-
-
 class TestBeyondScalar:
     """The batch engines on a d=3, ell=2 random game."""
 
@@ -268,20 +261,11 @@ class TestUtilityConsistency:
         assert abs(utilities.mean() - exact) <= abs(bias) + 3 * se
 
 
-def _digest(*arrays) -> str:
-    h = hashlib.sha256()
-    for values in arrays:
-        h.update(np.ascontiguousarray(values, dtype=float).tobytes())
-    return h.hexdigest()
-
-
 def _trajectory_digest(traj) -> str:
-    return _digest(traj.states, traj.means, traj.u1, traj.u2, traj.costs,
+    return digest(traj.states, traj.means, traj.u1, traj.u2, traj.costs,
                    [traj.utility])
 
 
-PIN_THETA = PolicyPair(K1=np.array([[0.2]]), L1=np.array([[0.4]]),
-                       K2=np.array([[0.1]]), L2=np.array([[0.3]]))
 MKV_SHARED_DIGEST = "7df89b7d965b5e897eb20ff846cc470b8d0778616959558636cbddfab87df661"
 MKV_STACKS_DIGEST = "1c21b5d9963a930e8af97c8d08612719778a8ae90ba55bd60bdb24db8480aeba"
 NAGENT_DIGEST = "839e93619db02a4bff3a642e809b19cac5056a7b31884c830d7e89d7a36b70a0"
@@ -302,7 +286,7 @@ class TestPinnedBits:
 
     def test_mkv_shared_gains(self, model):
         u = mkv_utility_batch(model, PIN_THETA, 50, 500, 20261018)
-        assert _digest(u) == MKV_SHARED_DIGEST
+        assert digest(u) == MKV_SHARED_DIGEST
 
     def test_mkv_gain_stacks(self, model):
         rng = np.random.default_rng(5)
@@ -310,23 +294,23 @@ class TestPinnedBits:
                   "L1": 0.4 + 0.05 * rng.standard_normal((500, 1, 1))}
         u = mkv_utility_batch(model, PIN_THETA, 50, 500, 20261018,
                               gain_stacks=stacks)
-        assert _digest(u) == MKV_STACKS_DIGEST
+        assert digest(u) == MKV_STACKS_DIGEST
 
     def test_nagent(self, model):
         u = nagent_utility_batch(model, PIN_THETA, 50, 50, 20, 20261018)
-        assert _digest(u) == NAGENT_DIGEST
+        assert digest(u) == NAGENT_DIGEST
 
     def test_nagent_beyond_scalar(self):
         model = random_game(3, 2)
         u = nagent_utility_batch(model, small_policy(model), 20, 30, 10,
                                  20261018)
-        assert _digest(u) == NAGENT_D3_DIGEST
+        assert digest(u) == NAGENT_D3_DIGEST
 
     def test_nagent_trajectory(self, model):
         """states, means, u1_means, u2_means and utility of
         `simulate_n_agent`."""
         traj = simulate_n_agent(model, PIN_THETA, 40, 50, 20261018)
-        assert _digest(traj.states, traj.means, traj.u1_means, traj.u2_means,
+        assert digest(traj.states, traj.means, traj.u1_means, traj.u2_means,
                        [traj.utility]) == NAGENT_TRAJECTORY_DIGEST
 
     def test_mkv_trajectory(self, model):

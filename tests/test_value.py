@@ -18,7 +18,7 @@ from lqmfg import (
 from lqmfg.errors import NotStabilizing
 from lqmfg.model import dev_closed_loop, mean_closed_loop
 
-from conftest import benchmark_scalars
+from conftest import PIN_THETA, benchmark_scalars, digest, random_game, small_policy
 
 
 def series_value_oracle(M, S, gamma, T=500):
@@ -292,3 +292,40 @@ def _bump(theta: PolicyPair, name: str, delta: float, col: int = 0) -> PolicyPai
     mats[name] = mats[name].copy()
     mats[name][0, col] += delta
     return PolicyPair(**mats)
+
+
+def _oracle_case(name: str):
+    """(model, policy pair) of one pinned exact-oracle case."""
+    if name.startswith("scalar"):
+        model = ModelParams.from_scalars(**benchmark_scalars())
+        return model, PIN_THETA if name == "scalar_pin" else PolicyPair.zero()
+    d, ell = {"d3": (3, 2), "d16": (16, 4)}[name]
+    model = random_game(d, ell)
+    return model, small_policy(model)
+
+
+ORACLE_DIGESTS = {
+    "scalar_pin": "772b4fcd859b000680f1976f5ea5fb36e12740928beed21a37a83e2462a080ee",
+    "scalar_zero": "4dba3894be65c0b64f91bbe2e2bc9bd99c101187d11415ce1683a22f8c75e1f4",
+    "d3": "16cd982b58487d4b0a685a2d7bedf5edc7628f3ecc906b27672133c0ec36aa43",
+    "d16": "aa1225087a018cb58e1e9758ba798a466bca01841ace7a2b814812577ac26e5f",
+}
+
+
+class TestPinnedBits:
+    """exact_utility (P, Sigma, costs) and exact_gradient pinned bit for bit
+    (sha256 of the float64 bytes) on the scalar game and two random games.
+
+    The shipped exact artifacts are built from exactly these numbers, so a
+    change to how the blocks are multiplied, solved or summed must leave
+    these digests unchanged.
+    """
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_DIGESTS))
+    def test_exact_oracle(self, case):
+        model, theta = _oracle_case(case)
+        sol = exact_utility(model, theta)
+        grad = exact_gradient(model, theta, solution=sol)
+        got = digest(sol.P_dev, sol.P_mean, sol.Sigma_dev, sol.Sigma_mean,
+                     [sol.cost_dev, sol.cost_mean, sol.cost], *grad.blocks())
+        assert got == ORACLE_DIGESTS[case]
