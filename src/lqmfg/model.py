@@ -228,7 +228,7 @@ class LQBlock:
     W: np.ndarray
 
     def closed_loop(self, G1, G2) -> np.ndarray:
-        """Closed-loop matrix A - B1 G1 + B2 G2 under the gains (G1, G2)."""
+        """Closed-loop matrix A - B1 G1 + B2 G2, slice by slice on stacks."""
         return self.A - self.B1 @ np.atleast_2d(G1) + self.B2 @ np.atleast_2d(G2)
 
 
@@ -239,8 +239,9 @@ class DerivedParams:
     ``dev_coef_i`` maps the deviation value matrix to player i's signed
     deviation feedback, ``mean_coef_i`` does the same for the mean part, and
     ``mf_coef_i`` is the mean-field correction between the two:
-    mean_coef_i = dev_coef_i + mf_coef_i. ``dev`` and ``mean`` are the two
-    blocks the game splits into; the tilde fields are the mean block's.
+    mean_coef_i = dev_coef_i + mf_coef_i. ``stack`` holds the two blocks the
+    game splits into as (2, ...) arrays, deviation first; ``dev``, ``mean``
+    and the tilde fields are views of its slices.
     """
 
     A_tilde: np.ndarray
@@ -255,12 +256,14 @@ class DerivedParams:
     mf_coef_2: np.ndarray
     mean_coef_1: np.ndarray
     mean_coef_2: np.ndarray
+    stack: LQBlock
     dev: LQBlock
     mean: LQBlock
 
-    def blocks(self, theta: PolicyPair):
-        """(block, G1, G2) for the deviation and the mean part of a policy pair."""
-        return ((self.dev, theta.K1, theta.K2), (self.mean, theta.L1, theta.L2))
+    @staticmethod
+    def gains(theta: PolicyPair) -> tuple[np.ndarray, np.ndarray]:
+        """(G1, G2) of a policy pair stacked like ``stack``: (K1, L1), (K2, L2)."""
+        return np.stack((theta.K1, theta.L1)), np.stack((theta.K2, theta.L2))
 
 
 @dataclass(frozen=True)
@@ -340,17 +343,21 @@ def validate(params: ModelParams) -> DerivedParams:
     # at the common draw plus the idiosyncratic mean.
     d, noise = params.d, params.noise
     mu = noise.init_common.mean(d) + noise.init_idio.mean(d)
+    pairs = ((params.A, A_tilde), (params.B1, B1_tilde), (params.B2, B2_tilde),
+             (params.Q, Q_tilde), (params.R1, R1_tilde), (params.R2, R2_tilde),
+             (noise.init_idio.cov(d), noise.init_common.cov(d) + np.outer(mu, mu)),
+             (noise.step_idio.cov(d), noise.step_common.cov(d)))
+    stacked = [np.stack(pair) for pair in pairs]
+    for m in stacked:
+        m.setflags(write=False)
+    dev, mean = (LQBlock(*(m[i] for m in stacked)) for i in (0, 1))
     return DerivedParams(
-        A_tilde=A_tilde, B1_tilde=B1_tilde, B2_tilde=B2_tilde,
-        Q_tilde=Q_tilde, R1_tilde=R1_tilde, R2_tilde=R2_tilde,
+        A_tilde=mean.A, B1_tilde=mean.B1, B2_tilde=mean.B2,
+        Q_tilde=mean.Q, R1_tilde=mean.R1, R2_tilde=mean.R2,
         dev_coef_1=coefs[1][0], dev_coef_2=coefs[2][0],
         mf_coef_1=coefs[1][1], mf_coef_2=coefs[2][1],
         mean_coef_1=coefs[1][2], mean_coef_2=coefs[2][2],
-        dev=LQBlock(params.A, params.B1, params.B2, params.Q, params.R1, params.R2,
-                    V0=noise.init_idio.cov(d), W=noise.step_idio.cov(d)),
-        mean=LQBlock(A_tilde, B1_tilde, B2_tilde, Q_tilde, R1_tilde, R2_tilde,
-                     V0=noise.init_common.cov(d) + np.outer(mu, mu),
-                     W=noise.step_common.cov(d)),
+        stack=LQBlock(*stacked), dev=dev, mean=mean,
     )
 
 
@@ -368,17 +375,18 @@ def mean_closed_loop(
     return der.mean.closed_loop(L1, L2)
 
 
-def spectral_norm(mat: np.ndarray) -> float:
-    return float(np.linalg.norm(mat, ord=2))
+def spectral_norm(mat: np.ndarray) -> np.ndarray:
+    """Operator 2-norm of each matrix in a stack (..., m, n), by one SVD call."""
+    return np.linalg.svd(mat, compute_uv=False)[..., 0]
 
 
 def loop_stable(M: np.ndarray, gamma: float) -> bool:
-    """gamma * ||M||^2 < 1 (operator 2-norm): the one admissibility test for a
-    closed loop, sufficient for its discounted sums to converge. NaN or inf fail."""
+    """gamma * ||M||^2 < 1 (operator 2-norm) for every closed loop in the
+    stack M (..., d, d): the one admissibility test for a closed loop,
+    sufficient for its discounted sums to converge. NaN or inf fail."""
     if not np.isfinite(M).all():
         return False
-    sn = spectral_norm(M)
-    return gamma * sn * sn < 1.0
+    return all(gamma * sn * sn < 1.0 for sn in spectral_norm(M).ravel().tolist())
 
 
 def in_stabilizing_set(params: ModelParams, theta: PolicyPair,
@@ -387,8 +395,7 @@ def in_stabilizing_set(params: ModelParams, theta: PolicyPair,
     second moments: both closed loops must pass the spectral-norm test."""
     theta.check_dims(params)
     der = derived if derived is not None else validate(params)
-    return all(loop_stable(block.closed_loop(G1, G2), params.gamma)
-               for block, G1, G2 in der.blocks(theta))
+    return loop_stable(der.stack.closed_loop(*der.gains(theta)), params.gamma)
 
 
 def control_from_policy(

@@ -86,9 +86,8 @@ def solve_riccati(params: ModelParams, tol: float = DEFAULT_TOL,
                           residual_dev=res_dev, residual_mean=res_mean,
                           iterations=it_dev + it_mean)
     theta = nash_policy(params, sol, derived=der)
-    for label, (block, G1, G2) in zip(("deviation", "mean"), der.blocks(theta)):
-        if not loop_stable(block.closed_loop(G1, G2), g):
-            raise NonStabilizingSolution(f"{label} fixed point induces an unstable loop")
+    if not loop_stable(der.stack.closed_loop(*der.gains(theta)), g):
+        raise NonStabilizingSolution("a fixed point induces an unstable loop")
     return sol
 
 
@@ -308,10 +307,10 @@ def _scalar_root(eval_slope, lo: float, hi: float, tol: float,
 def _slope(block: LQBlock, gamma: float, g2: float, tol_fp: float, max_iter: int) -> float:
     """Player 2's utility slope in one scalar block at gain g2 against player
     1's best response (the second-moment factor > 0 is dropped)."""
-    G2 = np.array([[g2]])
-    G1 = _best_response(block, 1, G2, gamma, tol_fp, max_iter, 1.0)
-    P = block_value(block, G1, G2, gamma)[1]
-    return float(gradient_coefs(block, P, G1, G2, gamma)[1][0, 0])
+    G2 = np.array([[[g2]]])
+    G1 = _best_response(block, 1, G2[0], gamma, tol_fp, max_iter, 1.0)[None]
+    P = block_value(block, G1, G2, gamma)
+    return float(gradient_coefs(block, P, G1, G2, gamma)[1][0, 0, 0])
 
 
 def nash_via_gradient_root(params: ModelParams, tol: float = 1e-10) -> PolicyPair:

@@ -1,9 +1,9 @@
 """Closed-form evaluation of a stabilizing policy pair.
 
-A policy pair is scored by two discounted Lyapunov-type matrices (one for
-the deviation process, one for the mean process), the matching discounted
-second-moment matrices, the exact utility, and the exact utility gradient
-with respect to all four gain blocks.
+A policy pair is scored by the value and discounted second-moment matrices
+of the deviation and the mean process, the exact utility and its gradient in
+all four gains. Both processes are evaluated at once, on arrays stacked
+along a leading (dev, mean) axis: one spectral-norm gate, one doubling loop.
 """
 
 from __future__ import annotations
@@ -26,20 +26,30 @@ from .model import (  # noqa: F401  (spectral_norm: looked up here by perfbench/
 MAX_DOUBLINGS = 64
 
 
+def _mT(x: np.ndarray) -> np.ndarray:
+    return np.swapaxes(x, -1, -2)
+
+
 def _dlyap(M: np.ndarray, source: np.ndarray, gamma: float) -> np.ndarray:
-    """Solve P = source + gamma * M^T P M by Smith's doubling iteration.
+    """Solve P = source + gamma * M^T P M for each slice of the stacks M and
+    source (k, d, d) by Smith's doubling iteration.
 
     With A = sqrt(gamma) M, each step P <- P + A^T P A, A <- A A doubles the
-    summed terms of sum_t (A^T)^t source A^t, until P stops changing in
-    floating point: at most ~60 steps under the caller's gamma*||M||^2 < 1
-    (57 for a scalar at 1 - 2**-53), so MAX_DOUBLINGS means non-finite input.
+    summed terms of sum_t (A^T)^t source A^t. A slice leaves the stack at the
+    first step its P stops changing in floating point, with the bits of a loop
+    over it alone: at most ~60 steps under gamma*||M||^2 < 1 (57 for a scalar
+    at 1 - 2**-53), so MAX_DOUBLINGS means non-finite input.
     """
     A = np.sqrt(gamma) * M
-    P = source
+    P, out, rows = source, np.empty_like(source), np.arange(len(source))
     for _ in range(MAX_DOUBLINGS):
-        P_next = P + A.T @ P @ A
-        if (P_next == P).all():
-            return P
+        P_next = P + _mT(A) @ P @ A
+        done = (P_next == P).all(axis=(-2, -1))
+        if done.any():
+            out[rows[done]] = P[done]
+            if done.all():
+                return out
+            rows, P_next, A = rows[~done], P_next[~done], A[~done]
         P, A = P_next, A @ A
     raise NotStabilizing("Lyapunov doubling did not converge")
 
@@ -49,18 +59,24 @@ def _require_stable(M: np.ndarray, gamma: float) -> None:
         raise NotStabilizing("closed loop fails gamma * ||M||^2 < 1")
 
 
-def block_value(block: LQBlock, G1, G2, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Closed loop M and value matrix P of one block under gains (G1, G2).
-
-    P is the unique solution of P = Q + G1' R1 G1 - G2' R2 G2 + gamma M' P M
-    with M = A - B1 G1 + B2 G2; M must pass the spectral-norm test.
-    """
-    G1 = np.atleast_2d(G1)
-    G2 = np.atleast_2d(G2)
+def _gated_loop(block: LQBlock, G1, G2, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Closed loops M = A - B1 G1 + B2 G2 and value sources
+    Q + G1' R1 G1 - G2' R2 G2 of stacked gains (G1, G2) (k, ell, d), on the
+    slices of stacked blocks or on one block broadcast. Raises NotStabilizing
+    unless every M passes the spectral-norm test."""
     M = block.closed_loop(G1, G2)
     _require_stable(M, gamma)
-    source = block.Q + G1.T @ block.R1 @ G1 - G2.T @ block.R2 @ G2
-    return M, _dlyap(M, source, gamma)
+    return M, block.Q + _mT(G1) @ block.R1 @ G1 - _mT(G2) @ block.R2 @ G2
+
+
+def block_value(block: LQBlock, G1, G2, gamma: float) -> np.ndarray:
+    """Value matrices P = source + gamma M' P M of the ``_gated_loop`` stacks."""
+    return _dlyap(*_gated_loop(block, G1, G2, gamma), gamma)
+
+
+def _one(G) -> np.ndarray:
+    """A gain matrix as a stack of one."""
+    return np.atleast_2d(np.asarray(G, dtype=float))[None]
 
 
 def solve_dev_value(params: ModelParams, K1, K2) -> np.ndarray:
@@ -69,21 +85,14 @@ def solve_dev_value(params: ModelParams, K1, K2) -> np.ndarray:
     Unique solution of P = Q + K1' R1 K1 - K2' R2 K2 + gamma M' P M with
     M = A - B1 K1 + B2 K2.
     """
-    return block_value(validate(params).dev, K1, K2, params.gamma)[1]
+    return block_value(validate(params).dev, _one(K1), _one(K2), params.gamma)[0]
 
 
 def solve_mean_value(params: ModelParams, L1, L2,
                      derived: DerivedParams | None = None) -> np.ndarray:
     """Value matrix of the mean process for gains (L1, L2); tilde variant."""
     der = derived if derived is not None else validate(params)
-    return block_value(der.mean, L1, L2, params.gamma)[1]
-
-
-def _second_moment(M: np.ndarray, V0: np.ndarray, W: np.ndarray,
-                   gamma: float) -> np.ndarray:
-    source = V0 + gamma / (1.0 - gamma) * W
-    # Sigma = source + gamma M Sigma M'  ==  transposed-loop Lyapunov solve
-    return _dlyap(M.T, source, gamma)
+    return block_value(der.mean, _one(L1), _one(L2), params.gamma)[0]
 
 
 def discounted_second_moment(M: np.ndarray, V0: np.ndarray, W: np.ndarray,
@@ -92,12 +101,12 @@ def discounted_second_moment(M: np.ndarray, V0: np.ndarray, W: np.ndarray,
 
     E[s_0 s_0'] = V0 and Cov(eps) = W. Solves
     Sigma = V0 + gamma * M Sigma M' + gamma/(1-gamma) * W,
-    which follows from summing the moment recursion V_{t+1} = M V_t M' + W.
+    which follows from summing the moment recursion V_{t+1} = M V_t M' + W,
+    as the Lyapunov solve of the transposed loop.
     """
-    M = np.atleast_2d(np.asarray(M, dtype=float))
+    M, V0, W = (_one(x) for x in (M, V0, W))
     _require_stable(M, gamma)
-    return _second_moment(M, np.atleast_2d(np.asarray(V0, dtype=float)),
-                          np.atleast_2d(np.asarray(W, dtype=float)), gamma)
+    return _dlyap(_mT(M), V0 + gamma / (1.0 - gamma) * W, gamma)[0]
 
 
 @dataclass(frozen=True)
@@ -139,43 +148,38 @@ def exact_utility(params: ModelParams, theta: PolicyPair,
     """Exact discounted utility of a stabilizing policy pair.
 
     cost_dev = tr(P_dev V0_dev) + gamma/(1-gamma) tr(P_dev W_dev), and the
-    mean part analogously; the total is their sum.
+    mean part analogously; the total is their sum. Both blocks are gated by
+    one spectral-norm call, and their four Lyapunov equations (P on M, Sigma
+    on M') are solved in one doubling loop.
     """
     der = derived if derived is not None else validate(params)
     theta.check_dims(params)
     g = params.gamma
     tail = g / (1.0 - g)
-    parts = []
-    for block, G1, G2 in der.blocks(theta):
-        M, P = block_value(block, G1, G2, g)
-        cost = float(np.trace(P @ block.V0) + tail * np.trace(P @ block.W))
-        parts.append((P, _second_moment(M, block.V0, block.W, g), cost))
-    (P_dev, Sigma_dev, cost_dev), (P_mean, Sigma_mean, cost_mean) = parts
-    return ValueSolution(
-        P_dev=P_dev, P_mean=P_mean,
-        Sigma_dev=Sigma_dev, Sigma_mean=Sigma_mean,
-        cost_dev=cost_dev, cost_mean=cost_mean,
-        cost=cost_dev + cost_mean,
-    )
+    S = der.stack
+    M, source = _gated_loop(S, *der.gains(theta), g)
+    solved = _dlyap(np.concatenate((M, _mT(M))),
+                    np.concatenate((source, S.V0 + tail * S.W)), g)
+    P, Sigma = solved[:2], solved[2:]
+    cost = (np.trace(P @ S.V0, axis1=-2, axis2=-1)
+            + tail * np.trace(P @ S.W, axis1=-2, axis2=-1))
+    cost_dev, cost_mean = float(cost[0]), float(cost[1])
+    return ValueSolution(P[0], P[1], Sigma[0], Sigma[1],
+                         cost_dev, cost_mean, cost_dev + cost_mean)
 
 
 def gradient_coefs(block: LQBlock, P: np.ndarray, G1, G2,
                    gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Left factors c1, c2 of the block utility gradient 2 c_i Sigma in G1, G2:
+    """Left factors c1, c2 of the block utility gradient 2 c_i Sigma in G1, G2,
+    slice by slice on stacked blocks, P and gains:
 
       c1 = (R1 + g B1'PB1) G1 - g B1'PB2 G2 - g B1'P A
       c2 = -g B2'PB1 G1 + (-R2 + g B2'PB2) G2 + g B2'P A
     """
-    g = gamma
-    B1, B2 = block.B1, block.B2
-    B1PB1 = B1.T @ P @ B1
-    B1PB2 = B1.T @ P @ B2
-    B2PB1 = B2.T @ P @ B1
-    B2PB2 = B2.T @ P @ B2
-    B1PA = B1.T @ P @ block.A
-    B2PA = B2.T @ P @ block.A
-    coef_1 = (block.R1 + g * B1PB1) @ G1 - g * B1PB2 @ G2 - g * B1PA
-    coef_2 = -g * B2PB1 @ G1 + (-block.R2 + g * B2PB2) @ G2 + g * B2PA
+    g, B1, B2, A = gamma, block.B1, block.B2, block.A
+    B1P, B2P = _mT(B1) @ P, _mT(B2) @ P
+    coef_1 = (block.R1 + g * (B1P @ B1)) @ G1 - g * (B1P @ B2) @ G2 - g * (B1P @ A)
+    coef_2 = -g * (B2P @ B1) @ G1 + (-block.R2 + g * (B2P @ B2)) @ G2 + g * (B2P @ A)
     return coef_1, coef_2
 
 
@@ -185,15 +189,14 @@ def exact_gradient(params: ModelParams, theta: PolicyPair,
     """Exact utility gradient with respect to (K1, L1, K2, L2).
 
     Each block is 2 c_i Sigma with the ``gradient_coefs`` of its part: the
-    deviation part for K1, K2 and the tilde analogue for L1, L2.
+    deviation part for K1, K2 and the tilde analogue for L1, L2, both parts
+    in one stacked pass.
     ``solution`` is ``exact_utility`` at theta when the caller already has it.
     """
     der = derived if derived is not None else validate(params)
     sol = solution if solution is not None else exact_utility(params, theta, der)
-    parts = []
-    for (block, G1, G2), P, Sigma in zip(der.blocks(theta), (sol.P_dev, sol.P_mean),
-                                         (sol.Sigma_dev, sol.Sigma_mean)):
-        coef_1, coef_2 = gradient_coefs(block, P, G1, G2, params.gamma)
-        parts.append((2.0 * coef_1 @ Sigma, 2.0 * coef_2 @ Sigma))
-    (dK1, dK2), (dL1, dL2) = parts
+    G1, G2 = der.gains(theta)
+    P, Sigma = np.stack((sol.P_dev, sol.P_mean)), np.stack((sol.Sigma_dev, sol.Sigma_mean))
+    coef_1, coef_2 = gradient_coefs(der.stack, P, G1, G2, params.gamma)
+    (dK1, dL1), (dK2, dL2) = 2.0 * coef_1 @ Sigma, 2.0 * coef_2 @ Sigma
     return GradientPair(dK1=dK1, dL1=dL1, dK2=dK2, dL2=dL2)

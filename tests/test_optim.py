@@ -51,16 +51,17 @@ class TestRelativeError:
 
 class TestRunGda:
     def test_four_lyapunov_solves_per_exact_iteration(self, monkeypatch):
-        """The progress record and the next gradient share one evaluation."""
+        """The progress record and the next gradient share one evaluation,
+        whose four Lyapunov equations are one stacked doubling call."""
         import lqmfg.value
         from lqmfg.cli import load_config
 
         real = lqmfg.value._dlyap
-        solves = []
+        solves = []  # equations per _dlyap call
 
-        def counting(*args):
-            solves.append(1)
-            return real(*args)
+        def counting(M, source, gamma):
+            solves.append(len(source))
+            return real(M, source, gamma)
 
         monkeypatch.setattr(lqmfg.value, "_dlyap", counting)
         cfg = load_config(REPO_CONFIGS / "table1_gda_exact.cfg")
@@ -68,8 +69,9 @@ class TestRunGda:
         for T in (50, 100):
             solves.clear()
             run_gda(cfg.model, replace(cfg.optimizer, T=T))
-            counts.append(len(solves))
-        assert counts[1] - counts[0] == 4 * 50
+            counts.append((len(solves), sum(solves)))
+        assert counts[1][0] - counts[0][0] == 50
+        assert counts[1][1] - counts[0][1] == 4 * 50
 
     def test_first_step_matches_hand_update(self, model):
         grad0 = exact_gradient(model, PolicyPair.zero())

@@ -8,6 +8,7 @@ from lqmfg import (
     PolicyPair,
     discounted_second_moment,
     exact_gradient,
+    in_stabilizing_set,
     exact_utility,
     nash_policy,
     solve_dev_value,
@@ -16,7 +17,8 @@ from lqmfg import (
     validate,
 )
 from lqmfg.errors import NotStabilizing
-from lqmfg.model import dev_closed_loop, mean_closed_loop
+from lqmfg.model import dev_closed_loop, loop_stable, mean_closed_loop
+from lqmfg.value import MAX_DOUBLINGS, _dlyap
 
 from conftest import PIN_THETA, benchmark_scalars, digest, random_game, small_policy
 
@@ -285,6 +287,76 @@ class TestExactGradient:
                            K2=np.zeros((1, 1)), L2=np.zeros((1, 1)))
         with pytest.raises(NotStabilizing):
             exact_gradient(model, theta)
+
+
+class TestGate:
+    """Both closed loops are gated, not only the deviation one."""
+
+    @pytest.mark.parametrize("gains", [
+        {"L1": -5.0},             # mean loop 0.8 + 0.8 * 5; deviation loop 0.4
+        {"L2": np.nan},
+        {"K1": np.nan},
+    ], ids=["mean_loop_only", "nan_mean_gain", "nan_dev_gain"])
+    def test_rejects(self, model, gains):
+        theta = PolicyPair(**{n: np.array([[gains.get(n, 0.0)]])
+                              for n in ("K1", "L1", "K2", "L2")})
+        if "L1" in gains:
+            assert loop_stable(dev_closed_loop(model, theta.K1, theta.K2), model.gamma)
+            assert not loop_stable(mean_closed_loop(model, theta.L1, theta.L2),
+                                   model.gamma)
+        assert not in_stabilizing_set(model, theta)
+        with pytest.raises(NotStabilizing):
+            exact_utility(model, theta)
+        with pytest.raises(NotStabilizing):
+            exact_gradient(model, theta)
+
+
+def _dlyap_alone(M, source, gamma):
+    """The doubling loop on one matrix: the reference every slice of a
+    stacked solve must match bit for bit. Returns (P, doublings)."""
+    A = np.sqrt(gamma) * M
+    P = source
+    for step in range(MAX_DOUBLINGS):
+        P_next = P + A.T @ P @ A
+        if (P_next == P).all():
+            return P, step
+        P, A = P_next, A @ A
+    raise AssertionError("no convergence")
+
+
+class TestStackedDoubling:
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_slices_stop_on_their_own_step(self, d):
+        gamma = 0.9
+        rng = np.random.default_rng(d)
+        M, source = [], []
+        for loop in (0.01, 0.99, 0.5, 0.9):   # gamma * ||M||^2 per slice
+            G = rng.standard_normal((d, d))
+            M.append(np.sqrt(loop / gamma) * G / np.linalg.norm(G, 2))
+            S = rng.standard_normal((d, d))
+            source.append(S @ S.T + np.eye(d))
+        got = _dlyap(np.array(M), np.array(source), gamma)
+        steps = set()
+        for i in range(len(M)):
+            want, step = _dlyap_alone(M[i], source[i], gamma)
+            steps.add(step)
+            assert got[i].tobytes() == want.tobytes()
+        assert len(steps) > 1
+
+    def test_transposed_slices_match_second_moment(self, model_2d):
+        """P and Sigma of both blocks in one stack give the per-matrix bits."""
+        theta = random_stabilizing_policy(model_2d, np.random.default_rng(3), 0.2)
+        sol = exact_utility(model_2d, theta)
+        der = validate(model_2d)
+        tail = model_2d.gamma / (1.0 - model_2d.gamma)
+        for block, (G1, G2), P, Sigma in (
+                (der.dev, (theta.K1, theta.K2), sol.P_dev, sol.Sigma_dev),
+                (der.mean, (theta.L1, theta.L2), sol.P_mean, sol.Sigma_mean)):
+            M = block.closed_loop(G1, G2)
+            src = block.Q + G1.T @ block.R1 @ G1 - G2.T @ block.R2 @ G2
+            assert P.tobytes() == _dlyap_alone(M, src, model_2d.gamma)[0].tobytes()
+            want = _dlyap_alone(M.T, block.V0 + tail * block.W, model_2d.gamma)[0]
+            assert Sigma.tobytes() == want.tobytes()
 
 
 def _bump(theta: PolicyPair, name: str, delta: float, col: int = 0) -> PolicyPair:
