@@ -50,8 +50,8 @@ class OptimizerConfig:
             raise ValueError("sampled oracle requires an estimator config")
         if min(self.T1, self.T2, self.T, self.log_every) < 1:
             raise ValueError("iteration counts must be >= 1")
-        if self.eta1 < 0 or self.eta2 < 0:
-            raise ValueError("learning rates must be nonnegative")
+        if not (0.0 <= self.eta1 < np.inf and 0.0 <= self.eta2 < np.inf):
+            raise ValueError("learning rates must be finite and nonnegative")
 
 
 @dataclass

@@ -105,16 +105,18 @@ class TestRunGda:
         assert len(log.records) >= 1
 
     def test_nan_step_ends_non_finite(self, model):
-        cfg = OptimizerConfig(mode="gda", T=10, eta1=float("nan"))
-        log = run_gda(model, cfg)
+        cfg = OptimizerConfig(mode="gda", T=10, eta1=1e308)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            log = run_gda(model, cfg)
         assert log.termination == "non_finite"
         assert log.records[0].k == 1
         assert np.isnan(log.records[-1].cost)
 
     def test_nan_step_logs_one_record(self, model):
         """The final NaN iterate is the one already logged, not a new one."""
-        cfg = OptimizerConfig(mode="gda", T=10, eta1=float("nan"))
-        log = run_gda(model, cfg)
+        cfg = OptimizerConfig(mode="gda", T=10, eta1=1e308)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            log = run_gda(model, cfg)
         assert [r.k for r in log.records] == [1]
 
     def test_giant_step_exits_then_halts(self, model):
@@ -143,6 +145,12 @@ class TestRunGda:
     def test_requires_estimator_when_sampled(self):
         with pytest.raises(ValueError):
             OptimizerConfig(mode="gda", oracle="sampled")
+
+    @pytest.mark.parametrize("eta", [-0.1, float("nan"), float("inf"), float("-inf")])
+    def test_rejects_bad_learning_rates(self, eta):
+        for name in ("eta1", "eta2"):
+            with pytest.raises(ValueError):
+                OptimizerConfig(mode="gda", **{name: eta})
 
 
 class TestRunAg:
