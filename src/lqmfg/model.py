@@ -215,7 +215,8 @@ class LQBlock:
     driven by the K gains; the mean block holds their aggregated "tilde"
     counterparts and is driven by the L gains. ``V0`` is the initial second
     moment of the block's state and ``W`` the covariance of its step noise.
-    Every formula that acts on one block is written once against this type.
+    Every formula that acts on one block is written once against this type,
+    and runs slice by slice when the fields are stacks (``DerivedParams.stack``).
     """
 
     A: np.ndarray
