@@ -18,7 +18,7 @@ from .errors import (
     NotStabilizing,
     SingularR,
 )
-from .model import DerivedParams, LQBlock, ModelParams, PolicyPair, loop_stable, validate
+from .model import DerivedParams, LQBlock, ModelParams, PolicyPair, in_stabilizing_set, validate
 # solve_dev_value / solve_mean_value: looked up here by perfbench/spans.py
 from .value import block_value, gradient_coefs, solve_dev_value, solve_mean_value  # noqa: F401
 
@@ -86,7 +86,7 @@ def solve_riccati(params: ModelParams, tol: float = DEFAULT_TOL,
                           residual_dev=res_dev, residual_mean=res_mean,
                           iterations=it_dev + it_mean)
     theta = nash_policy(params, sol, derived=der)
-    if not loop_stable(der.stack.closed_loop(*der.gains(theta)), g):
+    if not in_stabilizing_set(params, theta, der):
         raise NonStabilizingSolution("a fixed point induces an unstable loop")
     return sol
 
