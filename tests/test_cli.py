@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -9,13 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lqmfg import OptimizerConfig, PolicyPair
 from lqmfg.cli import (
+    ExperimentConfig,
     load_config,
     main,
     run_experiment,
     run_nagent_validation,
 )
 from lqmfg.errors import CrossFieldError, ParseError, SchemaError
+
+from conftest import random_game
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -338,6 +343,53 @@ class TestDeterminism:
             a = (Path(cfg_a.output_dir) / name).read_bytes()
             b = (Path(cfg_b.output_dir) / name).read_bytes()
             assert a == b, name
+
+
+# sha256 of the deterministic artifacts (all but timing.json) of three exact
+# runs: the shipped GDA and AG configs at full length, and GDA on a d=3,
+# ell=2 random game, which covers the matrix update and the gain formatting
+EXACT_ARTIFACTS = ("run_0.csv", "convergence.csv", "summary.json", "benchmark.json")
+EXACT_RUN_DIGESTS = {
+    "random_game_3_2_gda": (
+        "62a48bdfa65d162098ceddb2f81654102013f76b36aeaf3ffdde224cbc3819dd",
+        "7254b9c82dfc8da5fb7d002803717e846825fc3ba27cd60d0ff31c855bd85f8b",
+        "f59bf33affff9bc4f80185a710641f318da09c003e8ac62bb42f2f502aeaf995",
+        "dd6ed8f4056c3f7eddca0691f5ebeabacdc0b6242f022206797f7359ab42f881"),
+    "table1_ag_exact": (
+        "fbddb0ef2704f7eb4847341854f0566ac006884943937697bddc91589cf1da65",
+        "16e5604fc8a2382b7a4a14b8c5c073e6cb8ec4131f080de5f02640f24eebcc11",
+        "b54cff168b3279a1a8b6f9090c6ea7eb6608afd34de0f036852b5d739d084ff3",
+        "ac67120ee9d53d5e0e8ea89a43ed251641e43fffe9e2f47b6cff8240795c4b10"),
+    "table1_gda_exact": (
+        "81137c5ce8a7bb11f9c4076387c83589a4982f41f6f99ce4aaea8ee8bf8eae7a",
+        "98f3ba31c7373573fa6df47d5727e99db43bd03fe2d19fcc855e70ff0037d058",
+        "f9afc39f69226893242948dbdcc285d3dfb80b2506bf8be81840e16b3859a078",
+        "ac67120ee9d53d5e0e8ea89a43ed251641e43fffe9e2f47b6cff8240795c4b10"),
+}
+
+
+def _exact_run_config(case: str, out: Path) -> ExperimentConfig:
+    if case.startswith("table1_"):
+        from dataclasses import replace
+
+        return replace(load_config(REPO_CONFIGS / f"{case}.cfg"), output_dir=str(out))
+    optimizer = OptimizerConfig(mode="gda", T=40, theta0=PolicyPair.zero(3, 2))
+    return ExperimentConfig(model=random_game(3, 2), method="gda", oracle="exact",
+                            optimizer=optimizer, estimator=None, repeats=1,
+                            output_dir=str(out), master_seed=0)
+
+
+class TestPinnedArtifacts:
+    """The artifacts of exact runs pinned bit for bit: how an iterate is
+    evaluated, updated or written may change, the bytes may not."""
+
+    @pytest.mark.parametrize("case", sorted(EXACT_RUN_DIGESTS))
+    def test_exact_run(self, case, tmp_path):
+        run_experiment(_exact_run_config(case, tmp_path))
+        got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in EXACT_ARTIFACTS)
+        assert dict(zip(EXACT_ARTIFACTS, got)) == dict(
+            zip(EXACT_ARTIFACTS, EXACT_RUN_DIGESTS[case]))
 
 
 FUZZ_SECTIONS = {
