@@ -10,6 +10,7 @@ decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -263,39 +264,53 @@ class DerivedParams:
 
     @staticmethod
     def gains(theta: PolicyPair) -> tuple[np.ndarray, np.ndarray]:
-        """(G1, G2) of a policy pair stacked like ``stack``: (K1, L1), (K2, L2)."""
-        return np.stack((theta.K1, theta.L1)), np.stack((theta.K2, theta.L2))
+        """(G1, G2) of a policy pair stacked like ``stack``: its player slices."""
+        return theta.stack[0], theta.stack[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class PolicyPair:
-    """Linear feedback gains (K_i on the deviation, L_i on the mean)."""
+    """Linear feedback gains (K_i on the deviation, L_i on the mean).
 
-    K1: np.ndarray
-    L1: np.ndarray
-    K2: np.ndarray
-    L2: np.ndarray
+    The pair holds one read-only array, ``stack`` (2 players, 2 blocks, ell,
+    d) = [[K1, L1], [K2, L2]], each player's slice stacked like
+    ``DerivedParams.stack``; ``K1`` ... ``L2`` are its views, made and kept on
+    first access. A learning step forms the next stack in one expression.
+    """
 
-    def __post_init__(self):
-        mats = [np.atleast_2d(np.asarray(m, dtype=float)) for m in
-                (self.K1, self.L1, self.K2, self.L2)]
+    stack: np.ndarray
+
+    def __init__(self, K1, L1, K2, L2):
+        mats = [np.atleast_2d(np.asarray(m, dtype=float)) for m in (K1, L1, K2, L2)]
         shape = mats[0].shape
         for name, m in zip(("K1", "L1", "K2", "L2"), mats):
             if m.shape != shape:
                 raise DimensionMismatch(f"{name}: expected {shape}, got {m.shape}")
-            m = m.copy()
-            m.setflags(write=False)
-            object.__setattr__(self, name, m)
+        stack = np.stack(mats).reshape(2, 2, *shape)
+        stack.setflags(write=False)
+        object.__setattr__(self, "stack", stack)
+
+    K1 = cached_property(lambda self: self.stack[0, 0])
+    L1 = cached_property(lambda self: self.stack[0, 1])
+    K2 = cached_property(lambda self: self.stack[1, 0])
+    L2 = cached_property(lambda self: self.stack[1, 1])
+
+    @classmethod
+    def from_stack(cls, stack: np.ndarray) -> "PolicyPair":
+        """The pair of a fresh (2, 2, ell, d) array, taken over read-only."""
+        pair = object.__new__(cls)
+        stack.setflags(write=False)
+        object.__setattr__(pair, "stack", stack)
+        return pair
 
     @classmethod
     def zero(cls, d: int = 1, ell: int = 1) -> "PolicyPair":
-        z = np.zeros((ell, d))
-        return cls(z, z, z, z)
+        return cls.from_stack(np.zeros((2, 2, ell, d)))
 
     def check_dims(self, params: ModelParams) -> None:
-        if self.K1.shape != (params.ell, params.d):
+        if self.stack.shape[2:] != (params.ell, params.d):
             raise DimensionMismatch(
-                f"gains must be {(params.ell, params.d)}, got {self.K1.shape}"
+                f"gains must be {(params.ell, params.d)}, got {self.stack.shape[2:]}"
             )
 
 

@@ -5,11 +5,15 @@ ascent step of the maximizer; gradient-descent-ascent updates both
 simultaneously from the pre-update pair. The oracle is either the exact
 closed-form gradient or the rollout-based estimator. Progress is tracked
 against the Riccati benchmark.
+
+The exact oracle evaluates each distinct iterate once (``_Oracle``), and a
+GDA step is one expression on the (2 players, 2 blocks, ell, d) stacks of the
+pair and its gradient.
 """
 
 from __future__ import annotations
 
-import csv
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -84,26 +88,21 @@ class RunLog:
         return self.records[-1].rel_err if self.records else float("nan")
 
     def write_csv(self, path) -> None:
-        """One row per logged global iteration, full-precision floats."""
+        """One row per logged global iteration, full-precision floats, in the
+        bytes of csv.writer's dialect: no field holds a comma, quote or newline."""
         header = ["k", "K1", "L1", "K2", "L2", "C",
                   "gradnorm_K1", "gradnorm_L1", "gradnorm_K2", "gradnorm_L2",
                   "rel_err"]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
+            fh.write(",".join(header) + "\r\n")
             for rec in self.records:
-                gains = [_fmt_gain(getattr(rec.theta, n))
-                         for n in ("K1", "L1", "K2", "L2")]
-                row = ([rec.k] + gains + [repr(float(rec.cost))]
-                       + [repr(float(v)) for v in rec.grad_norms]
-                       + [repr(float(rec.rel_err))])
-                writer.writerow(row)
+                row = [str(rec.k), *map(_fmt_gain, rec.theta.stack.reshape(4, -1)),
+                       *(repr(float(v)) for v in (rec.cost, *rec.grad_norms, rec.rel_err))]
+                fh.write(",".join(row) + "\r\n")
 
 
-def _fmt_gain(mat: np.ndarray) -> str:
-    if mat.size == 1:
-        return repr(float(mat[0, 0]))
-    return ";".join(repr(float(v)) for v in mat.ravel())
+def _fmt_gain(flat: np.ndarray) -> str:
+    return ";".join(map(repr, flat.tolist()))
 
 
 def relative_error(current: float, benchmark: float) -> float:
@@ -122,21 +121,25 @@ def compute_benchmark(params: ModelParams) -> tuple[PolicyPair, float]:
 class _Oracle:
     """Gradient oracle with a monotone call counter for seed derivation.
 
-    It keeps the last exact evaluation, so the progress record at an iterate
-    and the exact gradient at the same iterate share one evaluation."""
+    It keeps the last iterate that evaluated, with its solution and, once
+    asked for, its gradient: an iterate with the same gains bit for bit
+    (``_same_theta``), a new object or not, reuses them, and one that fails
+    to evaluate is never stored, so a NaN iterate cannot match. ``calls``
+    counts every gradient call, reused or not, as the seeds derive from it."""
 
     def __init__(self, params: ModelParams, cfg: OptimizerConfig):
         self.params = params
         self.cfg = cfg
         self.derived = validate(params)
         self.calls = 0
-        self._last = (None, None)
+        self._theta = self._solution = self._grad = None
 
     def utility(self, theta: PolicyPair):
-        """exact_utility at theta, reused while theta is the same object."""
-        if self._last[0] is not theta:
-            self._last = (theta, exact_utility(self.params, theta, self.derived))
-        return self._last[1]
+        """exact_utility at theta, reused while theta has the stored gains."""
+        if self._theta is None or not _same_theta(self._theta, theta):
+            solution = exact_utility(self.params, theta, self.derived)
+            self._theta, self._solution, self._grad = theta, solution, None
+        return self._solution
 
     def gradient(self, theta: PolicyPair, players) -> GradientPair:
         """Utility gradient at theta for `players`, a tuple of 1 and/or 2.
@@ -147,35 +150,33 @@ class _Oracle:
         seed; the blocks of a player not listed are NaN."""
         if self.cfg.oracle == "exact":
             self.calls += 1
-            return exact_gradient(self.params, theta, self.derived, self.utility(theta))
+            solution = self.utility(theta)
+            if self._grad is None:
+                self._grad = exact_gradient(self.params, theta, self.derived, solution)
+            return self._grad
         est = self.cfg.estimator
-        nan = np.full((self.params.ell, self.params.d), np.nan)
-        blocks = {1: (nan, nan), 2: (nan, nan)}
+        grad = np.full((2, 2, self.params.ell, self.params.d), np.nan)
         for player in players:
             self.calls += 1
             call_cfg = replace(est, seed=derive_seed(est.seed, self.calls, player))
-            blocks[player] = estimate_gradient(self.params, theta, player, call_cfg)
-        return GradientPair(*blocks[1], *blocks[2])
+            grad[player - 1] = estimate_gradient(self.params, theta, player, call_cfg)
+        return GradientPair(grad)
 
 
 def _theta_update(theta: PolicyPair, player: int, gK, gL, eta: float) -> PolicyPair:
-    sign = -1.0 if player == 1 else 1.0
-    if player == 1:
-        return PolicyPair(K1=theta.K1 + sign * eta * gK,
-                          L1=theta.L1 + sign * eta * gL,
-                          K2=theta.K2, L2=theta.L2)
-    return PolicyPair(K1=theta.K1, L1=theta.L1,
-                      K2=theta.K2 + sign * eta * gK,
-                      L2=theta.L2 + sign * eta * gL)
+    stack, rate = theta.stack.copy(), (-eta if player == 1 else eta)
+    stack[player - 1, 0] += rate * gK
+    stack[player - 1, 1] += rate * gL
+    return PolicyPair.from_stack(stack)
 
 
 def _is_finite(theta: PolicyPair) -> bool:
-    return all(np.isfinite(getattr(theta, n)).all() for n in ("K1", "L1", "K2", "L2"))
+    return bool(np.isfinite(theta.stack).all())
 
 
 def _same_theta(a: PolicyPair, b: PolicyPair) -> bool:
-    return all(np.array_equal(getattr(a, n), getattr(b, n), equal_nan=True)
-               for n in ("K1", "L1", "K2", "L2"))
+    """The same gains bit for bit (NaN payloads and signed zeros included)."""
+    return a is b or a.stack.tobytes() == b.stack.tobytes()
 
 
 class _Tracker:
@@ -216,7 +217,8 @@ class _Tracker:
 
 
 def _grad_norms(grad: GradientPair):
-    return tuple(float(np.linalg.norm(b)) for b in grad.blocks())
+    """Frobenius norm of each block, as np.linalg.norm computes it."""
+    return tuple(math.sqrt(v.dot(v)) for v in grad.stack.reshape(4, -1))
 
 
 def _step_into_set(params, cfg, oracle, step):
@@ -246,7 +248,7 @@ def _attempt_step(params, cfg, oracle, theta, player, eta):
     except NotStabilizing:
         return theta, (float("nan"),) * 4, "left_stabilizing_set"
     norms = _grad_norms(grad)
-    gK, gL = (grad.dK1, grad.dL1) if player == 1 else (grad.dK2, grad.dL2)
+    gK, gL = grad.stack[player - 1]
     new_theta = _step_into_set(
         params, cfg, oracle, lambda s: _theta_update(theta, player, gK, gL, s * eta))
     if new_theta is None:
@@ -303,6 +305,9 @@ def run_gda(params: ModelParams, cfg: OptimizerConfig,
     if cfg.mode != "gda":
         raise ValueError("config mode must be 'gda'")
     theta, oracle, tracker = _prepare(params, cfg, benchmark)
+    # theta + s*rates*g is theta.K1 - s*eta1*dK1, ..., theta.K2 + s*eta2*dK2,
+    # ... bit for bit: a + (-b) is a - b, and (-x)*y is -(x*y)
+    rates = np.array([-cfg.eta1, cfg.eta2]).reshape(2, 1, 1, 1)
     for k in range(1, cfg.T + 1):
         try:
             grad = oracle.gradient(theta, (1, 2))
@@ -310,9 +315,8 @@ def run_gda(params: ModelParams, cfg: OptimizerConfig,
             tracker.record(k, theta, (float("nan"),) * 4)
             return tracker.finish(theta, "left_stabilizing_set")
         norms = _grad_norms(grad)
-        tentative = _step_into_set(params, cfg, oracle, lambda s: PolicyPair(
-            K1=theta.K1 - s * cfg.eta1 * grad.dK1, L1=theta.L1 - s * cfg.eta1 * grad.dL1,
-            K2=theta.K2 + s * cfg.eta2 * grad.dK2, L2=theta.L2 + s * cfg.eta2 * grad.dL2))
+        tentative = _step_into_set(params, cfg, oracle, lambda s: PolicyPair.from_stack(
+            theta.stack + s * rates * grad.stack))
         if tentative is None:
             tracker.record(k, theta, norms)
             return tracker.finish(theta, "left_stabilizing_set")

@@ -27,7 +27,7 @@ MAX_DOUBLINGS = 64
 
 
 def _mT(x: np.ndarray) -> np.ndarray:
-    return np.swapaxes(x, -1, -2)
+    return x.swapaxes(-1, -2)
 
 
 def _dlyap(M: np.ndarray, source: np.ndarray, gamma: float) -> np.ndarray:
@@ -44,8 +44,8 @@ def _dlyap(M: np.ndarray, source: np.ndarray, gamma: float) -> np.ndarray:
     P, out, rows = source, np.empty_like(source), np.arange(len(source))
     for _ in range(MAX_DOUBLINGS):
         P_next = P + _mT(A) @ P @ A
-        done = (P_next == P).all(axis=(-2, -1))
-        if done.any():
+        eq = P_next == P
+        if eq.any() and (done := eq.all(axis=(-2, -1))).any():
             out[rows[done]] = P[done]
             if done.all():
                 return out
@@ -113,34 +113,41 @@ def discounted_second_moment(M: np.ndarray, V0: np.ndarray, W: np.ndarray,
 class ValueSolution:
     """Closed-form evaluation of one policy pair.
 
-    ``P_dev``/``P_mean`` are the Lyapunov-type value matrices,
-    ``Sigma_dev``/``Sigma_mean`` the discounted second moments of the two
-    processes, and ``cost = cost_dev + cost_mean`` is the exact utility.
+    ``P``/``Sigma`` stack the value matrices and discounted second moments
+    of the (dev, mean) processes as the doubling loop returned them, with
+    slices ``P_dev`` ... ``Sigma_mean``. ``cost = cost_dev + cost_mean`` is
+    the exact utility.
     """
 
-    P_dev: np.ndarray
-    P_mean: np.ndarray
-    Sigma_dev: np.ndarray
-    Sigma_mean: np.ndarray
+    P: np.ndarray
+    Sigma: np.ndarray
     cost_dev: float
     cost_mean: float
     cost: float
 
+    P_dev = property(lambda self: self.P[0])
+    P_mean = property(lambda self: self.P[1])
+    Sigma_dev = property(lambda self: self.Sigma[0])
+    Sigma_mean = property(lambda self: self.Sigma[1])
+
 
 @dataclass(frozen=True)
 class GradientPair:
-    """Exact utility gradient, one block per gain matrix."""
+    """Utility gradient in the four gains, one (2, 2, ell, d) array laid out
+    like ``PolicyPair.stack``; ``dK1`` ... ``dL2`` are its slices."""
 
-    dK1: np.ndarray
-    dL1: np.ndarray
-    dK2: np.ndarray
-    dL2: np.ndarray
+    stack: np.ndarray
+
+    dK1 = property(lambda self: self.stack[0, 0])
+    dL1 = property(lambda self: self.stack[0, 1])
+    dK2 = property(lambda self: self.stack[1, 0])
+    dL2 = property(lambda self: self.stack[1, 1])
 
     def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return self.dK1, self.dL1, self.dK2, self.dL2
 
     def max_abs(self) -> float:
-        return max(float(np.max(np.abs(b))) for b in self.blocks())
+        return float(np.max(np.abs(self.stack)))
 
 
 def exact_utility(params: ModelParams, theta: PolicyPair,
@@ -160,12 +167,11 @@ def exact_utility(params: ModelParams, theta: PolicyPair,
     M, source = _gated_loop(S, *der.gains(theta), g)
     solved = _dlyap(np.concatenate((M, _mT(M))),
                     np.concatenate((source, S.V0 + tail * S.W)), g)
-    P, Sigma = solved[:2], solved[2:]
+    P = solved[:2]
     cost = (np.trace(P @ S.V0, axis1=-2, axis2=-1)
             + tail * np.trace(P @ S.W, axis1=-2, axis2=-1))
     cost_dev, cost_mean = float(cost[0]), float(cost[1])
-    return ValueSolution(P[0], P[1], Sigma[0], Sigma[1],
-                         cost_dev, cost_mean, cost_dev + cost_mean)
+    return ValueSolution(P, solved[2:], cost_dev, cost_mean, cost_dev + cost_mean)
 
 
 def gradient_coefs(block: LQBlock, P: np.ndarray, G1, G2,
@@ -195,8 +201,5 @@ def exact_gradient(params: ModelParams, theta: PolicyPair,
     """
     der = derived if derived is not None else validate(params)
     sol = solution if solution is not None else exact_utility(params, theta, der)
-    G1, G2 = der.gains(theta)
-    P, Sigma = np.stack((sol.P_dev, sol.P_mean)), np.stack((sol.Sigma_dev, sol.Sigma_mean))
-    coef_1, coef_2 = gradient_coefs(der.stack, P, G1, G2, params.gamma)
-    (dK1, dL1), (dK2, dL2) = 2.0 * coef_1 @ Sigma, 2.0 * coef_2 @ Sigma
-    return GradientPair(dK1=dK1, dL1=dL1, dK2=dK2, dL2=dL2)
+    coefs = np.stack(gradient_coefs(der.stack, sol.P, *der.gains(theta), params.gamma))
+    return GradientPair(2.0 * coefs @ sol.Sigma)

@@ -1,4 +1,5 @@
 import csv
+import io
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,9 +19,10 @@ from lqmfg import (
     run_ag,
     run_gda,
 )
-from lqmfg.errors import BenchmarkZero
+from lqmfg.errors import BenchmarkZero, NotStabilizing
+from lqmfg.optim import RunLog, RunRecord, _Oracle
 
-from conftest import benchmark_scalars
+from conftest import benchmark_scalars, small_policy
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -72,6 +74,33 @@ class TestRunGda:
             counts.append((len(solves), sum(solves)))
         assert counts[1][0] - counts[0][0] == 50
         assert counts[1][1] - counts[0][1] == 4 * 50
+
+    def test_fixed_point_costs_no_evaluation(self, monkeypatch):
+        """Exact GDA on the shipped game reaches a floating-point fixed point:
+        each iterate from k = 804 on repeats the one before it bit for bit, so
+        T = 1000 -> 2000 adds no Lyapunov solve."""
+        import lqmfg.value
+        from lqmfg.cli import load_config
+
+        real = lqmfg.value._dlyap
+        calls = []
+
+        def counting(M, source, gamma):
+            calls.append(len(source))
+            return real(M, source, gamma)
+
+        monkeypatch.setattr(lqmfg.value, "_dlyap", counting)
+        cfg = load_config(REPO_CONFIGS / "table1_gda_exact.cfg")
+        counts, logs = [], []
+        for T in (1000, 2000):
+            calls.clear()
+            logs.append(run_gda(cfg.model, replace(cfg.optimizer, T=T)))
+            counts.append(len(calls))
+        assert counts[1] == counts[0]
+        fixed = logs[1].records[802].theta.stack
+        assert all(r.theta.stack.tobytes() == fixed.tobytes()
+                   for r in logs[1].records[802:])
+        assert logs[1].records[801].theta.stack.tobytes() != fixed.tobytes()
 
     def test_first_step_matches_hand_update(self, model):
         grad0 = exact_gradient(model, PolicyPair.zero())
@@ -233,6 +262,63 @@ class TestRunAg:
             assert np.isnan(rec.grad_norms[2:]).all()
 
 
+def _copy(theta: PolicyPair) -> PolicyPair:
+    """The same gains in new arrays."""
+    return PolicyPair(*(np.array(getattr(theta, n)) for n in ("K1", "L1", "K2", "L2")))
+
+
+class TestOracleReuse:
+    """The exact oracle evaluates each distinct iterate once, keyed by the
+    gains bit for bit, and never stores an iterate that failed."""
+
+    @pytest.fixture
+    def counted(self, model, monkeypatch):
+        import lqmfg.optim
+
+        counts = {"exact_utility": 0, "exact_gradient": 0}
+        for name in counts:
+            real = getattr(lqmfg.optim, name)
+
+            def counting(*args, _real=real, _name=name):
+                counts[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(lqmfg.optim, name, counting)
+        return _Oracle(model, OptimizerConfig(mode="gda")), counts
+
+    def test_equal_pair_in_new_arrays_reuses(self, model, counted):
+        oracle, counts = counted
+        theta = small_policy(model)
+        sol = oracle.utility(theta)
+        grad = oracle.gradient(theta, (1, 2))
+        assert oracle.utility(_copy(theta)) is sol
+        assert oracle.gradient(_copy(theta), (1, 2)) is grad
+        assert counts == {"exact_utility": 1, "exact_gradient": 1}
+        assert oracle.calls == 2
+        expected = exact_gradient(model, theta)
+        np.testing.assert_array_equal(grad.stack, expected.stack)
+
+    def test_other_bits_evaluate_again(self, model, counted):
+        oracle, counts = counted
+        oracle.utility(PolicyPair.zero())
+        oracle.utility(PolicyPair(0.0, 0.0, 0.0, -0.0))
+        oracle.utility(PolicyPair.zero())
+        assert counts["exact_utility"] == 3
+
+    def test_failed_iterate_is_not_stored(self, model, counted):
+        oracle, counts = counted
+        bad = PolicyPair(np.nan, 0.0, 0.0, 0.0)
+        for _ in range(2):
+            with pytest.raises(NotStabilizing):
+                oracle.gradient(_copy(bad), (1, 2))
+        assert counts["exact_utility"] == 2
+        assert oracle.calls == 2
+        oracle.utility(PolicyPair.zero())
+        with pytest.raises(NotStabilizing):
+            oracle.utility(bad)
+        assert counts["exact_utility"] == 4
+
+
 class TestSimultaneity:
     def test_update_order_is_immaterial(self, model):
         """Both GDA updates read the pre-update pair, so applying them in
@@ -269,3 +355,36 @@ class TestRunLogCsv:
         assert float(parsed[1]) == rec.theta.K1[0, 0]
         assert float(parsed[5]) == rec.cost
         assert float(parsed[10]) == rec.rel_err
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 3)])
+    def test_bytes_match_csv_writer(self, tmp_path, shape):
+        """The writer's bytes equal csv.writer's, with the gain format kept
+        here as the reference, on special and extreme values."""
+
+        def ref_fmt_gain(mat):
+            if mat.size == 1:
+                return repr(float(mat[0, 0]))
+            return ";".join(repr(float(v)) for v in mat.ravel())
+
+        specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -1e300,
+                    0.1, -2.5e-8, 1.0 / 3.0, 123456789.0]
+        rng = np.random.default_rng(5)
+        log = RunLog()
+        for k in range(1, 13):
+            gains = rng.choice(specials, size=(4, *shape))
+            vals = rng.choice(specials, size=6).tolist()
+            log.records.append(RunRecord(k=k, theta=PolicyPair(*gains), cost=vals[0],
+                                         grad_norms=tuple(vals[1:5]), rel_err=vals[5]))
+        log.write_csv(tmp_path / "run.csv")
+
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(["k", "K1", "L1", "K2", "L2", "C", "gradnorm_K1",
+                         "gradnorm_L1", "gradnorm_K2", "gradnorm_L2", "rel_err"])
+        for rec in log.records:
+            writer.writerow([rec.k] + [ref_fmt_gain(getattr(rec.theta, n))
+                                       for n in ("K1", "L1", "K2", "L2")]
+                            + [repr(float(rec.cost))]
+                            + [repr(float(v)) for v in rec.grad_norms]
+                            + [repr(float(rec.rel_err))])
+        assert (tmp_path / "run.csv").read_bytes() == buf.getvalue().encode()
