@@ -379,9 +379,37 @@ def _exact_run_config(case: str, out: Path) -> ExperimentConfig:
                             output_dir=str(out), master_seed=0)
 
 
+# the same four artifacts of two sampled runs on the shipped scalar game,
+# M = 2000 rollouts of horizon 50: GDA at T = 3 and AG at T1 = T2 = 2
+SAMPLED_RUN_DIGESTS = {
+    "table1_ag_sampled": (
+        "2c46e664e303a22df01ca791c19b021a73b26fe30f952ee7aef673bce2ca6084",
+        "7888f667fcb397b651dde2fc821c26c574d949083ebc4b35eeb7aecda883f471",
+        "58c00668b07384a6277f0295dc4afca5b4b8699aba2fb4d65b0d7b95f79ff80c",
+        "ac67120ee9d53d5e0e8ea89a43ed251641e43fffe9e2f47b6cff8240795c4b10"),
+    "table1_gda_sampled": (
+        "3ce1ea2d6c500724f4959f8a2907f20a0f32455f9055cf9dc476fc99024bbaad",
+        "bcf3e4de1e0f78c1c96b72fa1317e5aa5b0b35be4cb179230f4667a165c92eec",
+        "100bd304d67e98418f444359438b30f98a67a36d637dfb42dbd309c5e1d8d686",
+        "ac67120ee9d53d5e0e8ea89a43ed251641e43fffe9e2f47b6cff8240795c4b10"),
+}
+SAMPLED_RUN_STEPS = {"table1_ag_sampled": {"T1": 2, "T2": 2},
+                     "table1_gda_sampled": {"T": 3}}
+
+
+def _sampled_run_config(case: str, out: Path) -> ExperimentConfig:
+    from dataclasses import replace
+
+    cfg = load_config(REPO_CONFIGS / f"{case}.cfg")
+    return replace(cfg, output_dir=str(out),
+                   optimizer=replace(cfg.optimizer, **SAMPLED_RUN_STEPS[case]),
+                   estimator=replace(cfg.estimator, M=2000, horizon=50))
+
+
 class TestPinnedArtifacts:
-    """The artifacts of exact runs pinned bit for bit: how an iterate is
-    evaluated, updated or written may change, the bytes may not."""
+    """The artifacts of exact and sampled runs pinned bit for bit: how an
+    iterate is evaluated, updated or written, or how the rollout noise is
+    drawn, may change, the bytes may not."""
 
     @pytest.mark.parametrize("case", sorted(EXACT_RUN_DIGESTS))
     def test_exact_run(self, case, tmp_path):
@@ -390,6 +418,14 @@ class TestPinnedArtifacts:
                     for name in EXACT_ARTIFACTS)
         assert dict(zip(EXACT_ARTIFACTS, got)) == dict(
             zip(EXACT_ARTIFACTS, EXACT_RUN_DIGESTS[case]))
+
+    @pytest.mark.parametrize("case", sorted(SAMPLED_RUN_DIGESTS))
+    def test_sampled_run(self, case, tmp_path):
+        run_experiment(_sampled_run_config(case, tmp_path))
+        got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in EXACT_ARTIFACTS)
+        assert dict(zip(EXACT_ARTIFACTS, got)) == dict(
+            zip(EXACT_ARTIFACTS, SAMPLED_RUN_DIGESTS[case]))
 
 
 FUZZ_SECTIONS = {

@@ -271,6 +271,7 @@ MKV_STACKS_DIGEST = "1c21b5d9963a930e8af97c8d08612719778a8ae90ba55bd60bdb24db848
 NAGENT_DIGEST = "839e93619db02a4bff3a642e809b19cac5056a7b31884c830d7e89d7a36b70a0"
 TRAJECTORY_DIGEST = "9e794681e562ced791003630b02af14c9f3144a864961f83793f3b7821b0c625"
 TRAJECTORY_D3_DIGEST = "564303dd1f10e6361387ef4ec5faf6cc27a17a2569b86c157545614ed271f5c6"
+MKV_STACKS_D3_DIGEST = "5d7f0d65c6d78e27a29f40fcbcf1fa37f611c2dd4bd49e2946029d6158b9b183"
 NAGENT_D3_DIGEST = "bf138044416126b9e0f76c213fbc5ec1c992b686d26967631d8b39c9d51b701e"
 NAGENT_TRAJECTORY_DIGEST = "083077b82ace1284e0c857229f01a9237be6c630e69d75f491c6aef9061e0a12"
 
@@ -295,6 +296,16 @@ class TestPinnedBits:
         u = mkv_utility_batch(model, PIN_THETA, 50, 500, 20261018,
                               gain_stacks=stacks)
         assert digest(u) == MKV_STACKS_DIGEST
+
+    def test_mkv_gain_stacks_beyond_scalar(self):
+        model = random_game(3, 2)
+        theta = small_policy(model)
+        rng = np.random.default_rng(5)
+        stacks = {"K1": theta.K1 + 0.05 * rng.standard_normal((2000, 2, 3)),
+                  "L1": theta.L1 + 0.05 * rng.standard_normal((2000, 2, 3))}
+        u = mkv_utility_batch(model, theta, 40, 2000, 20261018,
+                              gain_stacks=stacks)
+        assert digest(u) == MKV_STACKS_D3_DIGEST
 
     def test_nagent(self, model):
         u = nagent_utility_batch(model, PIN_THETA, 50, 50, 20, 20261018)
