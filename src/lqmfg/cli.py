@@ -15,7 +15,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -334,6 +333,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> dict:
 
     jobs = [(cfg, r, theta_star) for r in range(cfg.repeats)]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only --workers > 1 needs it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             logs = list(pool.map(_run_one_repeat, jobs))
     else:

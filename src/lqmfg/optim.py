@@ -217,8 +217,21 @@ class _Tracker:
 
 
 def _grad_norms(grad: GradientPair):
-    """Frobenius norm of each block, as np.linalg.norm computes it."""
-    return tuple(math.sqrt(v.dot(v)) for v in grad.stack.reshape(4, -1))
+    """Frobenius norm of each block, as np.linalg.norm computes it; a finite
+    block whose sum of squares overflows is scaled by its largest entry."""
+    blocks = grad.stack.reshape(4, -1)
+    with np.errstate(over="ignore"):
+        norms = [math.sqrt(v.dot(v)) for v in blocks]
+    if math.inf in norms:
+        norms = [_scaled_norm(v) if n == math.inf and np.isfinite(v).all() else n
+                 for v, n in zip(blocks, norms)]
+    return tuple(norms)
+
+
+def _scaled_norm(v: np.ndarray) -> float:
+    scale = float(np.abs(v).max())
+    w = v / scale
+    return scale * math.sqrt(w.dot(w))
 
 
 def _step_into_set(params, cfg, oracle, step):

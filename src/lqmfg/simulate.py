@@ -13,15 +13,17 @@ seed -- common-init, idio-init, common-step, idio-step, in that order -- so
 extending the horizon never reshuffles earlier draws, and engines sharing a
 seed share the common-noise path draw-for-draw.
 
-The N-agent engine draws each step's noise one step ahead on one helper
-thread, opened and joined within the call: the draws do not depend on the
-state, the single worker takes them from the common-step and then the
-idio-step stream in step order, and numpy fills the arrays without the
-interpreter lock, so the bits are those of inline draws while the dynamics
-run on the other core. The mean-field engine draws inline: its per-step
-draws are small, so each handoff of the interpreter lock costs about as
-much as the draw it would hide, and timings with the same prefetch were
-faster in some periods but slower, with long tails, in others.
+Both engines draw their step noise ahead on one helper thread, opened and
+joined within the call (`_step_noise`): the draws do not depend on the
+state, so the single worker draws each step stream a chunk of k steps at a
+time as one (k, ...) array, common-step then idio-step, and numpy fills the
+arrays without the interpreter lock while the dynamics run on the other
+core. A generator fills an array in order, so one (k, n, d) draw holds the
+bits of k (n, d) draws, and every rollout keeps the bits of inline
+per-step draws. k is as many steps as fit in `_DRAW_AHEAD_BYTES` per
+stream, and at least one: 4 steps for the 10^4 scalar paths of a gradient
+estimate, whose 80 kB step draws cost about as much as one handoff of the
+interpreter lock, and one step for 800 replications of 100 agents or more.
 
 Every product of a shared matrix with a batch of vectors -- gains,
 dynamics and aggregated dynamics, in both batch engines -- is one BLAS call
@@ -36,12 +38,17 @@ one-expression sum does without a temporary array per term.
 from __future__ import annotations
 
 import csv
+import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DerivedParams, ModelParams, PolicyPair, validate
+from .model import DerivedParams, ModelParams, NoiseSpec, PolicyPair, validate
+
+# bytes of step noise drawn at once per stream (4 steps of 10^4 scalar paths)
+_DRAW_AHEAD_BYTES = 320_000
 
 
 def derive_seed(master: int, *keys: int) -> int:
@@ -55,6 +62,42 @@ def _streams(seed) -> tuple[np.random.Generator, ...]:
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(int(seed))
     return tuple(np.random.default_rng(s) for s in seed.spawn(4))
+
+
+@contextmanager
+def _step_noise(noise: NoiseSpec, rng_cs, rng_is, steps: int,
+                common_shape: tuple, idio_shape: tuple):
+    """Iterator over `steps` step-noise pairs (w_common, w_idio), drawn
+    ahead on one helper thread that lives as long as the `with` block.
+
+    Each stream is drawn k steps at a time as one (k, *shape) array, the
+    common-step one first; the first chunk is submitted on entry and each
+    next one as soon as the current one is taken, and the iterator yields
+    per-step views. Callers drop their views before taking the next pair,
+    so that memory can go to the chunk after it. On an early exit the
+    chunk in flight is waited for and dropped.
+    """
+    step_bytes = 8 * max(math.prod(common_shape), math.prod(idio_shape))
+    k = max(1, _DRAW_AHEAD_BYTES // step_bytes)
+
+    def draw(n):
+        return (noise.step_common.sample(rng_cs, (n, *common_shape)),
+                noise.step_idio.sample(rng_is, (n, *idio_shape)))
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pending = pool.submit(draw, min(k, steps)) if steps else None
+
+        def views():
+            nonlocal pending
+            left = steps
+            while left:
+                w_common, w_idio = pending.result()
+                left -= len(w_common)
+                pending = pool.submit(draw, min(k, left)) if left else None
+                for t in range(len(w_common)):
+                    yield w_common[t], w_idio[t]
+
+        yield views()
 
 
 def _batch_apply(G: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -162,47 +205,51 @@ def _mkv_engine(params: ModelParams, theta: PolicyPair, horizon: int,
     K1, L1, K2, L2 = gains["K1"], gains["L1"], gains["K2"], gains["L2"]
 
     rng_ci, rng_ii, rng_cs, rng_is = _streams(seed)
-    eps_common = noise.init_common.sample(rng_ci, (n_paths, d))
-    eps_idio = noise.init_idio.sample(rng_ii, (n_paths, d))
-    idio_mean = noise.init_idio.mean(d)
-    # propagate the deviation and the mean separately (an exact regrouping
-    # of the state recursion); the idiosyncratic-noise-free case then keeps
-    # the state equal to its mean bit for bit
-    y = eps_idio - idio_mean
-    z = eps_common + idio_mean
+    # the step streams are not the initial ones, so the first chunk is
+    # drawn while the initial states are
+    with _step_noise(noise, rng_cs, rng_is, horizon - 1,
+                     (n_paths, d), (n_paths, d)) as draws:
+        eps_common = noise.init_common.sample(rng_ci, (n_paths, d))
+        eps_idio = noise.init_idio.sample(rng_ii, (n_paths, d))
+        idio_mean = noise.init_idio.mean(d)
+        # propagate the deviation and the mean separately (an exact regrouping
+        # of the state recursion); the idiosyncratic-noise-free case then keeps
+        # the state equal to its mean bit for bit
+        y = eps_idio - idio_mean
+        z = eps_common + idio_mean
 
-    if keep_trajectory:
-        states, means = np.empty((horizon, d)), np.empty((horizon, d))
-        u1s, u2s = np.empty((horizon, ell)), np.empty((horizon, ell))
-        costs = np.empty(horizon)
-    utility = np.zeros(n_paths)
-    discount = 1.0
-    for t in range(horizon):
-        u1_mean = -_gain_apply(L1, z)
-        u2_mean = _gain_apply(L2, z)
-        du1 = -_gain_apply(K1, y)
-        du2 = _gain_apply(K2, y)
-        cost = stage_cost(der, y, z, du1, u1_mean, du2, u2_mean)
-        utility += discount * cost
-        discount *= g
         if keep_trajectory:
-            states[t] = y[0] + z[0]
-            means[t] = z[0]
-            u1s[t] = du1[0] + u1_mean[0]
-            u2s[t] = du2[0] + u2_mean[0]
-            costs[t] = cost[0]
-        del cost  # free the (n_paths,) costs before the next step allocates
-        if t + 1 < horizon:
-            w_common = noise.step_common.sample(rng_cs, (n_paths, d))
-            w_idio = noise.step_idio.sample(rng_is, (n_paths, d))
-            y = _batch_apply(params.A, y)
-            y += _batch_apply(params.B1, du1)
-            y += _batch_apply(params.B2, du2)
-            y += w_idio
-            z = _batch_apply(der.A_tilde, z)
-            z += _batch_apply(der.B1_tilde, u1_mean)
-            z += _batch_apply(der.B2_tilde, u2_mean)
-            z += w_common
+            states, means = np.empty((horizon, d)), np.empty((horizon, d))
+            u1s, u2s = np.empty((horizon, ell)), np.empty((horizon, ell))
+            costs = np.empty(horizon)
+        utility = np.zeros(n_paths)
+        discount = 1.0
+        for t in range(horizon):
+            u1_mean = -_gain_apply(L1, z)
+            u2_mean = _gain_apply(L2, z)
+            du1 = -_gain_apply(K1, y)
+            du2 = _gain_apply(K2, y)
+            cost = stage_cost(der, y, z, du1, u1_mean, du2, u2_mean)
+            utility += discount * cost
+            discount *= g
+            if keep_trajectory:
+                states[t] = y[0] + z[0]
+                means[t] = z[0]
+                u1s[t] = du1[0] + u1_mean[0]
+                u2s[t] = du2[0] + u2_mean[0]
+                costs[t] = cost[0]
+            del cost  # free the (n_paths,) costs before the next step allocates
+            if t + 1 < horizon:
+                w_common, w_idio = next(draws)
+                y = _batch_apply(params.A, y)
+                y += _batch_apply(params.B1, du1)
+                y += _batch_apply(params.B2, du2)
+                y += w_idio
+                z = _batch_apply(der.A_tilde, z)
+                z += _batch_apply(der.B1_tilde, u1_mean)
+                z += _batch_apply(der.B2_tilde, u2_mean)
+                z += w_common
+                del w_common, w_idio
     if keep_trajectory:
         traj = MkvTrajectory(states=states, means=means, u1=u1s, u2=u2s,
                              costs=costs, utility=float(utility[0]))
@@ -256,16 +303,10 @@ def _nagent_engine(params: ModelParams, theta: PolicyPair, N: int,
     u1_means = np.empty((horizon, ell)) if keep_trajectory else None
     u2_means = np.empty((horizon, ell)) if keep_trajectory else None
 
-    def draw_step():
-        return (noise.step_common.sample(rng_cs, (n_reps, d)),
-                noise.step_idio.sample(rng_is, (n_reps, N, d)))
-
     utility = np.zeros(n_reps)
     discount = 1.0
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        # one draw in flight: step t+1's is submitted as soon as step t's is
-        # taken, and the single worker keeps the streams in step order
-        pending = pool.submit(draw_step) if horizon > 1 else None
+    with _step_noise(noise, rng_cs, rng_is, horizon - 1,
+                     (n_reps, d), (n_reps, N, d)) as draws:
         for t in range(horizon):
             x_mean = x.mean(axis=1)                      # (reps, d)
             y = x - x_mean[:, None, :]                   # (reps, N, d)
@@ -290,8 +331,7 @@ def _nagent_engine(params: ModelParams, theta: PolicyPair, N: int,
                 u1_means[t] = u1_mean[0]
                 u2_means[t] = u2_mean[0]
             if t + 1 < horizon:
-                w_common, w_idio = pending.result()
-                pending = pool.submit(draw_step) if t + 2 < horizon else None
+                w_common, w_idio = next(draws)
                 del y, du1, du2  # the in-flight draw takes their memory
                 x = _batch_apply(params.A, x)
                 x += _batch_apply(params.A_bar, x_mean)[:, None, :]
@@ -301,6 +341,7 @@ def _nagent_engine(params: ModelParams, theta: PolicyPair, N: int,
                 x += _batch_apply(params.B2_bar, u2_mean)[:, None, :]
                 x += w_common[:, None, :]
                 x += w_idio
+                del w_common, w_idio
     if keep_trajectory:
         traj = NAgentTrajectory(states=states, means=means, u1_means=u1_means,
                                 u2_means=u2_means, utility=float(utility[0]))

@@ -189,13 +189,16 @@ class TestRunExperiment:
         cfg_a = load_config(write_config(tmp_path, T=6, oracle="sampled",
                                          repeats=2, extra=est, name="a.cfg"))
         run_experiment(cfg_a, workers=1)
-        seq = (Path(cfg_a.output_dir) / "summary.json").read_text()
         from dataclasses import replace
 
         cfg_b = replace(cfg_a, output_dir=str(tmp_path / "out_b"))
         run_experiment(cfg_b, workers=2)
-        par = (Path(cfg_b.output_dir) / "summary.json").read_text()
-        assert seq == par
+        seq, par = Path(cfg_a.output_dir), Path(cfg_b.output_dir)
+        names = sorted(p.name for p in seq.iterdir() if p.name != "timing.json")
+        assert names == sorted(p.name for p in par.iterdir() if p.name != "timing.json")
+        assert len(names) == 5  # benchmark, summary, convergence, two runs
+        for name in names:
+            assert (seq / name).read_bytes() == (par / name).read_bytes(), name
 
 
 class TestNAgentValidation:

@@ -1,5 +1,7 @@
 import csv
 import io
+import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,7 +22,8 @@ from lqmfg import (
     run_gda,
 )
 from lqmfg.errors import BenchmarkZero, NotStabilizing
-from lqmfg.optim import RunLog, RunRecord, _Oracle
+from lqmfg.optim import RunLog, RunRecord, _grad_norms, _Oracle
+from lqmfg.value import GradientPair
 
 from conftest import benchmark_scalars, small_policy
 
@@ -335,6 +338,38 @@ class TestSimultaneity:
         for name in ("K1", "L1", "K2", "L2"):
             np.testing.assert_array_equal(getattr(order_a, name),
                                           getattr(order_b, name))
+
+
+class TestGradNorms:
+    def test_overflowing_block_is_rescaled(self):
+        """A finite block whose squares overflow keeps a finite norm, and
+        the rescale raises no floating-point warning."""
+        stack = np.zeros((2, 2, 1, 2))
+        stack[0, 0, 0] = [1e200, 0.0]
+        stack[0, 1, 0] = [3.0, 4.0]
+        stack[1, 0, 0] = [-1e200, 1e200]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms = _grad_norms(GradientPair(stack))
+        assert norms[0] == 1e200
+        assert norms[1] == 5.0
+        assert norms[2] == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+        assert norms[3] == 0.0
+
+    def test_finite_squares_keep_the_plain_form(self):
+        rng = np.random.default_rng(3)
+        scales = 10.0 ** rng.integers(-150, 150, (2, 2, 1, 1))
+        stack = rng.standard_normal((2, 2, 2, 3)) * scales
+        norms = _grad_norms(GradientPair(stack))
+        assert norms == tuple(math.sqrt(v.dot(v)) for v in stack.reshape(4, -1))
+
+    def test_non_finite_blocks_stay_non_finite(self):
+        stack = np.zeros((2, 2, 1, 1))
+        stack[0, 0, 0, 0] = np.inf
+        stack[1, 1, 0, 0] = np.nan
+        norms = _grad_norms(GradientPair(stack))
+        assert norms[0] == math.inf
+        assert math.isnan(norms[3])
 
 
 class TestRunLogCsv:

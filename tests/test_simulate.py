@@ -17,6 +17,7 @@ from lqmfg import (
     solve_riccati,
     validate,
 )
+from lqmfg import simulate
 from lqmfg.simulate import dump_trajectory_csv
 
 from conftest import PIN_THETA, benchmark_scalars, digest, random_game, small_policy
@@ -136,6 +137,107 @@ class TestMkvSimulator:
         first = rows[1].split(",")
         assert float(first[1]) == traj.states[0, 0]
         assert float(first[5]) == traj.costs[0]
+
+
+# scalar paths at which the mean-field engine draws its step noise four
+# steps at a time (80 kB per step and stream)
+CHUNKED_PATHS = 10_000
+CHUNK_STEPS = simulate._DRAW_AHEAD_BYTES // (8 * CHUNKED_PATHS)
+
+
+class TestMkvDrawAhead:
+    """The step noise is drawn ahead in chunks on a helper thread that
+    lives only as long as the call."""
+
+    def test_chunk_is_four_steps(self):
+        assert CHUNK_STEPS == 4
+
+    @pytest.mark.parametrize("horizon", [1, 2, CHUNK_STEPS, CHUNK_STEPS + 1, 50])
+    def test_no_thread_outlives_a_batch(self, model, horizon):
+        before = threading.active_count()
+        u = mkv_utility_batch(model, PIN_THETA, horizon, CHUNKED_PATHS, 3)
+        assert u.shape == (CHUNKED_PATHS,)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("horizon", [1, 2, 50])
+    def test_no_thread_outlives_a_trajectory(self, model, horizon):
+        before = threading.active_count()
+        traj = simulate_mkv(model, PIN_THETA, horizon, 3)
+        assert traj.costs.shape == (horizon,)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("horizon", [CHUNK_STEPS + 1, 50])
+    def test_chunks_hold_the_bits_of_step_draws(self, model, horizon):
+        """Drawing the same streams one step at a time, across chunk
+        boundaries and a partial last chunk, gives the same rollout bit
+        for bit."""
+        n = CHUNKED_PATHS
+        rng_ci, rng_ii, rng_cs, rng_is = simulate._streams(5)
+        noise = model.noise
+        y = noise.init_idio.sample(rng_ii, (n, 1)) - noise.init_idio.mean(1)
+        z = noise.init_common.sample(rng_ci, (n, 1)) + noise.init_idio.mean(1)
+        der = validate(model)
+        utility, discount = np.zeros(n), 1.0
+        for t in range(horizon):
+            u1_mean, u2_mean = -z @ PIN_THETA.L1.T, z @ PIN_THETA.L2.T
+            du1, du2 = -y @ PIN_THETA.K1.T, y @ PIN_THETA.K2.T
+            utility += discount * simulate.stage_cost(der, y, z, du1, u1_mean,
+                                                      du2, u2_mean)
+            discount *= model.gamma
+            if t + 1 < horizon:
+                w_common = noise.step_common.sample(rng_cs, (n, 1))
+                w_idio = noise.step_idio.sample(rng_is, (n, 1))
+                y = y @ model.A.T + du1 @ model.B1.T + du2 @ model.B2.T + w_idio
+                z = (z @ der.A_tilde.T + u1_mean @ der.B1_tilde.T
+                     + u2_mean @ der.B2_tilde.T + w_common)
+        got = mkv_utility_batch(model, PIN_THETA, horizon, n, 5)
+        np.testing.assert_array_equal(got, utility)
+
+    @pytest.mark.parametrize("call", ["batch", "trajectory"])
+    def test_no_thread_outlives_a_failed_step(self, model, monkeypatch, call):
+        """A step that raises on the calling thread mid-horizon joins the
+        helper thread before the error reaches the caller."""
+        error = RuntimeError("step failed")
+        calls = []
+        stage_cost = simulate.stage_cost
+
+        def failing_stage_cost(*args):
+            calls.append(None)
+            if len(calls) == 7:
+                raise error
+            return stage_cost(*args)
+
+        monkeypatch.setattr(simulate, "stage_cost", failing_stage_cost)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            if call == "batch":
+                mkv_utility_batch(model, PIN_THETA, 50, CHUNKED_PATHS, 3)
+            else:
+                simulate_mkv(model, PIN_THETA, 50, 3)
+        assert info.value is error
+        assert threading.active_count() == before
+
+    def test_failed_step_draw_reaches_caller(self, model, monkeypatch):
+        """The first step draw raises on the helper thread: the caller gets
+        that exception object, no further step draw is made, and no thread
+        is left."""
+        error = RuntimeError("draw failed")
+        step_calls = []
+        sample = Distribution.sample
+
+        def failing_sample(dist, rng, shape):
+            if len(shape) == 3:  # (k, n_paths, d): a chunk of step draws
+                step_calls.append(shape)
+                raise error
+            return sample(dist, rng, shape)
+
+        monkeypatch.setattr(Distribution, "sample", failing_sample)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            mkv_utility_batch(model, PIN_THETA, 50, CHUNKED_PATHS, 3)
+        assert info.value is error
+        assert step_calls == [(CHUNK_STEPS, CHUNKED_PATHS, 1)]
+        assert threading.active_count() == before
 
 
 class TestNAgentSimulator:
