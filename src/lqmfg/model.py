@@ -233,6 +233,12 @@ class LQBlock:
         """Closed-loop matrix A - B1 G1 + B2 G2, slice by slice on stacks."""
         return self.A - self.B1 @ np.atleast_2d(G1) + self.B2 @ np.atleast_2d(G2)
 
+    def stage_weights(self, G1, G2) -> np.ndarray:
+        """Stage-cost weights Q + G1' R1 G1 - G2' R2 G2 of the closed loop (the
+        source of the block's value equation), slice by slice on stacks."""
+        return (self.Q + G1.swapaxes(-1, -2) @ self.R1 @ G1
+                - G2.swapaxes(-1, -2) @ self.R2 @ G2)
+
 
 @dataclass(frozen=True)
 class DerivedParams:

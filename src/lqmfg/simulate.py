@@ -3,10 +3,14 @@
 Two views of the same game: the mean-field simulator propagates one state
 together with its conditional mean (the mean follows its own autonomous
 linear recursion given the common-noise path), while the finite-population
-simulator propagates N coupled agents with empirical means. Each view has
-one batched engine: `simulate_mkv` is path 0 of a one-path
-`mkv_utility_batch` run, and `simulate_n_agent` is replication 0 of a
-one-replication `nagent_utility_batch` run, each with its trajectory kept.
+simulator propagates N coupled agents as their deviations y from the
+empirical mean and that mean x-bar, each through its block's closed loop.
+Every step recentres y on its mean (the step's mean idiosyncratic draw, up
+to rounding), which then moves x-bar, so agents that start and stay alike
+keep y exactly zero. Each view has one batched engine: `simulate_mkv` is
+path 0 of a one-path `mkv_utility_batch` run, and `simulate_n_agent` is
+replication 0 of a one-replication `nagent_utility_batch` run, each with
+its trajectory kept.
 
 Randomness discipline: every rollout derives four named streams from its
 seed -- common-init, idio-init, common-step, idio-step, in that order -- so
@@ -26,13 +30,14 @@ estimate, whose 80 kB step draws cost about as much as one handoff of the
 interpreter lock, and one step for 800 replications of 100 agents or more.
 
 Every product of a shared matrix with a batch of vectors -- gains,
-dynamics and aggregated dynamics, in both batch engines -- is one BLAS call
-on the batch's 2-D view (`_batch_apply`); per-path gain stacks go through
-one `einsum`. On the thin (n, 1) batches of the scalar game this is several
-times faster than `v @ G.T`, and the bits are the same: at d=1 every entry
-is a single product. State updates add their terms in place, one at a
-time in the order of the written sum, which rounds exactly as the
-one-expression sum does without a temporary array per term.
+dynamics and aggregated dynamics in the mean-field engine, closed loops in
+the N-agent engine -- is one BLAS call on the batch's 2-D view
+(`_batch_apply`); per-path gain stacks go through one `einsum`. On the thin
+(n, 1) batches of the scalar game this is several times faster than
+`v @ G.T`, and the bits are the same: at d=1 every entry is a single
+product. State updates add their terms in place, one at a time in the
+order of the written sum, which rounds exactly as the one-expression sum
+does without a temporary array per term.
 """
 
 from __future__ import annotations
@@ -292,11 +297,17 @@ def _nagent_engine(params: ModelParams, theta: PolicyPair, N: int,
     d, ell = params.d, params.ell
     g = params.gamma
     noise = params.noise
+    # closed loops and stage weights of both blocks, ungated: any gains roll out
+    G1, G2 = der.gains(theta)
+    M_dev, M_mean = der.stack.closed_loop(G1, G2)
+    W_dev, W_mean = der.stack.stage_weights(G1, G2)
     rng_ci, rng_ii, rng_cs, rng_is = _streams(seed)
 
     eps_common = noise.init_common.sample(rng_ci, (n_reps, d))
-    eps_idio = noise.init_idio.sample(rng_ii, (n_reps, N, d))
-    x = eps_common[:, None, :] + eps_idio
+    y = noise.init_idio.sample(rng_ii, (n_reps, N, d))  # recentred in place
+    m = y.mean(axis=1)
+    y -= m[:, None, :]
+    x_bar = eps_common + m
 
     states = np.empty((horizon, N, d)) if keep_trajectory else None
     means = np.empty((horizon, d)) if keep_trajectory else None
@@ -308,39 +319,24 @@ def _nagent_engine(params: ModelParams, theta: PolicyPair, N: int,
     with _step_noise(noise, rng_cs, rng_is, horizon - 1,
                      (n_reps, d), (n_reps, N, d)) as draws:
         for t in range(horizon):
-            x_mean = x.mean(axis=1)                      # (reps, d)
-            y = x - x_mean[:, None, :]                   # (reps, N, d)
-            u1 = _batch_apply(-theta.K1, y) - _batch_apply(theta.L1, x_mean)[:, None, :]
-            u2 = _batch_apply(theta.K2, y) + _batch_apply(theta.L2, x_mean)[:, None, :]
-            u1_mean = u1.mean(axis=1)
-            u2_mean = u2.mean(axis=1)
-            du1 = u1 - u1_mean[:, None, :]
-            du2 = u2 - u2_mean[:, None, :]
-            # population-average cost: per-agent deviation terms + shared mean terms
-            dev_part = (np.einsum("rni,ij,rnj->r", y, params.Q, y)
-                        + np.einsum("rni,ij,rnj->r", du1, params.R1, du1)
-                        - np.einsum("rni,ij,rnj->r", du2, params.R2, du2)) / N
-            mean_part = (_quad(x_mean, der.mean.Q) + _quad(u1_mean, der.mean.R1)
-                         - _quad(u2_mean, der.mean.R2))
-            cbar = dev_part + mean_part
-            utility += discount * cbar
+            # population-average cost: deviation terms per agent, mean terms shared
+            cost = np.einsum("rni,ij,rnj->r", y, W_dev, y) / N + _quad(x_bar, W_mean)
+            utility += discount * cost
             discount *= g
             if keep_trajectory:
-                states[t] = x[0]
-                means[t] = x_mean[0]
-                u1_means[t] = u1_mean[0]
-                u2_means[t] = u2_mean[0]
+                states[t] = y[0] + x_bar[0]
+                means[t] = x_bar[0]
+                u1_means[t] = -theta.L1 @ x_bar[0]
+                u2_means[t] = theta.L2 @ x_bar[0]
             if t + 1 < horizon:
                 w_common, w_idio = next(draws)
-                del y, du1, du2  # the in-flight draw takes their memory
-                x = _batch_apply(params.A, x)
-                x += _batch_apply(params.A_bar, x_mean)[:, None, :]
-                x += _batch_apply(params.B1, u1)
-                x += _batch_apply(params.B1_bar, u1_mean)[:, None, :]
-                x += _batch_apply(params.B2, u2)
-                x += _batch_apply(params.B2_bar, u2_mean)[:, None, :]
-                x += w_common[:, None, :]
-                x += w_idio
+                y = _batch_apply(M_dev, y)
+                y += w_idio
+                m = y.mean(axis=1)
+                y -= m[:, None, :]
+                x_bar = _batch_apply(M_mean, x_bar)
+                x_bar += w_common
+                x_bar += m
                 del w_common, w_idio
     if keep_trajectory:
         traj = NAgentTrajectory(states=states, means=means, u1_means=u1_means,

@@ -66,7 +66,7 @@ def _gated_loop(block: LQBlock, G1, G2, gamma: float) -> tuple[np.ndarray, np.nd
     unless every M passes the spectral-norm test."""
     M = block.closed_loop(G1, G2)
     _require_stable(M, gamma)
-    return M, block.Q + _mT(G1) @ block.R1 @ G1 - _mT(G2) @ block.R2 @ G2
+    return M, block.stage_weights(G1, G2)
 
 
 def block_value(block: LQBlock, G1, G2, gamma: float) -> np.ndarray:

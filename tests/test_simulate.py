@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from lqmfg import simulate
 from lqmfg.simulate import dump_trajectory_csv
 
 from conftest import PIN_THETA, benchmark_scalars, digest, random_game, small_policy
+import nagent_reference
 
 
 def forced_start_noise(common: float, idio: float) -> NoiseSpec:
@@ -325,6 +327,96 @@ class TestNAgentSimulator:
         assert len(calls) == 3
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("call", ["batch", "trajectory"])
+    def test_no_thread_outlives_a_failed_step(self, model, monkeypatch, call):
+        """The third step's cost raises on the calling thread while the next
+        step draw is in flight: the caller gets that exception and no
+        thread is left."""
+        error = RuntimeError("step failed")
+        calls = []
+        quad = simulate._quad
+
+        def failing_quad(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise error
+            return quad(*args)
+
+        monkeypatch.setattr(simulate, "_quad", failing_quad)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            if call == "batch":
+                nagent_utility_batch(model, PIN_THETA, 1000, 50, 50, 3)
+            else:
+                simulate_n_agent(model, PIN_THETA, 1000, 50, 3)
+        assert info.value is error
+        assert len(calls) == 3
+        assert threading.active_count() == before
+
+    def test_peak_memory_within_five_population_arrays(self, model):
+        """The engine holds the state, its next value, the step draw in hand
+        and the one in flight: the traced peak stays within five
+        (reps, N, d) arrays."""
+        N, horizon, reps = 1000, 5, 50
+        nagent_utility_batch(model, PIN_THETA, N, horizon, reps, 3)
+        tracemalloc.start()
+        try:
+            nagent_utility_batch(model, PIN_THETA, N, horizon, reps, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * reps * N * model.d * 8
+
+
+def _reference_game(key, noise=None):
+    if key == "scalar":
+        extra = {} if noise is None else {"noise": noise}
+        return ModelParams.from_scalars(**benchmark_scalars(**extra)), PIN_THETA
+    model = random_game(*key, noise=noise)
+    return model, small_policy(model)
+
+
+class TestNAgentReference:
+    """The N-agent engine steps the closed loops in (y, x-bar) coordinates;
+    `nagent_reference` keeps the agent-by-agent engine it replaced. The two
+    compute the same rollout and differ only in rounding."""
+
+    @pytest.mark.parametrize("game", ["scalar", (2, 1), (3, 2), (8, 3)], ids=str)
+    @pytest.mark.parametrize("N, horizon, reps",
+                             [(1, 1, 3), (7, 2, 4), (50, 13, 9), (1000, 50, 40)])
+    def test_matches_agent_by_agent_reference(self, game, N, horizon, reps):
+        model, theta = _reference_game(game)
+        got = nagent_utility_batch(model, theta, N, horizon, reps, 11)
+        want, _ = nagent_reference._nagent_engine(model, theta, N, horizon, 11,
+                                                  reps, False)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        traj = simulate_n_agent(model, theta, N, horizon, 11)
+        _, ref = nagent_reference._nagent_engine(model, theta, N, horizon, 11,
+                                                 1, True)
+        for field in ("states", "means", "u1_means", "u2_means", "utility"):
+            a, b = np.asarray(getattr(traj, field)), np.asarray(getattr(ref, field))
+            assert a.shape == b.shape, field
+            assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b)), field
+
+    @pytest.mark.parametrize("game", ["scalar", (3, 2)], ids=str)
+    def test_identical_agents_give_the_same_bytes_for_any_N(self, game):
+        """Without idiosyncratic noise every agent sits at the mean: the
+        deviations stay exactly zero and the utilities do not depend on N.
+        The reference fails this, since the mean of N equal entries need not
+        round back to the entry."""
+        noise = NoiseSpec(init_common=Distribution.uniform(-1, 1),
+                          init_idio=Distribution.point(0.0),
+                          step_common=Distribution.gaussian(0, 0.01),
+                          step_idio=Distribution.point(0.0))
+        model, theta = _reference_game(game, noise)
+        got = {nagent_utility_batch(model, theta, N, 30, 200, 4242).tobytes()
+               for N in (1, 7, 100)}
+        assert len(got) == 1
+        ref = {nagent_reference._nagent_engine(model, theta, N, 30, 4242, 200,
+                                               False)[0].tobytes()
+               for N in (1, 7, 100)}
+        assert len(ref) > 1
+
 
 class TestBeyondScalar:
     """The batch engines on a d=3, ell=2 random game."""
@@ -370,12 +462,12 @@ def _trajectory_digest(traj) -> str:
 
 MKV_SHARED_DIGEST = "7df89b7d965b5e897eb20ff846cc470b8d0778616959558636cbddfab87df661"
 MKV_STACKS_DIGEST = "1c21b5d9963a930e8af97c8d08612719778a8ae90ba55bd60bdb24db8480aeba"
-NAGENT_DIGEST = "839e93619db02a4bff3a642e809b19cac5056a7b31884c830d7e89d7a36b70a0"
+NAGENT_DIGEST = "8214e9acddfe06fa074802d83cf6b0d5c7cf71c53b8ce76ce52f9333ca703206"
 TRAJECTORY_DIGEST = "9e794681e562ced791003630b02af14c9f3144a864961f83793f3b7821b0c625"
 TRAJECTORY_D3_DIGEST = "564303dd1f10e6361387ef4ec5faf6cc27a17a2569b86c157545614ed271f5c6"
 MKV_STACKS_D3_DIGEST = "5d7f0d65c6d78e27a29f40fcbcf1fa37f611c2dd4bd49e2946029d6158b9b183"
-NAGENT_D3_DIGEST = "bf138044416126b9e0f76c213fbc5ec1c992b686d26967631d8b39c9d51b701e"
-NAGENT_TRAJECTORY_DIGEST = "083077b82ace1284e0c857229f01a9237be6c630e69d75f491c6aef9061e0a12"
+NAGENT_D3_DIGEST = "1731e9f9d92b672e76044865a13485094e1e294555f2786cec84f472ab4ddac9"
+NAGENT_TRAJECTORY_DIGEST = "7f822d2719ab3e787ba7e110e3bca47cd1a1a4c9406ffca6bd5b33fd04de2912"
 
 
 class TestPinnedBits:
