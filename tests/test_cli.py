@@ -399,6 +399,20 @@ SAMPLED_RUN_DIGESTS = {
 SAMPLED_RUN_STEPS = {"table1_ag_sampled": {"T1": 2, "T2": 2},
                      "table1_gda_sampled": {"T": 3}}
 
+# sha256 of run_0.csv without its rel_err column, for the five runs above
+ITERATE_COLUMN_DIGESTS = {
+    "random_game_3_2_gda":
+        "2f72f58b5e9492877a0e5ebf2c2b3e0178da96fea8a75e1c8d91c31f7881880f",
+    "table1_ag_exact":
+        "bfbc28fe1e0ff764d905ab5f174baa288ab29c4603ed7c55571d7adc876adaa2",
+    "table1_gda_exact":
+        "9dc838cac82691074d16c414008dacc34894cf8d20df70c73d412731e1c9ed16",
+    "table1_ag_sampled":
+        "eee3db74dea18ec13b06e96b36be19d2ccf0918d1a2bdd059f8ba4ef9613c98e",
+    "table1_gda_sampled":
+        "cd75835c0f1b0c0e45b34d2d0cec712cbc37bc550b2ee4738ab1e5ba732cbbda",
+}
+
 
 def _sampled_run_config(case: str, out: Path) -> ExperimentConfig:
     from dataclasses import replace
@@ -429,6 +443,17 @@ class TestPinnedArtifacts:
                     for name in EXACT_ARTIFACTS)
         assert dict(zip(EXACT_ARTIFACTS, got)) == dict(
             zip(EXACT_ARTIFACTS, SAMPLED_RUN_DIGESTS[case]))
+
+    @pytest.mark.parametrize("case", sorted(ITERATE_COLUMN_DIGESTS))
+    def test_iterates_do_not_read_the_benchmark(self, case, tmp_path):
+        """Gains, C and gradient norms of run_0.csv, all but its last
+        (rel_err) column, pinned apart from the benchmark they are scored
+        against: a change of the equilibrium solver must keep these bytes."""
+        config = _exact_run_config if case in EXACT_RUN_DIGESTS else _sampled_run_config
+        run_experiment(config(case, tmp_path))
+        rows = (tmp_path / "run_0.csv").read_bytes().split(b"\r\n")
+        kept = b"\r\n".join(row.rpartition(b",")[0] for row in rows)
+        assert hashlib.sha256(kept).hexdigest() == ITERATE_COLUMN_DIGESTS[case]
 
 
 FUZZ_SECTIONS = {
