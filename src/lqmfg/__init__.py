@@ -1,9 +1,9 @@
 """Zero-sum linear-quadratic mean-field type games.
 
-Exact Nash equilibria via Riccati-type fixed points, closed-form policy
-evaluation and gradients, mean-field and finite-population simulators,
-sample-based gradient estimation, and alternating-gradient /
-gradient-descent-ascent learning loops.
+Exact Nash equilibria via the stabilizing solutions of Riccati-type
+equations, closed-form policy evaluation and gradients, mean-field and
+finite-population simulators, sample-based gradient estimation, and
+alternating-gradient / gradient-descent-ascent learning loops.
 """
 
 from .errors import LqmfgError

@@ -26,11 +26,15 @@ class InvalidNoise(LqmfgError):
 
 
 class NoConvergence(LqmfgError):
-    """Fixed-point iteration exhausted its budget or diverged."""
+    """An iteration exhausted its budget without converging. Nothing in the
+    package raises it now; it stays part of the public hierarchy."""
 
 
 class NonStabilizingSolution(LqmfgError):
-    """A converged fixed point induces an unstable closed loop."""
+    """The equilibrium equations have no stabilizing solution: the doubling
+    does not converge, the minimizer's curvature is not positive definite,
+    the players' joint curvature is singular, or the induced gains fall
+    outside the stabilizing set."""
 
 
 class SingularR(LqmfgError):
@@ -38,8 +42,9 @@ class SingularR(LqmfgError):
 
 
 class IndefiniteInnerProblem(LqmfgError):
-    """The one-player subproblem has an effective state weight so negative
-    that its value diverges."""
+    """The one-player problem against a frozen opponent has no best response:
+    no stabilizing solution with positive definite curvature and a closed
+    loop in the stabilizing set."""
 
 
 class NoRoot(LqmfgError):

@@ -354,20 +354,20 @@ class TestDeterminism:
 EXACT_ARTIFACTS = ("run_0.csv", "convergence.csv", "summary.json", "benchmark.json")
 EXACT_RUN_DIGESTS = {
     "random_game_3_2_gda": (
-        "62a48bdfa65d162098ceddb2f81654102013f76b36aeaf3ffdde224cbc3819dd",
-        "7254b9c82dfc8da5fb7d002803717e846825fc3ba27cd60d0ff31c855bd85f8b",
-        "f59bf33affff9bc4f80185a710641f318da09c003e8ac62bb42f2f502aeaf995",
-        "dd6ed8f4056c3f7eddca0691f5ebeabacdc0b6242f022206797f7359ab42f881"),
+        "c4d1e26c27b4b9671befbddad66c4ccfa426f0eb22251138e1fa7d0ece94d339",
+        "4a5fe0a7e083456ddacc241dd7fe0a0f907c1268d924970c94e13aff8fdcd741",
+        "bf996a9ac17d3177494f48cf27ba66873fa2f049fa0c74f2ee7ae741cd3e4d90",
+        "b4c7da90242f274194e029dd37044b2fc229dd311efc7ed19c2855a53f3d9b93"),
     "table1_ag_exact": (
         "fbddb0ef2704f7eb4847341854f0566ac006884943937697bddc91589cf1da65",
         "16e5604fc8a2382b7a4a14b8c5c073e6cb8ec4131f080de5f02640f24eebcc11",
-        "b54cff168b3279a1a8b6f9090c6ea7eb6608afd34de0f036852b5d739d084ff3",
-        "ac67120ee9d53d5e0e8ea89a43ed251641e43fffe9e2f47b6cff8240795c4b10"),
+        "ec2ece1b74b45a239e9a4a07fad8050cb0ced8ff6c46f35e9e236978028f6ab1",
+        "db3b2e9caa7d61bb42d4844a0b7edc92740a6099b5235910987eb865099cda25"),
     "table1_gda_exact": (
         "81137c5ce8a7bb11f9c4076387c83589a4982f41f6f99ce4aaea8ee8bf8eae7a",
         "98f3ba31c7373573fa6df47d5727e99db43bd03fe2d19fcc855e70ff0037d058",
-        "f9afc39f69226893242948dbdcc285d3dfb80b2506bf8be81840e16b3859a078",
-        "ac67120ee9d53d5e0e8ea89a43ed251641e43fffe9e2f47b6cff8240795c4b10"),
+        "93941d0cf7a51c77bf78aac640cfabf56efb67a6c0c6914ef52cf36502bf02cc",
+        "db3b2e9caa7d61bb42d4844a0b7edc92740a6099b5235910987eb865099cda25"),
 }
 
 
@@ -388,13 +388,13 @@ SAMPLED_RUN_DIGESTS = {
     "table1_ag_sampled": (
         "2c46e664e303a22df01ca791c19b021a73b26fe30f952ee7aef673bce2ca6084",
         "7888f667fcb397b651dde2fc821c26c574d949083ebc4b35eeb7aecda883f471",
-        "58c00668b07384a6277f0295dc4afca5b4b8699aba2fb4d65b0d7b95f79ff80c",
-        "ac67120ee9d53d5e0e8ea89a43ed251641e43fffe9e2f47b6cff8240795c4b10"),
+        "8988d8276f13804cdec8c16ed957c5d75424304a0adad9345366bc3f97b8d64b",
+        "db3b2e9caa7d61bb42d4844a0b7edc92740a6099b5235910987eb865099cda25"),
     "table1_gda_sampled": (
         "3ce1ea2d6c500724f4959f8a2907f20a0f32455f9055cf9dc476fc99024bbaad",
         "bcf3e4de1e0f78c1c96b72fa1317e5aa5b0b35be4cb179230f4667a165c92eec",
-        "100bd304d67e98418f444359438b30f98a67a36d637dfb42dbd309c5e1d8d686",
-        "ac67120ee9d53d5e0e8ea89a43ed251641e43fffe9e2f47b6cff8240795c4b10"),
+        "a440efb19b50c9b217f1eecae7c8a63726cb622965bade302b328012959a3db8",
+        "db3b2e9caa7d61bb42d4844a0b7edc92740a6099b5235910987eb865099cda25"),
 }
 SAMPLED_RUN_STEPS = {"table1_ag_sampled": {"T1": 2, "T2": 2},
                      "table1_gda_sampled": {"T": 3}}

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -31,8 +34,12 @@ from conftest import (
     L2_ORACLE,
     P_DEV_ORACLE,
     P_MEAN_ORACLE,
+    benchmark_noise,
     benchmark_scalars,
+    random_game,
 )
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def discounted_dare_oracle(A, B, Q, R, gamma):
@@ -44,6 +51,36 @@ def discounted_dare_oracle(A, B, Q, R, gamma):
     return S, K
 
 
+def game_are_oracle(params: ModelParams) -> np.ndarray:
+    """Nash gains (2 players, 2 blocks, ell, d) from scipy's game Riccati
+    equation of each block: X = solve_discrete_are(sqrt(g) A, sqrt(g) [B1 B2],
+    Q, diag(R1, -R2)), F = (R + g B'XB)^{-1} g B'XA, K1 = F[:ell],
+    K2 = -F[ell:] (independent solver path)."""
+    g, ell = params.gamma, params.ell
+    A_bar, B1_bar, B2_bar = params.A_bar, params.B1_bar, params.B2_bar
+    gains = []
+    for A, B1, B2, Q, R1, R2 in (
+            (params.A, params.B1, params.B2, params.Q, params.R1, params.R2),
+            (params.A + A_bar, params.B1 + B1_bar, params.B2 + B2_bar,
+             params.Q + params.Q_bar, params.R1 + params.R1_bar, params.R2 + params.R2_bar)):
+        B = np.hstack((B1, B2))
+        R = scipy.linalg.block_diag(R1, -R2)
+        X = scipy.linalg.solve_discrete_are(np.sqrt(g) * A, np.sqrt(g) * B, Q, R)
+        F = np.linalg.solve(R + g * B.T @ X @ B, g * B.T @ X @ A)
+        gains.append((F[:ell], -F[ell:]))
+    return np.array(gains).swapaxes(0, 1)
+
+
+def perfbench_game(d: int, ell: int) -> ModelParams:
+    """``perfbench.workloads.random_game(1, d, ell)`` as a model."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return ModelParams(**workloads.random_game(1, d, ell), gamma=0.9,
+                       noise=benchmark_noise(), d=d, ell=ell)
+
+
 class TestSolveRiccati:
     def test_matches_quadratic_roots(self, model):
         sol = solve_riccati(model)
@@ -51,6 +88,29 @@ class TestSolveRiccati:
         assert sol.P_mean[0, 0] == pytest.approx(P_MEAN_ORACLE, abs=1e-8)
         assert sol.residual_dev <= 1e-12
         assert sol.residual_mean <= 1e-12
+
+    def test_scalar_solution_to_rounding(self, model):
+        """P and the gains within 1e-13 relative of the closed-form roots."""
+        sol = solve_riccati(model)
+        theta = nash_policy(model, sol)
+        for got, want in ((sol.P_dev, P_DEV_ORACLE), (sol.P_mean, P_MEAN_ORACLE),
+                          (theta.K1, K1_ORACLE), (theta.K2, K2_ORACLE),
+                          (theta.L1, L1_ORACLE), (theta.L2, L2_ORACLE)):
+            assert abs(got[0, 0] - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("kind, d, ell", [
+        ("conftest", 2, 1), ("conftest", 3, 2), ("conftest", 4, 2), ("conftest", 8, 3),
+        ("perfbench", 16, 4), ("perfbench", 48, 4), ("perfbench", 64, 4)])
+    def test_nash_gains_match_game_are(self, kind, d, ell):
+        m = random_game(d, ell) if kind == "conftest" else perfbench_game(d, ell)
+        theta = nash_policy(m, solve_riccati(m))
+        np.testing.assert_allclose(theta.stack, game_are_oracle(m), rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("d, ell", [(16, 4), (32, 4)])
+    def test_no_stabilizing_solution_is_named(self, d, ell):
+        """scipy finds no stabilizing solution of one block of these games."""
+        with pytest.raises(NonStabilizingSolution):
+            solve_riccati(random_game(d, ell))
 
     def test_zero_state_weight_gives_zero(self):
         m = ModelParams.from_scalars(**benchmark_scalars(Q=0.0, Q_bar=0.0))
@@ -156,6 +216,22 @@ class TestBestResponse:
     def test_indefinite_inner_problem(self, model):
         with pytest.raises(IndefiniteInnerProblem):
             best_response_K1(model, np.array([[5.0]]))
+
+    @pytest.mark.parametrize("response, frozen", [
+        ("L2", -6.0), ("L2", -2.0), ("L2", 0.0), ("K2", -2.0), ("K2", 0.0)])
+    def test_maximizer_response_is_stationary_or_named(self, model, response, frozen):
+        """The maximizer's response zeroes its own gradient block, or no
+        stabilizing response with concave curvature exists."""
+        best = best_response_L2 if response == "L2" else best_response_K2
+        opponent = "L1" if response == "L2" else "K1"
+        try:
+            gain = best(model, np.array([[frozen]]))
+        except IndefiniteInnerProblem:
+            return
+        gains = dict.fromkeys(("K1", "L1", "K2", "L2"), np.zeros((1, 1)))
+        gains.update({response: gain, opponent: np.array([[frozen]])})
+        grad = exact_gradient(model, PolicyPair(**gains))
+        assert abs(getattr(grad, "d" + response)[0, 0]) <= 1e-8
 
 
 class TestGradientRoot:
