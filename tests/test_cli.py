@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -315,6 +316,61 @@ class TestMainEntry:
         assert rc == 0
         printed = json.loads(capsys.readouterr().out)
         assert set(printed["gaps"]) == {"2", "4"}
+
+
+def _cannot_parse(kind):
+    return "ParseError", "field '{key}': cannot parse %s from {value!r}" % kind
+
+
+# One key of the shipped sampled config set to `abc` or left empty: the
+# exact error main prints for it, as (error, message with {value!r}).
+PINNED_FAULTS = {
+    **{("model", key): _cannot_parse("integer") for key in ("d", "ell")},
+    **{("model", key): _cannot_parse("matrix")
+       for key in ("A", "A_bar", "B1", "B1_bar", "B2", "B2_bar", "Q", "Q_bar",
+                   "R1", "R1_bar", "R2", "R2_bar")},
+    ("model", "gamma"): _cannot_parse("number"),
+    **{("noise", key): ("ParseError", "field '{key}': expected kind(args), got {value!r}")
+       for key in ("init_common", "init_idio", "step_common", "step_idio")},
+    ("optimizer", "T"): _cannot_parse("integer"),
+    **{("optimizer", key): _cannot_parse("number") for key in ("eta1", "eta2")},
+    **{("optimizer", key): _cannot_parse("matrix")
+       for key in ("K1_0", "L1_0", "K2_0", "L2_0")},
+    ("optimizer", "log_every"): _cannot_parse("integer"),
+    ("optimizer", "shrink_on_exit"): _cannot_parse("boolean"),
+    **{("estimator", key): _cannot_parse("integer") for key in ("M", "horizon")},
+    ("estimator", "tau"): _cannot_parse("number"),
+    ("estimator", "smoothing_dim"): (
+        "SchemaError", "estimator: smoothing_dim must be 'parameter' or 'state'"),
+    ("experiment", "method"): ("SchemaError", "method must be 'ag' or 'gda', got {value!r}"),
+    ("experiment", "oracle"): (
+        "SchemaError", "oracle must be 'exact' or 'sampled', got {value!r}"),
+    **{("experiment", key): _cannot_parse("integer")
+       for key in ("repeats", "master_seed")},
+}
+
+
+class TestPinnedFaults:
+    @pytest.mark.parametrize("value", ["abc", ""], ids=["abc", "empty"])
+    @pytest.mark.parametrize("section, key", sorted(PINNED_FAULTS))
+    def test_one_bad_key(self, tmp_path, capsys, section, key, value):
+        """main prints the same error line and exits 2 before writing any
+        artifact, whether the key is in the shipped file or added to it."""
+        text = (REPO_CONFIGS / "table1_gda_sampled.cfg").read_text()
+        text = text.replace("output_dir = out/table1_gda_sampled",
+                            f"output_dir = {tmp_path / 'out'}")
+        line = f"{key} = {value}"
+        text, found = re.subn(rf"^{key} = .*$", line, text, flags=re.M)
+        if not found:
+            text = text.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+        path = tmp_path / "fault.cfg"
+        path.write_text(text)
+        rc = main(["benchmark", "--config", str(path)])
+        error, message = PINNED_FAULTS[section, key]
+        expected = {"error": error, "message": message.format(key=key, value=value)}
+        assert capsys.readouterr().out.splitlines() == [json.dumps(expected)]
+        assert rc == 2
+        assert not (tmp_path / "out").exists()
 
 
 class TestDeterminism:
