@@ -1,10 +1,11 @@
 """Experiment harness: declarative configs in, CSV/JSON artifacts out.
 
-Config files are flat key-value text with four blocks mirroring the model /
-noise / optimizer / estimator split, plus an [experiment] block naming the
-method, the oracle, and the bookkeeping fields. All artifacts are
-deterministic given the config and master seed; wall-clock timings go to a
-separate timing file excluded from that guarantee.
+A config file is flat key-value text: [model] and [noise] define the game,
+[optimizer] and [estimator] the learning run, [experiment] the method, the
+oracle and the bookkeeping fields, and [validation] the N-agent sweep. The
+table _SCHEMA names every key once, with its parser and default. All
+artifacts are deterministic given the config and master seed; wall-clock
+timings go to a separate timing file excluded from that guarantee.
 """
 
 from __future__ import annotations
@@ -40,26 +41,6 @@ from .simulate import (
     simulate_mkv,
 )
 from .value import exact_utility
-
-_MODEL_KEYS = {"d", "ell", "A", "A_bar", "B1", "B1_bar", "B2", "B2_bar",
-               "Q", "Q_bar", "R1", "R1_bar", "R2", "R2_bar", "gamma"}
-_MODEL_REQUIRED = _MODEL_KEYS - {"d", "ell"}
-_NOISE_KEYS = {"init_common", "init_idio", "step_common", "step_idio"}
-_OPTIMIZER_KEYS = {"T1", "T2", "T", "eta1", "eta2", "K1_0", "L1_0", "K2_0",
-                   "L2_0", "log_every", "shrink_on_exit"}
-_ESTIMATOR_KEYS = {"M", "horizon", "tau", "smoothing_dim"}
-_EXPERIMENT_KEYS = {"method", "oracle", "repeats", "output_dir", "master_seed"}
-_EXPERIMENT_REQUIRED = _EXPERIMENT_KEYS
-_VALIDATION_KEYS = {"ns", "reps", "horizon"}
-
-# Optimizer and estimator hyperparameters default to the shipped benchmark
-# configuration; model and noise fields are always explicit.
-_OPTIMIZER_DEFAULTS = {"T1": "10", "T2": "200", "T": "2000", "eta1": "0.1",
-                       "eta2": "0.1", "K1_0": "0.0", "L1_0": "0.0",
-                       "K2_0": "0.0", "L2_0": "0.0", "log_every": "1",
-                       "shrink_on_exit": "false"}
-_ESTIMATOR_DEFAULTS = {"M": "10000", "horizon": "50", "tau": "0.1",
-                       "smoothing_dim": "parameter"}
 
 
 @dataclass(frozen=True)
@@ -150,20 +131,60 @@ def _parse_distribution(text: str, field: str) -> Distribution:
     raise ParseError(f"field '{field}': unknown distribution {text!r}")
 
 
-def _check_section(parser: configparser.ConfigParser, name: str,
-                   allowed: set[str], required: set[str]) -> dict[str, str]:
-    if name not in parser:
-        if required:
-            raise SchemaError(f"missing section [{name}]")
-        return {}
-    items = dict(parser.items(name))
-    unknown = set(items) - allowed
-    if unknown:
-        raise SchemaError(f"section [{name}]: unknown fields {sorted(unknown)}")
-    missing = required - set(items)
-    if missing:
-        raise SchemaError(f"section [{name}]: missing fields {sorted(missing)}")
-    return items
+def _parse_word(text: str, field: str) -> str:
+    return text.strip().lower()
+
+
+def _parse_choice(first: str, second: str):
+    def parse(text: str, field: str) -> str:
+        value = _parse_word(text, field)
+        if value not in (first, second):
+            raise SchemaError(f"{field} must be {first!r} or {second!r}, got {value!r}")
+        return value
+    return parse
+
+
+def _parse_dir(text: str, field: str) -> str:
+    if not text:  # else the artifacts would land in the working directory
+        raise SchemaError(f"field '{field}': must not be empty")
+    return text
+
+
+_REQUIRED = object()
+_GAINS = ("K1", "L1", "K2", "L2")
+
+# Every config key in parse order: (section, key) -> (parser, default). A
+# required key must be present. An omitted key with default None is not
+# passed on, so the default of the dataclass it feeds applies; an omitted
+# initial gain is zero. A present key is parsed even when it is empty.
+_SCHEMA = {
+    ("experiment", "method"): (_parse_choice("ag", "gda"), _REQUIRED),
+    ("experiment", "oracle"): (_parse_choice("exact", "sampled"), _REQUIRED),
+    ("model", "d"): (_parse_int, None),
+    ("model", "ell"): (_parse_int, None),
+    **{("noise", key): (_parse_distribution, _REQUIRED)
+       for key in ("init_common", "init_idio", "step_common", "step_idio")},
+    **{("model", key): (_parse_matrix, _REQUIRED)
+       for key in ("A", "A_bar", "B1", "B1_bar", "B2", "B2_bar", "Q", "Q_bar",
+                   "R1", "R1_bar", "R2", "R2_bar")},
+    ("model", "gamma"): (_parse_float, _REQUIRED),
+    **{("optimizer", f"{name}_0"): (_parse_matrix, None) for name in _GAINS},
+    ("experiment", "master_seed"): (_parse_int, _REQUIRED),
+    ("estimator", "M"): (_parse_int, 10000),
+    ("estimator", "horizon"): (_parse_int, 50),
+    ("estimator", "tau"): (_parse_float, 0.1),
+    ("estimator", "smoothing_dim"): (_parse_word, None),
+    **{("optimizer", key): (_parse_float, None) for key in ("eta1", "eta2")},
+    **{("optimizer", key): (_parse_int, None) for key in ("T1", "T2", "T", "log_every")},
+    ("optimizer", "shrink_on_exit"): (_parse_bool, None),
+    ("experiment", "repeats"): (_parse_int, _REQUIRED),
+    ("experiment", "output_dir"): (_parse_dir, _REQUIRED),
+    ("validation", "ns"): (_parse_ints, None),
+    ("validation", "reps"): (_parse_int, None),
+    ("validation", "horizon"): (_parse_int, None),
+}
+# the order in which the sections are checked for unknown and missing fields
+_SECTIONS = ("model", "noise", "experiment", "optimizer", "validation", "estimator")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -179,114 +200,75 @@ def load_config(path) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ParseError(f"config syntax error: {exc}") from None
 
-    known_sections = {"model", "noise", "optimizer", "estimator",
-                      "experiment", "validation"}
-    unknown_sections = set(parser.sections()) - known_sections
+    unknown_sections = set(parser.sections()) - set(_SECTIONS)
     if unknown_sections:
         raise SchemaError(f"unknown sections {sorted(unknown_sections)}")
+    texts = {}
+    for name in _SECTIONS:
+        fields = {key: default for (section, key), (_, default) in _SCHEMA.items()
+                  if section == name}
+        required = {key for key, default in fields.items() if default is _REQUIRED}
+        if name not in parser:
+            if required:
+                raise SchemaError(f"missing section [{name}]")
+            continue
+        texts[name] = dict(parser.items(name))
+        unknown = set(texts[name]) - set(fields)
+        if unknown:
+            raise SchemaError(f"section [{name}]: unknown fields {sorted(unknown)}")
+        missing = required - set(texts[name])
+        if missing:
+            raise SchemaError(f"section [{name}]: missing fields {sorted(missing)}")
 
-    model_items = _check_section(parser, "model", _MODEL_KEYS, _MODEL_REQUIRED)
-    noise_items = _check_section(parser, "noise", _NOISE_KEYS, _NOISE_KEYS)
-    exp_items = _check_section(parser, "experiment", _EXPERIMENT_KEYS,
-                               _EXPERIMENT_REQUIRED)
-    opt_items = dict(_OPTIMIZER_DEFAULTS)
-    opt_items.update(_check_section(parser, "optimizer", _OPTIMIZER_KEYS, set()))
-    val_items = _check_section(parser, "validation", _VALIDATION_KEYS, set()) \
-        if "validation" in parser else {}
+    values = {name: {} for name in _SECTIONS}
+    for (section, key), (parse, default) in _SCHEMA.items():
+        if key in texts.get(section, {}):
+            values[section][key] = parse(texts[section][key], key)
+        elif section in texts and default is not None:
+            values[section][key] = default
+    exp, opt = values["experiment"], values["optimizer"]
 
-    method = exp_items["method"].strip().lower()
-    if method not in ("ag", "gda"):
-        raise SchemaError(f"method must be 'ag' or 'gda', got {method!r}")
-    oracle = exp_items["oracle"].strip().lower()
-    if oracle not in ("exact", "sampled"):
-        raise SchemaError(f"oracle must be 'exact' or 'sampled', got {oracle!r}")
-
-    has_estimator = "estimator" in parser
-    if oracle == "sampled" and not has_estimator:
+    has_estimator = "estimator" in texts
+    if exp["oracle"] == "sampled" and not has_estimator:
         raise CrossFieldError("oracle=sampled requires an [estimator] section")
-    if oracle == "exact" and has_estimator:
+    if exp["oracle"] == "exact" and has_estimator:
         raise CrossFieldError("[estimator] section requires oracle=sampled")
 
-    d = _parse_int(model_items.get("d", "1"), "d")
-    ell = _parse_int(model_items.get("ell", "1"), "ell")
-    noise = NoiseSpec(
-        init_common=_parse_distribution(noise_items["init_common"], "init_common"),
-        init_idio=_parse_distribution(noise_items["init_idio"], "init_idio"),
-        step_common=_parse_distribution(noise_items["step_common"], "step_common"),
-        step_idio=_parse_distribution(noise_items["step_idio"], "step_idio"),
-    )
+    noise = NoiseSpec(**values["noise"])
     try:
-        model = ModelParams(
-            A=_parse_matrix(model_items["A"], "A"),
-            A_bar=_parse_matrix(model_items["A_bar"], "A_bar"),
-            B1=_parse_matrix(model_items["B1"], "B1"),
-            B1_bar=_parse_matrix(model_items["B1_bar"], "B1_bar"),
-            B2=_parse_matrix(model_items["B2"], "B2"),
-            B2_bar=_parse_matrix(model_items["B2_bar"], "B2_bar"),
-            Q=_parse_matrix(model_items["Q"], "Q"),
-            Q_bar=_parse_matrix(model_items["Q_bar"], "Q_bar"),
-            R1=_parse_matrix(model_items["R1"], "R1"),
-            R1_bar=_parse_matrix(model_items["R1_bar"], "R1_bar"),
-            R2=_parse_matrix(model_items["R2"], "R2"),
-            R2_bar=_parse_matrix(model_items["R2_bar"], "R2_bar"),
-            gamma=_parse_float(model_items["gamma"], "gamma"),
-            noise=noise,
-            d=d, ell=ell,
-        )
+        model = ModelParams(noise=noise, **values["model"])
         validate_model(model)
-    except ParseError:
-        raise
     except LqmfgError as exc:
         raise SchemaError(f"model validation failed: {exc}") from None
 
-    theta0 = PolicyPair(
-        K1=_parse_matrix(opt_items["K1_0"], "K1_0"),
-        L1=_parse_matrix(opt_items["L1_0"], "L1_0"),
-        K2=_parse_matrix(opt_items["K2_0"], "K2_0"),
-        L2=_parse_matrix(opt_items["L2_0"], "L2_0"),
-    )
+    shape = (model.ell, model.d)
+    gains = {name: opt.pop(f"{name}_0", np.zeros(shape)) for name in _GAINS}
+    for name, gain in gains.items():
+        if gain.shape != shape:
+            raise SchemaError(f"field '{name}_0': gain must be {shape}, got {gain.shape}")
 
-    master_seed = _parse_int(exp_items["master_seed"], "master_seed")
     estimator = None
     if has_estimator:
-        est_items = dict(_ESTIMATOR_DEFAULTS)
-        est_items.update(_check_section(parser, "estimator", _ESTIMATOR_KEYS, set()))
         try:
-            estimator = EstimatorConfig(
-                M=_parse_int(est_items["M"], "M"),
-                horizon=_parse_int(est_items["horizon"], "horizon"),
-                tau=_parse_float(est_items["tau"], "tau"),
-                seed=master_seed,
-                smoothing_dim=est_items["smoothing_dim"].strip().lower(),
-            )
+            estimator = EstimatorConfig(seed=exp["master_seed"], **values["estimator"])
         except ValueError as exc:
             raise SchemaError(f"estimator: {exc}") from None
-
     try:
-        optimizer = OptimizerConfig(
-            mode=method,
-            eta1=_parse_float(opt_items["eta1"], "eta1"),
-            eta2=_parse_float(opt_items["eta2"], "eta2"),
-            T1=_parse_int(opt_items["T1"], "T1"),
-            T2=_parse_int(opt_items["T2"], "T2"),
-            T=_parse_int(opt_items["T"], "T"),
-            theta0=theta0,
-            oracle=oracle,
-            estimator=estimator,
-            log_every=_parse_int(opt_items["log_every"], "log_every"),
-            shrink_on_exit=_parse_bool(opt_items["shrink_on_exit"], "shrink_on_exit"),
-        )
+        optimizer = OptimizerConfig(mode=exp["method"], oracle=exp["oracle"],
+                                    theta0=PolicyPair(**gains), estimator=estimator,
+                                    **opt)
     except ValueError as exc:
         raise SchemaError(f"optimizer: {exc}") from None
 
     return ExperimentConfig(
-        model=model, method=method, oracle=oracle, optimizer=optimizer,
-        estimator=estimator, repeats=_parse_int(exp_items["repeats"], "repeats"),
-        output_dir=exp_items["output_dir"], master_seed=master_seed,
-        validation_ns=_parse_ints(val_items.get("ns", "10,100,1000"), "ns"),
-        validation_reps=_parse_int(val_items.get("reps", "2000"), "reps"),
-        validation_horizon=_parse_int(val_items.get("horizon", "50"), "horizon"),
-    )
+        model=model, optimizer=optimizer, estimator=estimator, **exp,
+        **{f"validation_{key}": value for key, value in values["validation"].items()})
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _theta_json(theta: PolicyPair) -> dict:
@@ -308,9 +290,7 @@ def write_benchmark(cfg: ExperimentConfig, out: Path) -> tuple[PolicyPair, float
         "cost_star": cost_star,
     }
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "benchmark.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "benchmark.json", payload)
     return theta_star, cost_star
 
 
@@ -358,14 +338,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> dict:
         "iterations_per_run": [log.records[-1].k if log.records else 0 for log in logs],
         "termination_per_run": [log.termination for log in logs],
     }
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "summary.json", summary)
     timing = {"wall_time_per_run": [log.wall_time for log in logs],
               "wall_time_total": float(sum(log.wall_time for log in logs))}
-    with open(out / "timing.json", "w") as fh:
-        json.dump(timing, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "timing.json", timing)
     return summary
 
 
@@ -402,17 +378,13 @@ def run_nagent_validation(cfg: ExperimentConfig, Ns=None, reps: int | None = Non
     pop_samples = {N: [] for N in Ns}
     max_N = max(Ns)
     chunk = max(1, min(reps, 400_000 // max_N))
-    done = 0
-    idx = 0
-    while done < reps:
+    for idx, done in enumerate(range(0, reps, chunk)):
         n = min(chunk, reps - done)
         seed = derive_seed(cfg.master_seed, 101, idx)
         mkv_samples.append(mkv_utility_batch(cfg.model, theta_star, horizon, n, seed))
         for N in Ns:
             pop_samples[N].append(
                 nagent_utility_batch(cfg.model, theta_star, N, horizon, n, seed))
-        done += n
-        idx += 1
 
     mkv = np.concatenate(mkv_samples)
     mkv_mean = float(mkv.mean())
@@ -438,9 +410,7 @@ def run_nagent_validation(cfg: ExperimentConfig, Ns=None, reps: int | None = Non
                              repr(row["rel_gap"])])
     payload = {"mkv_mean": mkv_mean, "mkv_stderr": mkv_se, "reps": reps,
                "horizon": horizon, "exact_cost": cost_star, "rows": rows}
-    with open(out / "nagent_summary.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "nagent_summary.json", payload)
     return payload
 
 
@@ -475,8 +445,6 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         changes["optimizer"] = replace(
             cfg.optimizer, oracle=oracle,
             estimator=cfg.estimator if oracle == "sampled" else None)
-    if not changes:
-        return cfg
     return replace(cfg, **changes)
 
 
@@ -541,16 +509,15 @@ def main(argv=None) -> int:
                               "gaps": {str(r["N"]): r["rel_gap"] for r in payload["rows"]}},
                              sort_keys=True))
         else:
+            if args.paths < 1:
+                raise SchemaError("--paths must be >= 1")
             if args.horizon < 1:
                 raise SchemaError("--horizon must be >= 1")
             written = run_simulate(cfg, args.paths, args.horizon)
             print(json.dumps({"files": [str(p) for p in written]}))
-    except ConfigError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
-        return 2
     except LqmfgError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
-        return 3
+        return 2 if isinstance(exc, ConfigError) else 3
     return 0
 
 

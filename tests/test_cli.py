@@ -70,6 +70,19 @@ def write_config(tmp_path, *, gamma=0.9, T=20, method="gda", oracle="exact",
     return path
 
 
+def write_matrix_config(tmp_path):
+    """A d = 2, ell = 1 game without initial gains."""
+    path = write_config(tmp_path)
+    text = path.read_text().replace("[model]", "[model]\nd = 2")
+    for key, value in [("A", "0.3,0.0;0.0,0.2"), ("A_bar", "0.1,0.0;0.0,0.1"),
+                       ("Q", "0.4,0.0;0.0,0.4"), ("Q_bar", "0.1,0.0;0.0,0.1"),
+                       ("B1", "0.4;0.1"), ("B1_bar", "0.0;0.0"),
+                       ("B2", "0.3;0.0"), ("B2_bar", "0.0;0.0")]:
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    path.write_text(text)
+    return path
+
+
 class TestLoadConfig:
     def test_shipped_gda_exact_defaults(self):
         cfg = load_config(REPO_CONFIGS / "table1_gda_exact.cfg")
@@ -148,6 +161,14 @@ class TestLoadConfig:
         assert cfg.model.d == 2
         assert cfg.model.A.shape == (2, 2)
         assert cfg.model.B1.shape == (2, 1)
+
+    def test_omitted_gains_are_zero_at_model_shape(self, tmp_path):
+        path = write_matrix_config(tmp_path)
+        path.write_text(path.read_text().replace("T = 20", "T = 20\nK1_0 = 0.1,0.2"))
+        theta0 = load_config(path).optimizer.theta0
+        np.testing.assert_array_equal(theta0.K1, [[0.1, 0.2]])
+        for name in ("L1", "K2", "L2"):
+            np.testing.assert_array_equal(getattr(theta0, name), np.zeros((1, 2)))
 
     def test_distribution_variants(self, tmp_path):
         path = write_config(tmp_path)
@@ -257,6 +278,7 @@ class TestMainEntry:
         ("validate-nagent", ["--ns", "0"], "exact", "", None),
         ("validate-nagent", ["--reps", "1"], "exact", "", None),
         ("simulate", ["--horizon", "0"], "exact", "", None),
+        ("simulate", ["--paths", "0"], "exact", "", None),
         ("optimize", [], "exact", "", ("\nA = 0.4\n", "\nA = nan\n")),
         ("optimize", [], "exact", "",
          ("init_common = uniform(-1, 1)", "init_common = uniform(nan, 1)")),
@@ -270,7 +292,7 @@ class TestMainEntry:
         ("simulate", ["--seed", "-1"], "exact", "", None),
         ("optimize", [], "exact", "", ("master_seed = 7", "master_seed = -1")),
     ], ids=["estimator-M-0", "config-ns-abc", "flag-ns-abc", "flag-ns-0",
-            "flag-reps-1", "simulate-horizon-0", "model-A-nan",
+            "flag-reps-1", "simulate-horizon-0", "simulate-paths-0", "model-A-nan",
             "noise-uniform-nan", "optimizer-eta1-nan", "flag-seed-abc",
             "flag-repeats-x", "flag-workers-x", "flag-reps-x", "flag-paths-x",
             "flag-horizon-x", "flag-seed-negative", "experiment-seed-negative"])
@@ -297,6 +319,32 @@ class TestMainEntry:
         assert rc == 3
         printed = json.loads(capsys.readouterr().out)
         assert "error" in printed
+
+    def test_optimize_without_gains_at_d2(self, tmp_path, capsys):
+        rc = main(["optimize", "--config", str(write_matrix_config(tmp_path))])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["termination"] == ["completed"]
+        assert (tmp_path / "out" / "run_0.csv").is_file()
+
+    def test_misshaped_gain_exits_before_any_artifact(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        path.write_text(path.read_text().replace("T = 20", "T = 20\nK1_0 = 0,0"))
+        rc = main(["optimize", "--config", str(path)])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "SchemaError",
+            "message": "field 'K1_0': gain must be (1, 1), got (1, 2)"}
+        assert not (tmp_path / "out" / "benchmark.json").exists()
+
+    def test_empty_output_dir_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        path = write_config(tmp_path)
+        path.write_text(re.sub(r"^output_dir = .*$", "output_dir =", path.read_text(),
+                               flags=re.M))
+        monkeypatch.chdir(tmp_path)
+        rc = main(["benchmark", "--config", str(path)])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "SchemaError"
+        assert not (tmp_path / "benchmark.json").exists()
 
     def test_simulate_verb(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -519,7 +567,8 @@ FUZZ_SECTIONS = {
               "gamma": "0.9"},
     "noise": {"init_common": "uniform(-1, 1)", "init_idio": "uniform(-1, 1)",
               "step_common": "gaussian(0, 0.01)", "step_idio": "gaussian(0, 0.01)"},
-    "optimizer": {"T": "3", "T1": "2", "T2": "3", "eta1": "0.1", "eta2": "0.1"},
+    "optimizer": {"T": "3", "T1": "2", "T2": "3", "eta1": "0.1", "eta2": "0.1",
+                  "K1_0": "0.0", "L1_0": "0.0", "K2_0": "0.0", "L2_0": "0.0"},
     "experiment": {"method": "gda", "oracle": "exact", "repeats": "1",
                    "master_seed": "7"},
 }
