@@ -234,9 +234,8 @@ def load_config(path) -> ExperimentConfig:
     if exp["oracle"] == "exact" and has_estimator:
         raise CrossFieldError("[estimator] section requires oracle=sampled")
 
-    noise = NoiseSpec(**values["noise"])
     try:
-        model = ModelParams(noise=noise, **values["model"])
+        model = ModelParams(noise=NoiseSpec(**values["noise"]), **values["model"])
         validate_model(model)
     except LqmfgError as exc:
         raise SchemaError(f"model validation failed: {exc}") from None

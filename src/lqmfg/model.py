@@ -185,6 +185,13 @@ class ModelParams:
             object.__setattr__(self, name, _as_matrix(getattr(self, name), ell, ell, name))
         object.__setattr__(self, "gamma", float(self.gamma))
 
+    @cached_property
+    def derived(self) -> "DerivedParams":
+        """``validate(self)``, computed on first access and kept: the instance
+        is frozen and its arrays read-only. A validation that raises keeps
+        nothing, so the next access raises again."""
+        return _derive(self)
+
     @classmethod
     def from_scalars(
         cls,
@@ -324,8 +331,13 @@ def validate(params: ModelParams) -> DerivedParams:
     """Check model invariants and compute the aggregated quantities.
 
     Rejects discounts outside (0, 1), non-PD control weights, asymmetric
-    state weights, and nonzero step-noise means.
+    state weights, and nonzero step-noise means. The checks run once per
+    model: the result is ``params.derived``, kept on the instance.
     """
+    return params.derived
+
+
+def _derive(params: ModelParams) -> DerivedParams:
     if not (0.0 < params.gamma < 1.0):
         raise BadDiscount(f"gamma must lie in (0, 1), got {params.gamma}")
     for name in ("Q", "Q_bar"):
@@ -358,6 +370,8 @@ def validate(params: ModelParams) -> DerivedParams:
         mf = sign * 0.5 * np.linalg.solve(
             R, Bb.T - Rb @ np.linalg.solve(R_t, B_t.T)
         )
+        for m in (dev, mf, mean):
+            m.setflags(write=False)
         coefs[i] = (dev, mf, mean)
 
     # The deviation process starts at the recentred idiosyncratic draw, so its

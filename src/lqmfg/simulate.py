@@ -1,43 +1,36 @@
 """Stochastic rollout engines.
 
-Two views of the same game: the mean-field simulator propagates one state
-together with its conditional mean (the mean follows its own autonomous
-linear recursion given the common-noise path), while the finite-population
-simulator propagates N coupled agents as their deviations y from the
-empirical mean and that mean x-bar, each through its block's closed loop.
+Two views of the same game, each stepped through the closed loops M and
+scored with the stage weights W of its two blocks (`LQBlock.closed_loop`,
+`LQBlock.stage_weights`). The mean-field simulator steps a state's
+deviation y from its conditional mean and that mean z as one (2, n, d)
+stack s = (y, z): s <- M s + w, scored as the sum over blocks of s' W s.
+Shared gains are always folded into M and W; per-path gain stacks only
+where per-path (2, n, d, d) loops are no larger than the stacks (d <= ell).
+Otherwise a player acts through u = G s, with its signed B u in the step
+and u' R u in the cost. The finite-population simulator steps N coupled
+agents as their deviations y from the empirical mean and that mean x-bar.
 Every step recentres y on its mean (the step's mean idiosyncratic draw, up
 to rounding), which then moves x-bar, so agents that start and stay alike
-keep y exactly zero. Each view has one batched engine: `simulate_mkv` is
-path 0 of a one-path `mkv_utility_batch` run, and `simulate_n_agent` is
-replication 0 of a one-replication `nagent_utility_batch` run, each with
-its trajectory kept.
+keep y exactly zero. `simulate_mkv` is path 0 of a one-path
+`mkv_utility_batch` run, and `simulate_n_agent` is replication 0 of a
+one-replication `nagent_utility_batch` run, each with its trajectory kept.
 
 Randomness discipline: every rollout derives four named streams from its
 seed -- common-init, idio-init, common-step, idio-step, in that order -- so
 extending the horizon never reshuffles earlier draws, and engines sharing a
 seed share the common-noise path draw-for-draw.
 
-Both engines draw their step noise ahead on one helper thread, opened and
-joined within the call (`_step_noise`): the draws do not depend on the
-state, so the single worker draws each step stream a chunk of k steps at a
-time as one (k, ...) array, common-step then idio-step, and numpy fills the
-arrays without the interpreter lock while the dynamics run on the other
-core. A generator fills an array in order, so one (k, n, d) draw holds the
-bits of k (n, d) draws, and every rollout keeps the bits of inline
-per-step draws. k is as many steps as fit in `_DRAW_AHEAD_BYTES` per
-stream, and at least one: 4 steps for the 10^4 scalar paths of a gradient
-estimate, whose 80 kB step draws cost about as much as one handoff of the
-interpreter lock, and one step for 800 replications of 100 agents or more.
-
-Every product of a shared matrix with a batch of vectors -- gains,
-dynamics and aggregated dynamics in the mean-field engine, closed loops in
-the N-agent engine -- is one BLAS call on the batch's 2-D view
-(`_batch_apply`); per-path gain stacks go through one `einsum`. On the thin
-(n, 1) batches of the scalar game this is several times faster than
-`v @ G.T`, and the bits are the same: at d=1 every entry is a single
-product. State updates add their terms in place, one at a time in the
-order of the written sum, which rounds exactly as the one-expression sum
-does without a temporary array per term.
+Both engines share one draw policy (`_step_noise`). The draws do not depend
+on the state, so one helper thread, opened and joined within the call,
+draws the idio-step stream ahead, k steps at a time as one (k, ...) array
+(k steps fit in `_DRAW_AHEAD_BYTES`: 4 of the 10^4 scalar paths of a
+gradient estimate, one of 800 replications of 100 agents or more), while
+the calling thread draws the common step and runs the dynamics. A
+generator fills an array in order, so every rollout keeps the bits of
+inline per-step draws. A product with a matrix shared over the batch is
+one BLAS call (`_batch_apply`, or one per block in `_stack_apply`); at
+d = 1 it is an elementwise product, and per-path stacks use one `einsum`.
 """
 
 from __future__ import annotations
@@ -50,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DerivedParams, ModelParams, NoiseSpec, PolicyPair, validate
+from .model import LQBlock, ModelParams, NoiseSpec, PolicyPair, validate
 
 # bytes of step noise drawn at once per stream (4 steps of 10^4 scalar paths)
 _DRAW_AHEAD_BYTES = 320_000
@@ -72,22 +65,21 @@ def _streams(seed) -> tuple[np.random.Generator, ...]:
 @contextmanager
 def _step_noise(noise: NoiseSpec, rng_cs, rng_is, steps: int,
                 common_shape: tuple, idio_shape: tuple):
-    """Iterator over `steps` step-noise pairs (w_common, w_idio), drawn
-    ahead on one helper thread that lives as long as the `with` block.
+    """Iterator over `steps` step-noise pairs (w_common, w_idio): the
+    idio-step stream is drawn ahead on one helper thread that lives as long
+    as the `with` block, the common-step one inline on the calling thread.
 
-    Each stream is drawn k steps at a time as one (k, *shape) array, the
-    common-step one first; the first chunk is submitted on entry and each
-    next one as soon as the current one is taken, and the iterator yields
-    per-step views. Callers drop their views before taking the next pair,
-    so that memory can go to the chunk after it. On an early exit the
-    chunk in flight is waited for and dropped.
+    The idio-step stream is drawn k steps at a time as one (k, *shape)
+    array; the first chunk is submitted on entry and each next one as soon
+    as the current one is taken. Each pair then draws its common step and
+    yields it with a per-step view of the chunk. Callers drop their views
+    before taking the next pair, so that memory can go to the chunk after
+    it. On an early exit the chunk in flight is waited for and dropped.
     """
-    step_bytes = 8 * max(math.prod(common_shape), math.prod(idio_shape))
-    k = max(1, _DRAW_AHEAD_BYTES // step_bytes)
+    k = max(1, _DRAW_AHEAD_BYTES // (8 * math.prod(idio_shape)))
 
     def draw(n):
-        return (noise.step_common.sample(rng_cs, (n, *common_shape)),
-                noise.step_idio.sample(rng_is, (n, *idio_shape)))
+        return noise.step_idio.sample(rng_is, (n, *idio_shape))
 
     with ThreadPoolExecutor(max_workers=1) as pool:
         pending = pool.submit(draw, min(k, steps)) if steps else None
@@ -96,11 +88,11 @@ def _step_noise(noise: NoiseSpec, rng_cs, rng_is, steps: int,
             nonlocal pending
             left = steps
             while left:
-                w_common, w_idio = pending.result()
-                left -= len(w_common)
+                chunk = pending.result()
+                left -= len(chunk)
                 pending = pool.submit(draw, min(k, left)) if left else None
-                for t in range(len(w_common)):
-                    yield w_common[t], w_idio[t]
+                for w_idio in chunk:
+                    yield noise.step_common.sample(rng_cs, common_shape), w_idio
 
         yield views()
 
@@ -117,18 +109,21 @@ def _quad(v, W):
     return np.einsum("...i,ij,...j->...", v, W, v)
 
 
-def stage_cost(der: DerivedParams, y, x_mean, du1, u1_mean, du2, u2_mean):
-    """Instantaneous utility evaluated on recentred quantities.
+def _stack_apply(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M v for every vector of the (2, n, c) block stack v, with M (2, 1, r, c)
+    shared over the paths or (2, n, r, c) per path: a product at c = 1, one
+    BLAS call per block for shared matrices, one `einsum` otherwise."""
+    if M.shape[-1] == 1:
+        return M[..., 0] * v
+    if M.shape[1] == 1:
+        return np.matmul(v, M[:, 0].swapaxes(-1, -2))
+    return np.einsum("bnij,bnj->bni", M, v)
 
-    y is the state deviation from its mean, du_i the control deviations;
-    deviation terms weigh with the `dev` block of `validate(params)`, mean
-    terms with its `mean` block. Quadratic in all arguments; player 2's
-    terms enter with a minus sign. Supports batched leading axes.
-    """
-    dev, mean = der.dev, der.mean
-    return (_quad(y, dev.Q) + _quad(x_mean, mean.Q)
-            + _quad(du1, dev.R1) + _quad(u1_mean, mean.R1)
-            - _quad(du2, dev.R2) - _quad(u2_mean, mean.R2))
+
+def _stack_quad(W: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Sum over both blocks of v' W v, per path, for a stack as in
+    `_stack_apply`."""
+    return np.einsum("bni,bni->n", _stack_apply(W, v), v)
 
 
 @dataclass(frozen=True)
@@ -169,13 +164,6 @@ def simulate_mkv(params: ModelParams, theta: PolicyPair, horizon: int,
     return traj
 
 
-def _gain_apply(G: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Apply a gain to a batch of vectors; G is (ell, d) or (n, ell, d)."""
-    if G.ndim == 2:
-        return _batch_apply(G, v)
-    return np.einsum("nij,nj->ni", G, v)
-
-
 def mkv_utility_batch(params: ModelParams, theta: PolicyPair, horizon: int,
                       n_paths: int, seed,
                       gain_stacks: dict[str, np.ndarray] | None = None) -> np.ndarray:
@@ -192,6 +180,10 @@ def mkv_utility_batch(params: ModelParams, theta: PolicyPair, horizon: int,
     return utilities
 
 
+# the player and block of each gain in `PolicyPair.stack`
+_GAIN_SLOTS = {"K1": (0, 0), "L1": (0, 1), "K2": (1, 0), "L2": (1, 1)}
+
+
 def _mkv_engine(params: ModelParams, theta: PolicyPair, horizon: int,
                 n_paths: int, seed, stacks, keep_trajectory: bool):
     if horizon < 1:
@@ -199,15 +191,27 @@ def _mkv_engine(params: ModelParams, theta: PolicyPair, horizon: int,
     der = validate(params)
     theta.check_dims(params)
     d, ell = params.d, params.ell
-    g = params.gamma
     noise = params.noise
-    gains = {"K1": theta.K1, "L1": theta.L1, "K2": theta.K2, "L2": theta.L2}
+    # each player's gains stacked like `der.stack` along a path axis:
+    # (2, 1, ell, d) when shared, (2, n_paths, ell, d) with a per-path stack
+    gains = [theta.stack[0][:, None], theta.stack[1][:, None]]
     for name, stack in (stacks or {}).items():
         stack = np.asarray(stack, dtype=float)
         if stack.shape != (n_paths, ell, d):
             raise ValueError(f"{name} stack must be (n_paths, ell, d)")
-        gains[name] = stack
-    K1, L1, K2, L2 = gains["K1"], gains["L1"], gains["K2"], gains["L2"]
+        player, block = _GAIN_SLOTS[name]
+        if np.may_share_memory(gains[player], theta.stack):  # still a view
+            gains[player] = np.repeat(gains[player], n_paths, axis=1)
+        gains[player][block] = stack
+    # fold each player's gains into the closed loops M and stage weights W,
+    # unless per-path loops (2, n, d, d) would outgrow its gain stack; a
+    # player in gain form acts through u = G s, weighed with signed B and R
+    wide = LQBlock(*(m[:, None] for m in vars(der.stack).values()))
+    gain_form = [G.shape[1] > 1 and d > ell for G in gains]
+    G1, G2 = (np.zeros((2, 1, ell, d)) if g else G for G, g in zip(gains, gain_form))
+    M, W = wide.closed_loop(G1, G2), wide.stage_weights(G1, G2)
+    terms = [(G, B, R) for G, B, R, g in zip(gains, (-wide.B1, wide.B2),
+                                             (wide.R1, -wide.R2), gain_form) if g]
 
     rng_ci, rng_ii, rng_cs, rng_is = _streams(seed)
     # the step streams are not the initial ones, so the first chunk is
@@ -217,46 +221,39 @@ def _mkv_engine(params: ModelParams, theta: PolicyPair, horizon: int,
         eps_common = noise.init_common.sample(rng_ci, (n_paths, d))
         eps_idio = noise.init_idio.sample(rng_ii, (n_paths, d))
         idio_mean = noise.init_idio.mean(d)
-        # propagate the deviation and the mean separately (an exact regrouping
-        # of the state recursion); the idiosyncratic-noise-free case then keeps
-        # the state equal to its mean bit for bit
-        y = eps_idio - idio_mean
-        z = eps_common + idio_mean
+        # the deviation y and the mean z step as one state s = (y, z); the
+        # idiosyncratic-noise-free case keeps y zero, so the state equals its
+        # mean bit for bit
+        s = np.stack((eps_idio - idio_mean, eps_common + idio_mean))
+        del eps_common, eps_idio
 
         if keep_trajectory:
-            states, means = np.empty((horizon, d)), np.empty((horizon, d))
-            u1s, u2s = np.empty((horizon, ell)), np.empty((horizon, ell))
-            costs = np.empty(horizon)
+            path0, costs = np.empty((horizon, 2, d)), np.empty(horizon)
         utility = np.zeros(n_paths)
         discount = 1.0
         for t in range(horizon):
-            u1_mean = -_gain_apply(L1, z)
-            u2_mean = _gain_apply(L2, z)
-            du1 = -_gain_apply(K1, y)
-            du2 = _gain_apply(K2, y)
-            cost = stage_cost(der, y, z, du1, u1_mean, du2, u2_mean)
+            us = [_stack_apply(G, s) for G, _, _ in terms]
+            cost = _stack_quad(W, s)
+            for u, (_, _, R) in zip(us, terms):
+                cost += _stack_quad(R, u)
             utility += discount * cost
-            discount *= g
+            discount *= params.gamma
             if keep_trajectory:
-                states[t] = y[0] + z[0]
-                means[t] = z[0]
-                u1s[t] = du1[0] + u1_mean[0]
-                u2s[t] = du2[0] + u2_mean[0]
+                path0[t] = s[:, 0]
                 costs[t] = cost[0]
-            del cost  # free the (n_paths,) costs before the next step allocates
             if t + 1 < horizon:
                 w_common, w_idio = next(draws)
-                y = _batch_apply(params.A, y)
-                y += _batch_apply(params.B1, du1)
-                y += _batch_apply(params.B2, du2)
-                y += w_idio
-                z = _batch_apply(der.A_tilde, z)
-                z += _batch_apply(der.B1_tilde, u1_mean)
-                z += _batch_apply(der.B2_tilde, u2_mean)
-                z += w_common
+                s = _stack_apply(M, s)
+                for u, (_, B, _) in zip(us, terms):
+                    s += _stack_apply(B, u)
+                s[0] += w_idio
+                s[1] += w_common
                 del w_common, w_idio
     if keep_trajectory:
-        traj = MkvTrajectory(states=states, means=means, u1=u1s, u2=u2s,
+        # path 0's controls from its states: u_i = +-(G_i over both blocks)
+        u = np.einsum("pbij,tbj->tpi", np.stack([G[:, 0] for G in gains]), path0)
+        traj = MkvTrajectory(states=path0[:, 0] + path0[:, 1],
+                             means=path0[:, 1].copy(), u1=-u[:, 0], u2=u[:, 1],
                              costs=costs, utility=float(utility[0]))
         return utility, traj
     return utility, None

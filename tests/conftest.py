@@ -1,4 +1,6 @@
 import hashlib
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,6 +100,19 @@ def random_game(d: int, ell: int, noise: NoiseSpec | None = None) -> ModelParams
         R1=0.4 * eye_l, R1_bar=0.1 * eye_l, R2=0.5 * eye_l, R2_bar=0.1 * eye_l,
         gamma=0.9, noise=noise or benchmark_noise(), d=d, ell=ell,
     )
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def perfbench_game(d: int, ell: int) -> ModelParams:
+    """``perfbench.workloads.random_game(1, d, ell)`` as a model."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return ModelParams(**workloads.random_game(1, d, ell), gamma=0.9,
+                       noise=benchmark_noise(), d=d, ell=ell)
 
 
 def small_policy(model, seed: int = 0) -> PolicyPair:

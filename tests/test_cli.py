@@ -421,6 +421,27 @@ class TestPinnedFaults:
         assert not (tmp_path / "out").exists()
 
 
+class TestNonzeroStepMean:
+    @pytest.mark.parametrize("key", ["step_common", "step_idio"])
+    def test_config_error(self, tmp_path, capsys, key):
+        """A step noise with nonzero mean is a config error: main exits 2
+        with one JSON line, before writing any artifact."""
+        text = (REPO_CONFIGS / "table1_gda_sampled.cfg").read_text()
+        text = text.replace("output_dir = out/table1_gda_sampled",
+                            f"output_dir = {tmp_path / 'out'}")
+        text, found = re.subn(rf"^{key} = .*$", f"{key} = gaussian(0.5, 0.01)",
+                              text, flags=re.M)
+        assert found == 1
+        path = tmp_path / "fault.cfg"
+        path.write_text(text)
+        rc = main(["benchmark", "--config", str(path)])
+        expected = {"error": "SchemaError", "message":
+                    f"model validation failed: {key} must have mean zero, got 0.5"}
+        assert capsys.readouterr().out.splitlines() == [json.dumps(expected)]
+        assert rc == 2
+        assert not (tmp_path / "out").exists()
+
+
 class TestDeterminism:
     def test_benchmark_rerun_bit_identical(self, tmp_path):
         """Re-running only the benchmark step reproduces the benchmark
@@ -490,14 +511,14 @@ def _exact_run_config(case: str, out: Path) -> ExperimentConfig:
 # M = 2000 rollouts of horizon 50: GDA at T = 3 and AG at T1 = T2 = 2
 SAMPLED_RUN_DIGESTS = {
     "table1_ag_sampled": (
-        "2c46e664e303a22df01ca791c19b021a73b26fe30f952ee7aef673bce2ca6084",
-        "7888f667fcb397b651dde2fc821c26c574d949083ebc4b35eeb7aecda883f471",
-        "8988d8276f13804cdec8c16ed957c5d75424304a0adad9345366bc3f97b8d64b",
+        "bc4f3a9c8bf3ee6b7a66512a5064f5e6a9b13a32bc1327fb4d4200cd1ab4ea32",
+        "eb9003bb34b2d2b045c426adda95b22dbeca9a9d97b73812cb8d1145b70e71e1",
+        "bdc67a9eda5c1aa169127510087da5c16309c0963342130e939ae87e3d973c06",
         "db3b2e9caa7d61bb42d4844a0b7edc92740a6099b5235910987eb865099cda25"),
     "table1_gda_sampled": (
-        "3ce1ea2d6c500724f4959f8a2907f20a0f32455f9055cf9dc476fc99024bbaad",
-        "bcf3e4de1e0f78c1c96b72fa1317e5aa5b0b35be4cb179230f4667a165c92eec",
-        "a440efb19b50c9b217f1eecae7c8a63726cb622965bade302b328012959a3db8",
+        "96acf54696fcab94a525346cf6ccc3b67aa0e550b7a55e1aee894f51daa9eeea",
+        "ac01c701389ceb7204b77486d18484ed66282716b478af7693f76813d5849eb8",
+        "e0a77383d719821935db92939fceccf273d2c1a1a18d834aa40426fe597c8da7",
         "db3b2e9caa7d61bb42d4844a0b7edc92740a6099b5235910987eb865099cda25"),
 }
 SAMPLED_RUN_STEPS = {"table1_ag_sampled": {"T1": 2, "T2": 2},
@@ -512,9 +533,9 @@ ITERATE_COLUMN_DIGESTS = {
     "table1_gda_exact":
         "9dc838cac82691074d16c414008dacc34894cf8d20df70c73d412731e1c9ed16",
     "table1_ag_sampled":
-        "eee3db74dea18ec13b06e96b36be19d2ccf0918d1a2bdd059f8ba4ef9613c98e",
+        "b39df75517b525d3b22d83d5f3f2920d2e04b7cd57221ce90679414c80a7a259",
     "table1_gda_sampled":
-        "cd75835c0f1b0c0e45b34d2d0cec712cbc37bc550b2ee4738ab1e5ba732cbbda",
+        "3be61a73b00c92b540962d6e2da839289646181a2351eadad7946698a0984953",
 }
 
 
@@ -530,7 +551,9 @@ def _sampled_run_config(case: str, out: Path) -> ExperimentConfig:
 class TestPinnedArtifacts:
     """The artifacts of exact and sampled runs pinned bit for bit: how an
     iterate is evaluated, updated or written, or how the rollout noise is
-    drawn, may change, the bytes may not."""
+    drawn, may change, the bytes may not. The sampled digests move only with
+    a named rounding change of the mean-field engine, checked against its
+    test-only reference (`mkv_reference`)."""
 
     @pytest.mark.parametrize("case", sorted(EXACT_RUN_DIGESTS))
     def test_exact_run(self, case, tmp_path):

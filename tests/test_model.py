@@ -56,6 +56,22 @@ class TestValidate:
         np.testing.assert_allclose(der.mean_coef_1, der.dev_coef_1, atol=1e-15)
         np.testing.assert_allclose(der.mean_coef_2, der.dev_coef_2, atol=1e-15)
 
+    def test_result_kept_on_the_model(self, model):
+        """The checks run once per model; the derived arrays are shared by
+        every caller, so none of them is writeable."""
+        der = validate(model)
+        assert validate(model) is der
+        for name, value in vars(der).items():
+            arrays = vars(value).values() if name in ("stack", "dev", "mean") else [value]
+            assert not any(a.flags.writeable for a in arrays), name
+
+    def test_failed_validation_is_not_kept(self):
+        m = ModelParams.from_scalars(**benchmark_scalars(R1=-0.1))
+        for _ in range(2):
+            with pytest.raises(NonPositiveDefinite):
+                validate(m)
+        assert "derived" not in vars(m)
+
     @pytest.mark.parametrize("gamma", [1.0, 0.0, -0.2, 1.5])
     def test_bad_discount(self, gamma):
         with pytest.raises(BadDiscount):

@@ -1,6 +1,3 @@
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -34,13 +31,10 @@ from conftest import (
     L2_ORACLE,
     P_DEV_ORACLE,
     P_MEAN_ORACLE,
-    benchmark_noise,
     benchmark_scalars,
+    perfbench_game,
     random_game,
 )
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
 
 def discounted_dare_oracle(A, B, Q, R, gamma):
     """One-player discounted LQ solution via the sqrt(gamma) rescaling of
@@ -69,16 +63,6 @@ def game_are_oracle(params: ModelParams) -> np.ndarray:
         F = np.linalg.solve(R + g * B.T @ X @ B, g * B.T @ X @ A)
         gains.append((F[:ell], -F[ell:]))
     return np.array(gains).swapaxes(0, 1)
-
-
-def perfbench_game(d: int, ell: int) -> ModelParams:
-    """``perfbench.workloads.random_game(1, d, ell)`` as a model."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  PERFBENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return ModelParams(**workloads.random_game(1, d, ell), gamma=0.9,
-                       noise=benchmark_noise(), d=d, ell=ell)
 
 
 class TestSolveRiccati:
