@@ -70,7 +70,8 @@ def _sphere_stack(n: int, dim: int, tau: float, rng: np.random.Generator) -> np.
     raise DegenerateDraw(f"all-zero Gaussian draws {_MAX_REDRAWS} times in a row")
 
 
-UtilityFn = Callable[[dict[str, np.ndarray], np.random.SeedSequence], np.ndarray]
+# quoted: evaluating np.random here would load it in runs that draw nothing
+UtilityFn = Callable[[dict[str, np.ndarray], "np.random.SeedSequence"], np.ndarray]
 
 
 def estimate_gradient(

@@ -9,7 +9,7 @@ decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -192,6 +192,11 @@ class ModelParams:
         nothing, so the next access raises again."""
         return _derive(self)
 
+    def __reduce__(self):
+        # through the constructor: the copy gets read-only matrices of its
+        # own, and ``derived`` is recomputed on first access, not shipped
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
     @classmethod
     def from_scalars(
         cls,
@@ -316,6 +321,10 @@ class PolicyPair:
         object.__setattr__(pair, "stack", stack)
         return pair
 
+    def __reduce__(self):
+        # a pickled array comes back writeable; ``from_stack`` takes it over
+        return type(self).from_stack, (self.stack,)
+
     @classmethod
     def zero(cls, d: int = 1, ell: int = 1) -> "PolicyPair":
         return cls.from_stack(np.zeros((2, 2, ell, d)))
@@ -412,23 +421,41 @@ def mean_closed_loop(
 
 
 def spectral_norm(mat: np.ndarray) -> np.ndarray:
-    """Operator 2-norm of each matrix in a stack (..., m, n), by one SVD call."""
+    """Operator 2-norm of each matrix in a stack (..., m, n), by one SVD call.
+
+    The reference norm, not the gate: ``loop_stable`` decides
+    gamma * ||M||^2 < 1 without it, and the tests check its decisions
+    against this norm."""
     return np.linalg.svd(mat, compute_uv=False)[..., 0]
 
 
 def loop_stable(M: np.ndarray, gamma: float) -> bool:
     """gamma * ||M||^2 < 1 (operator 2-norm) for every closed loop in the
     stack M (..., d, d): the one admissibility test for a closed loop,
-    sufficient for its discounted sums to converge. NaN or inf fail."""
-    if not np.isfinite(M).all():
+    sufficient for its discounted sums to converge. NaN or inf fail.
+
+    ||M|| >= |M_ij|, so gamma * max |M_ij|^2 < 1 is necessary; in Python
+    floats it also fails NaN, inf and entries whose square overflows, and it
+    bounds M'M. For d = 1 it is the whole test. Otherwise the test is
+    I - gamma M'M positive definite, by one Cholesky call over the stack,
+    which raises if any slice fails."""
+    peak = float(np.abs(M).max())
+    if not gamma * peak * peak < 1.0:
         return False
-    return all(gamma * sn * sn < 1.0 for sn in spectral_norm(M).ravel().tolist())
+    d = M.shape[-1]
+    if d == 1:
+        return True
+    try:
+        np.linalg.cholesky(np.eye(d) - gamma * (M.swapaxes(-1, -2) @ M))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def in_stabilizing_set(params: ModelParams, theta: PolicyPair,
                        derived: DerivedParams | None = None) -> bool:
     """Membership test for the set of policy pairs with summable discounted
-    second moments: both closed loops must pass the spectral-norm test."""
+    second moments: both closed loops must pass ``loop_stable``."""
     theta.check_dims(params)
     der = derived if derived is not None else validate(params)
     return loop_stable(der.stack.closed_loop(*der.gains(theta)), params.gamma)

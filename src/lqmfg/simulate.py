@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -80,6 +79,8 @@ def _step_noise(noise: NoiseSpec, rng_cs, rng_is, steps: int,
 
     def draw(n):
         return noise.step_idio.sample(rng_is, (n, *idio_shape))
+
+    from concurrent.futures import ThreadPoolExecutor  # on call: exact runs start no thread
 
     with ThreadPoolExecutor(max_workers=1) as pool:
         pending = pool.submit(draw, min(k, steps)) if steps else None

@@ -3,7 +3,7 @@
 A policy pair is scored by the value and discounted second-moment matrices
 of the deviation and the mean process, the exact utility and its gradient in
 all four gains. Both processes are evaluated at once, on arrays stacked
-along a leading (dev, mean) axis: one spectral-norm gate, one doubling loop.
+along a leading (dev, mean) axis: one stability gate, one doubling loop.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def _gated_loop(block: LQBlock, G1, G2, gamma: float) -> tuple[np.ndarray, np.nd
     """Closed loops M = A - B1 G1 + B2 G2 and value sources
     Q + G1' R1 G1 - G2' R2 G2 of stacked gains (G1, G2) (k, ell, d), on the
     slices of stacked blocks or on one block broadcast. Raises NotStabilizing
-    unless every M passes the spectral-norm test."""
+    unless every M passes ``loop_stable``."""
     M = block.closed_loop(G1, G2)
     _require_stable(M, gamma)
     return M, block.stage_weights(G1, G2)
@@ -156,8 +156,8 @@ def exact_utility(params: ModelParams, theta: PolicyPair,
 
     cost_dev = tr(P_dev V0_dev) + gamma/(1-gamma) tr(P_dev W_dev), and the
     mean part analogously; the total is their sum. Both blocks are gated by
-    one spectral-norm call, and their four Lyapunov equations (P on M, Sigma
-    on M') are solved in one doubling loop.
+    one ``loop_stable`` call, and their four Lyapunov equations (P on M,
+    Sigma on M') are solved in one doubling loop.
     """
     der = derived if derived is not None else validate(params)
     theta.check_dims(params)

@@ -181,6 +181,7 @@ def test_c06_zo_estimator_fidelity(model):
     assert avg_err[1] <= 0.25 and avg_err[2] <= 0.25
 
 
+@pytest.mark.slow
 def test_c07_sample_based_convergence(model):
     M, tol = (10_000, 5e-2) if FULL else (1_000, 1e-1)
     theta_star = nash_policy(model, solve_riccati(model))

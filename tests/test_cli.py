@@ -2,7 +2,10 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -221,6 +224,28 @@ class TestRunExperiment:
         assert len(names) == 5  # benchmark, summary, convergence, two runs
         for name in names:
             assert (seq / name).read_bytes() == (par / name).read_bytes(), name
+
+    def test_exact_run_loads_no_random_or_pool(self, tmp_path):
+        """An exact run draws nothing and starts no thread, so it imports
+        neither numpy.random (which pulls in hashlib and OpenSSL) nor
+        concurrent.futures."""
+        script = f"""
+import sys
+from dataclasses import replace
+from lqmfg.cli import load_config, run_experiment
+cfg = load_config({str(REPO_CONFIGS / "table1_gda_exact.cfg")!r})
+run_experiment(replace(cfg, output_dir={str(tmp_path)!r},
+                       optimizer=replace(cfg.optimizer, T=20)))
+print([m for m in ("numpy.random", "concurrent.futures") if m in sys.modules])
+"""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+        assert (tmp_path / "summary.json").is_file()
 
 
 class TestNAgentValidation:

@@ -1,3 +1,6 @@
+import pickle
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from lqmfg import (
     in_stabilizing_set,
     validate,
 )
+from lqmfg.model import loop_stable, spectral_norm
 from lqmfg.errors import (
     BadDiscount,
     DimensionMismatch,
@@ -143,6 +147,79 @@ class TestStabilizingSet:
         m = ModelParams.from_scalars(**benchmark_scalars(gamma=1e-9))
         big = np.array([[50.0]])
         assert in_stabilizing_set(m, PolicyPair(K1=big, L1=big, K2=big, L2=big))
+
+
+def _scaled_stack(rng, n, d, gamma, ratio):
+    """n Gaussian d x d slices, each scaled so gamma * ||M||^2 = ratio."""
+    M = rng.standard_normal((n, d, d))
+    return M * (np.sqrt(ratio / gamma) / spectral_norm(M))[:, None, None]
+
+
+class TestLoopStable:
+    """``loop_stable`` decides gamma * ||M||^2 < 1 for every slice of a
+    stack without the SVD; ``spectral_norm`` is the reference."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 16, 48])
+    def test_agrees_with_spectral_norm(self, d):
+        rng, gamma = np.random.default_rng(d), 0.9
+        for rel in (1e-12, 1e-9, 1e-3, 0.5):
+            for side in (-1.0, 1.0):
+                for _ in range(5):
+                    M = _scaled_stack(rng, 3, d, gamma, 1.0 + side * rel)
+                    expected = all(gamma * s * s < 1.0
+                                   for s in spectral_norm(M).tolist())
+                    assert expected == (side < 0)
+                    assert loop_stable(M, gamma) is expected, (rel, side)
+
+    @pytest.mark.parametrize("d", [1, 3, 16])
+    @pytest.mark.parametrize("bad", [0, 2])
+    def test_one_failing_slice_fails_the_stack(self, d, bad):
+        rng, gamma = np.random.default_rng(d), 0.9
+        M = _scaled_stack(rng, 3, d, gamma, 0.5)
+        M[bad] = _scaled_stack(rng, 1, d, gamma, 1.0 + 1e-12)[0]
+        assert loop_stable(M, gamma) is False
+        assert loop_stable(np.delete(M, bad, axis=0), gamma) is True
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, 1e200, -1e260],
+                             ids=["nan", "inf", "-inf", "1e200", "-1e260"])
+    def test_nonfinite_and_huge_entries_fail_quietly(self, d, entry):
+        M = np.zeros((2, d, d))
+        M[1, -1, 0] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert loop_stable(M, 0.9) is False
+            assert loop_stable(np.full((2, d, d), entry), 0.9) is False
+
+    def test_tiny_entries_pass_quietly(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert loop_stable(np.full((2, 3, 3), 1e-200), 0.9) is True
+
+
+class TestPickle:
+    """A copy made by pickle keeps the read-only contract, as in the
+    worker processes of ``optimize --workers``."""
+
+    def test_policy_pair_stays_read_only(self):
+        theta = PolicyPair(K1=np.array([[0.2, 0.1]]), L1=np.array([[0.4, 0.0]]),
+                           K2=np.array([[0.1, 0.3]]), L2=np.array([[0.3, 0.2]]))
+        copy = pickle.loads(pickle.dumps(theta))
+        assert not copy.stack.flags.writeable
+        np.testing.assert_array_equal(copy.stack, theta.stack)
+        assert np.shares_memory(copy.L2, copy.stack)
+
+    def test_model_stays_read_only_and_ships_no_derived(self, model_2d):
+        der = validate(model_2d)
+        copy = pickle.loads(pickle.dumps(model_2d))
+        assert "derived" not in vars(copy)
+        for name, value in vars(copy).items():
+            if isinstance(value, np.ndarray):
+                assert not value.flags.writeable, name
+                np.testing.assert_array_equal(value, getattr(model_2d, name))
+        assert copy.noise == model_2d.noise and copy.gamma == model_2d.gamma
+        np.testing.assert_array_equal(validate(copy).stack.A, der.stack.A)
+        assert not validate(copy).stack.A.flags.writeable
 
 
 class TestControls:

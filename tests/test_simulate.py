@@ -1,4 +1,3 @@
-import pickle
 import threading
 import tracemalloc
 
@@ -133,11 +132,11 @@ class TestMkvSimulator:
         assert len(np.unique(stacked)) == 3
 
     def test_gain_stacks_leave_theta_untouched(self, model):
-        """A policy pair that crossed a process boundary holds a writeable
-        stack; a one-path gain stack has the shape of its slice, and is
-        still not written into it."""
-        theta = pickle.loads(pickle.dumps(PIN_THETA))
-        assert theta.stack.flags.writeable
+        """The engine tells a view of theta's stack by memory, not by the
+        writeable flag: a one-path gain stack has the shape of its slice,
+        and is not written into a writeable stack either."""
+        theta = PolicyPair.from_stack(PIN_THETA.stack.copy())
+        theta.stack.setflags(write=True)
         mkv_utility_batch(model, theta, 5, 1, 3,
                           gain_stacks={"K1": np.full((1, 1, 1), 0.7)})
         np.testing.assert_array_equal(theta.stack, PIN_THETA.stack)
