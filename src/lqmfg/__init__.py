@@ -14,7 +14,6 @@ from .model import (
     ModelParams,
     NoiseSpec,
     PolicyPair,
-    control_from_policy,
     in_stabilizing_set,
     validate,
 )
@@ -33,7 +32,6 @@ from .riccati import (
     best_response_L1,
     best_response_L2,
     nash_policy,
-    nash_via_gradient_root,
     solve_riccati,
 )
 from .simulate import (

@@ -25,11 +25,6 @@ class InvalidNoise(LqmfgError):
     """Noise specification violates its contract (e.g. nonzero step mean)."""
 
 
-class NoConvergence(LqmfgError):
-    """An iteration exhausted its budget without converging. Nothing in the
-    package raises it now; it stays part of the public hierarchy."""
-
-
 class NonStabilizingSolution(LqmfgError):
     """The equilibrium equations have no stabilizing solution: the doubling
     does not converge, the minimizer's curvature is not positive definite,
@@ -45,14 +40,6 @@ class IndefiniteInnerProblem(LqmfgError):
     """The one-player problem against a frozen opponent has no best response:
     no stabilizing solution with positive definite curvature and a closed
     loop in the stabilizing set."""
-
-
-class NoRoot(LqmfgError):
-    """Root bracketing failed inside the stabilizing interval."""
-
-
-class DegenerateProblem(NoRoot):
-    """Every candidate is stationary (opponent has no control authority)."""
 
 
 class NotStabilizing(LqmfgError):

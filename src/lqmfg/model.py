@@ -55,7 +55,9 @@ class Distribution:
     """Per-coordinate i.i.d. scalar distribution descriptor.
 
     Supported kinds: ``uniform`` on [p1, p2], ``gaussian`` with mean p1 and
-    variance p2, ``point`` mass at p1.
+    variance p2, ``point`` mass at p1. Construction raises InvalidNoise for
+    any other kind, a non-finite parameter, p2 < p1 in ``uniform`` and a
+    negative ``gaussian`` variance.
     """
 
     kind: str
@@ -63,19 +65,21 @@ class Distribution:
     p2: float = 0.0
 
     def __post_init__(self):
+        if self.kind not in ("uniform", "gaussian", "point"):
+            raise InvalidNoise(f"unknown distribution kind {self.kind!r}")
         if not (np.isfinite(self.p1) and np.isfinite(self.p2)):
             raise InvalidNoise(f"{self.kind}: non-finite parameter ({self.p1}, {self.p2})")
+        if self.kind == "uniform" and self.p2 < self.p1:
+            raise InvalidNoise(f"uniform: high {self.p2} < low {self.p1}")
+        if self.kind == "gaussian" and self.p2 < 0:
+            raise InvalidNoise(f"gaussian: negative variance {self.p2}")
 
     @classmethod
     def uniform(cls, low: float, high: float) -> "Distribution":
-        if high < low:
-            raise InvalidNoise(f"uniform: high {high} < low {low}")
         return cls("uniform", float(low), float(high))
 
     @classmethod
     def gaussian(cls, mean: float, variance: float) -> "Distribution":
-        if variance < 0:
-            raise InvalidNoise(f"gaussian: negative variance {variance}")
         return cls("gaussian", float(mean), float(variance))
 
     @classmethod
@@ -254,14 +258,11 @@ class LQBlock:
 
 @dataclass(frozen=True)
 class DerivedParams:
-    """Aggregated matrices and the per-player feedback coefficients.
+    """The two blocks the game splits into.
 
-    ``dev_coef_i`` maps the deviation value matrix to player i's signed
-    deviation feedback, ``mean_coef_i`` does the same for the mean part, and
-    ``mf_coef_i`` is the mean-field correction between the two:
-    mean_coef_i = dev_coef_i + mf_coef_i. ``stack`` holds the two blocks the
-    game splits into as (2, ...) arrays, deviation first; ``dev``, ``mean``
-    and the tilde fields are views of its slices.
+    ``stack`` holds them as (2, ...) arrays, deviation first; ``dev``,
+    ``mean`` and the tilde fields (the aggregated matrices) are views of its
+    slices.
     """
 
     A_tilde: np.ndarray
@@ -270,12 +271,6 @@ class DerivedParams:
     Q_tilde: np.ndarray
     R1_tilde: np.ndarray
     R2_tilde: np.ndarray
-    dev_coef_1: np.ndarray
-    dev_coef_2: np.ndarray
-    mf_coef_1: np.ndarray
-    mf_coef_2: np.ndarray
-    mean_coef_1: np.ndarray
-    mean_coef_2: np.ndarray
     stack: LQBlock
     dev: LQBlock
     mean: LQBlock
@@ -366,23 +361,6 @@ def _derive(params: ModelParams) -> DerivedParams:
     check_positive_definite(R1_tilde, "R1 + R1_bar")
     check_positive_definite(R2_tilde, "R2 + R2_bar")
 
-    coefs = {}
-    for i, (B, R, B_t, R_t, Bb) in enumerate(
-        [(params.B1, params.R1, B1_tilde, R1_tilde, params.B1_bar),
-         (params.B2, params.R2, B2_tilde, R2_tilde, params.B2_bar)],
-        start=1,
-    ):
-        sign = (-1.0) ** i
-        dev = sign * 0.5 * np.linalg.solve(R, B.T)
-        mean = sign * 0.5 * np.linalg.solve(R_t, B_t.T)
-        Rb = getattr(params, f"R{i}_bar")
-        mf = sign * 0.5 * np.linalg.solve(
-            R, Bb.T - Rb @ np.linalg.solve(R_t, B_t.T)
-        )
-        for m in (dev, mf, mean):
-            m.setflags(write=False)
-        coefs[i] = (dev, mf, mean)
-
     # The deviation process starts at the recentred idiosyncratic draw, so its
     # initial second moment is that draw's covariance; the mean process starts
     # at the common draw plus the idiosyncratic mean.
@@ -399,25 +377,8 @@ def _derive(params: ModelParams) -> DerivedParams:
     return DerivedParams(
         A_tilde=mean.A, B1_tilde=mean.B1, B2_tilde=mean.B2,
         Q_tilde=mean.Q, R1_tilde=mean.R1, R2_tilde=mean.R2,
-        dev_coef_1=coefs[1][0], dev_coef_2=coefs[2][0],
-        mf_coef_1=coefs[1][1], mf_coef_2=coefs[2][1],
-        mean_coef_1=coefs[1][2], mean_coef_2=coefs[2][2],
         stack=LQBlock(*stacked), dev=dev, mean=mean,
     )
-
-
-def dev_closed_loop(params: ModelParams, K1: np.ndarray, K2: np.ndarray) -> np.ndarray:
-    """Closed-loop matrix of the deviation recursion: A - B1 K1 + B2 K2."""
-    return validate(params).dev.closed_loop(K1, K2)
-
-
-def mean_closed_loop(
-    params: ModelParams, L1: np.ndarray, L2: np.ndarray,
-    derived: DerivedParams | None = None,
-) -> np.ndarray:
-    """Closed-loop matrix of the mean recursion (tilde quantities)."""
-    der = derived if derived is not None else validate(params)
-    return der.mean.closed_loop(L1, L2)
 
 
 def spectral_norm(mat: np.ndarray) -> np.ndarray:
@@ -459,24 +420,3 @@ def in_stabilizing_set(params: ModelParams, theta: PolicyPair,
     theta.check_dims(params)
     der = derived if derived is not None else validate(params)
     return loop_stable(der.stack.closed_loop(*der.gains(theta)), params.gamma)
-
-
-def control_from_policy(
-    theta: PolicyPair, x: np.ndarray, x_mean: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Controls of both players at state x with conditional mean x_mean.
-
-    u1 = -K1 (x - x_mean) - L1 x_mean (minimizer),
-    u2 = +K2 (x - x_mean) + L2 x_mean (maximizer).
-    """
-    x = np.asarray(x, dtype=float)
-    x_mean = np.asarray(x_mean, dtype=float)
-    if x.shape != x_mean.shape or x.shape[-1] != theta.K1.shape[1]:
-        raise DimensionMismatch(
-            f"state shape {x.shape} incompatible with mean {x_mean.shape} "
-            f"and gain {theta.K1.shape}"
-        )
-    y = x - x_mean
-    u1 = -(y @ theta.K1.T) - x_mean @ theta.L1.T
-    u2 = (y @ theta.K2.T) + x_mean @ theta.L2.T
-    return u1, u2

@@ -1,11 +1,11 @@
 """Equilibrium computation: the stabilizing solutions of the two Riccati-type
-equations, the gains they induce, best responses, and a scalar root-finding
-benchmark.
+equations, the gains they induce, and best responses.
 
 The paper's equilibrium conditions are the fixed points of
 P = g (A'P + 2Q)(A + (B1 c1 + B2 c2) P), one for the deviation block and its
-tilde analogue for the mean block, with the signed feedback coefficients c_i
-of ``DerivedParams``. In the symmetric X with P = 2 g X M, M the closed loop,
+tilde analogue for the mean block, with the signed feedback coefficients
+c_i = -+1/2 R_i^{-1} B_i' (minus for the minimizing player 1, plus for the
+maximizing player 2). In the symmetric X with P = 2 g X M, M the closed loop,
 each is the game Riccati equation
   X = Q + g A'XA - g^2 A'XB (R + g B'XB)^{-1} B'XA,  B = [B1 B2], R = diag(R1, -R2),
 and a player's best response against a frozen opponent solves the same
@@ -17,23 +17,14 @@ Anal. Appl. 2006).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .errors import (
-    DegenerateProblem,
-    IndefiniteInnerProblem,
-    NonStabilizingSolution,
-    NoRoot,
-    NotStabilizing,
-    SingularR,
-)
+from .errors import IndefiniteInnerProblem, NonStabilizingSolution, SingularR
 from .model import (DerivedParams, LQBlock, ModelParams, PolicyPair, in_stabilizing_set,
                     loop_stable, validate)
 # solve_dev_value / solve_mean_value: looked up here by perfbench/spans.py
-from .value import (MAX_DOUBLINGS, _mT, block_value, gradient_coefs,  # noqa: F401
-                    solve_dev_value, solve_mean_value)
+from .value import MAX_DOUBLINGS, _mT, solve_dev_value, solve_mean_value  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -186,82 +177,3 @@ def best_response_L1(params: ModelParams, L2) -> np.ndarray:
 def best_response_L2(params: ModelParams, L1) -> np.ndarray:
     """Optimal L2 against a frozen L1 (tilde quantities, sign-flipped)."""
     return _best_response(validate(params).mean, 2, L1, params.gamma)
-
-
-def _scalar_root(eval_slope, lo: float, hi: float, tol: float,
-                 label: str) -> float:
-    """Bisection on a scalar slope function over [lo, hi].
-
-    Scans for a sign change on a grid first; points where the inner problem
-    fails are skipped."""
-    skippable = (IndefiniteInnerProblem, NotStabilizing)
-    grid = np.linspace(lo, hi, 61)
-    vals = np.full(grid.shape, np.nan)
-    for idx, point in enumerate(grid):
-        try:
-            vals[idx] = eval_slope(point)
-        except skippable:
-            continue
-    finite = np.isfinite(vals)
-    if finite.any() and np.max(np.abs(vals[finite])) < 1e-12:
-        raise DegenerateProblem(
-            f"{label}: slope vanishes everywhere; opponent has no control authority")
-    bracket = None
-    prev = None
-    for idx in range(len(grid)):
-        if not finite[idx]:
-            prev = None
-            continue
-        if prev is not None and np.sign(vals[prev]) != np.sign(vals[idx]):
-            bracket = (grid[prev], grid[idx], vals[prev])
-            break
-        prev = idx
-    if bracket is None:
-        raise NoRoot(f"{label}: no sign change inside the stabilizing interval")
-    lo, hi, f_lo = bracket
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        try:
-            f_mid = eval_slope(mid)
-        except skippable as exc:
-            raise NoRoot(f"{label}: evaluation failed during bisection: {exc}") from None
-        if abs(hi - lo) < tol:
-            return mid
-        if np.sign(f_mid) == np.sign(f_lo):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _slope(block: LQBlock, gamma: float, g2: float) -> float:
-    """Player 2's utility slope in one scalar block at gain g2 against player
-    1's best response (the second-moment factor > 0 is dropped)."""
-    G2 = np.array([[[g2]]])
-    G1 = _best_response(block, 1, G2[0], gamma)[None]
-    P = block_value(block, G1, G2, gamma)
-    return float(gradient_coefs(block, P, G1, G2, gamma)[1][0, 0, 0])
-
-
-def nash_via_gradient_root(params: ModelParams, tol: float = 1e-10) -> PolicyPair:
-    """Scalar benchmark path to the equilibrium: find the opponent gain whose
-    utility slope vanishes under the first player's best response, for the
-    deviation and the mean blocks separately. Only d = ell = 1."""
-    if params.d != 1 or params.ell != 1:
-        raise NoRoot("gradient-root benchmark is only defined for d = ell = 1")
-    der = validate(params)
-    g = params.gamma
-    if any(abs(block.B2[0, 0]) < 1e-14 for block in (der.dev, der.mean)):
-        raise DegenerateProblem("second player has no control authority")
-    # scan where the uncompensated drift stays within twice the stability
-    # bound; the other player's best response extends stability past the
-    # naive interval, and non-evaluable points are skipped anyway
-    bound = 2.0 / np.sqrt(g)
-    gains = []
-    for block, label in ((der.dev, "deviation block"), (der.mean, "mean block")):
-        a, b2 = float(block.A[0, 0]), float(block.B2[0, 0])
-        lo, hi = sorted(((-bound - a) / b2, (bound - a) / b2))
-        G2 = np.array([[_scalar_root(partial(_slope, block, g), lo, hi, tol, label)]])
-        gains.append((_best_response(block, 1, G2, g), G2))
-    (K1, K2), (L1, L2) = gains
-    return PolicyPair(K1=K1, L1=L1, K2=K2, L2=L2)

@@ -105,14 +105,43 @@ def random_game(d: int, ell: int, noise: NoiseSpec | None = None) -> ModelParams
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
+def perfbench_module(name: str):
+    """``perfbench/<name>.py``, loaded from its file as it is."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def perfbench_game(d: int, ell: int) -> ModelParams:
     """``perfbench.workloads.random_game(1, d, ell)`` as a model."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  PERFBENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return ModelParams(**workloads.random_game(1, d, ell), gamma=0.9,
+    return ModelParams(**perfbench_module("workloads").random_game(1, d, ell), gamma=0.9,
                        noise=benchmark_noise(), d=d, ell=ell)
+
+
+def feedback_coefs(model: ModelParams) -> dict:
+    """The paper's signed feedback coefficients of each player i, from the
+    model matrices: (dev, mf, mean) with dev = -+1/2 R_i^-1 B_i',
+    mean = -+1/2 R~_i^-1 B~_i' on the aggregated matrices, and the
+    mean-field correction mf = -+1/2 R_i^-1 (B_bar_i' - R_bar_i R~_i^-1 B~_i'),
+    minus for the minimizing player 1."""
+    coefs = {}
+    for i, sign in ((1, -0.5), (2, 0.5)):
+        B, B_bar = getattr(model, f"B{i}"), getattr(model, f"B{i}_bar")
+        R, R_bar = getattr(model, f"R{i}"), getattr(model, f"R{i}_bar")
+        mean_part = np.linalg.solve(R + R_bar, (B + B_bar).T)
+        coefs[i] = (sign * np.linalg.solve(R, B.T),
+                    sign * np.linalg.solve(R, B_bar.T - R_bar @ mean_part),
+                    sign * mean_part)
+    return coefs
+
+
+def coefficient_gap(model: ModelParams) -> float:
+    """Largest entry of mean - dev - mf over both players: the identity
+    mean = dev + mf of ``feedback_coefs``."""
+    return max(float(np.max(np.abs(mean - dev - mf)))
+               for dev, mf, mean in feedback_coefs(model).values())
 
 
 def small_policy(model, seed: int = 0) -> PolicyPair:

@@ -18,23 +18,19 @@ from lqmfg import (
     estimate_gradient,
     exact_gradient,
     exact_utility,
-    in_stabilizing_set,
     mkv_utility_batch,
     nagent_utility_batch,
     nash_policy,
-    nash_via_gradient_root,
     relative_error,
     run_ag,
     run_gda,
-    solve_dev_value,
-    solve_mean_value,
     solve_riccati,
     validate,
 )
-from lqmfg.model import dev_closed_loop, mean_closed_loop
 from lqmfg.simulate import derive_seed
 
-from conftest import P_DEV_ORACLE, P_MEAN_ORACLE, benchmark_scalars
+from conftest import P_DEV_ORACLE, P_MEAN_ORACLE, coefficient_gap
+from gradient_root_reference import nash_via_gradient_root
 from test_simulate import exact_truncated_mean
 from test_value import random_stabilizing_policy
 
@@ -227,21 +223,19 @@ def test_c08_mean_field_limit(model):
 def test_c09_decomposition_and_identities(model):
     rng = np.random.default_rng(8)
     der = validate(model)
-    coef_gap = max(
-        float(np.max(np.abs(der.mean_coef_1 - der.dev_coef_1 - der.mf_coef_1))),
-        float(np.max(np.abs(der.mean_coef_2 - der.dev_coef_2 - der.mf_coef_2))))
+    coef_gap = coefficient_gap(model)
     worst_lyap = worst_sigma = 0.0
     bitwise = True
     for _ in range(20):
         theta = random_stabilizing_policy(model, rng)
         sol = exact_utility(model, theta)
         bitwise &= sol.cost == sol.cost_dev + sol.cost_mean
-        M = dev_closed_loop(model, theta.K1, theta.K2)
+        M = der.dev.closed_loop(theta.K1, theta.K2)
         S = (model.Q + theta.K1.T @ model.R1 @ theta.K1
              - theta.K2.T @ model.R2 @ theta.K2)
         r = np.linalg.norm(sol.P_dev - S - 0.9 * M.T @ sol.P_dev @ M)
         worst_lyap = max(worst_lyap, r / (1 + np.linalg.norm(sol.P_dev)))
-        Mm = mean_closed_loop(model, theta.L1, theta.L2, der)
+        Mm = der.mean.closed_loop(theta.L1, theta.L2)
         Sm = (der.Q_tilde + theta.L1.T @ der.R1_tilde @ theta.L1
               - theta.L2.T @ der.R2_tilde @ theta.L2)
         rm = np.linalg.norm(sol.P_mean - Sm - 0.9 * Mm.T @ sol.P_mean @ Mm)

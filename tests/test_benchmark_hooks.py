@@ -1,28 +1,32 @@
-"""The names the traced benchmark run looks up in the program.
+"""The names the benchmark looks up in the program.
 
 ``perfbench/spans.py`` wraps functions at the modules where their callers
-look them up and reads ``RiccatiSolution.iterations``; its own smoke test
-is not part of a plain ``pytest`` run, so a renamed or removed name would
-first fail inside the benchmark. The module is loaded from its file, as is.
+look them up and reads ``RiccatiSolution.iterations``; ``perfbench/workloads.py``
+builds its jobs from the loaded configs and checks the Lyapunov residuals
+through the value solves and the tilde fields. The benchmark's own smoke
+test is not part of a plain ``pytest`` run, so a renamed or removed name
+would first fail inside the benchmark. Both modules are loaded from their
+files, as they are.
 """
 
 import importlib
-import importlib.util
-from pathlib import Path
 
 import pytest
 
-from lqmfg import solve_riccati
+import lqmfg.cli
+from lqmfg import nash_policy, solve_riccati
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+from conftest import PERFBENCH, perfbench_module
 
 
 @pytest.fixture(scope="module")
 def spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return perfbench_module("spans")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return perfbench_module("workloads")
 
 
 def test_every_wrapped_name_resolves_to_a_callable(spans):
@@ -36,3 +40,20 @@ def test_riccati_work_reads_the_doubling_steps(spans, model):
     assert isinstance(sol.iterations, int) and sol.iterations > 0
     work = spans._work_fns()["riccati.solve_riccati"]
     assert work((model,), {}, sol) == sol.iterations
+
+
+def test_lyapunov_residuals_at_the_nash_gains(workloads, model_2d):
+    theta = nash_policy(model_2d, solve_riccati(model_2d))
+    gains = {name: getattr(theta, name).tolist() for name in ("K1", "L1", "K2", "L2")}
+    assert all(r <= 1e-11 for r in workloads.lyapunov_residuals(model_2d, gains))
+
+
+def test_jobs_build_from_the_loaded_configs(workloads, tmp_path):
+    for workload in workloads.NAMES:
+        workloads.write_inputs(workload, tmp_path, 1, "tiny")
+        paths = workloads.config_paths(workload, PERFBENCH.parent, tmp_path, "tiny")
+        cfgs = [lqmfg.cli.load_config(p) for p in paths]
+        jobs = workloads.jobs(workload, cfgs, 1, "tiny", tmp_path / "out")
+        assert jobs, workload
+        for fn_name, _, _ in jobs:
+            assert callable(getattr(lqmfg.cli, fn_name, None)), (workload, fn_name)

@@ -11,8 +11,8 @@ from lqmfg import (
     ModelParams,
     NoiseSpec,
     PolicyPair,
-    control_from_policy,
     in_stabilizing_set,
+    simulate_mkv,
     validate,
 )
 from lqmfg.model import loop_stable, spectral_norm
@@ -23,7 +23,7 @@ from lqmfg.errors import (
     NonPositiveDefinite,
 )
 
-from conftest import benchmark_scalars
+from conftest import benchmark_scalars, coefficient_gap, feedback_coefs
 
 
 class TestValidate:
@@ -35,10 +35,11 @@ class TestValidate:
         assert der.Q_tilde[0, 0] == pytest.approx(0.8, abs=1e-15)
         assert der.R1_tilde[0, 0] == pytest.approx(0.8, abs=1e-15)
         assert der.R2_tilde[0, 0] == pytest.approx(0.8, abs=1e-15)
-        assert der.dev_coef_1[0, 0] == pytest.approx(-0.5, abs=1e-15)
-        assert der.dev_coef_2[0, 0] == pytest.approx(0.375, abs=1e-15)
-        assert der.mean_coef_1[0, 0] == pytest.approx(-0.5, abs=1e-15)
-        assert der.mean_coef_2[0, 0] == pytest.approx(0.375, abs=1e-15)
+        coefs = feedback_coefs(model)
+        for i, value in ((1, -0.5), (2, 0.375)):
+            dev, _, mean = coefs[i]
+            assert dev[0, 0] == pytest.approx(value, abs=1e-15)
+            assert mean[0, 0] == pytest.approx(value, abs=1e-15)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(NonPositiveDefinite):
@@ -55,10 +56,9 @@ class TestValidate:
         assert der.A_tilde == pytest.approx(m.A)
         assert der.Q_tilde == pytest.approx(m.Q)
         assert der.R1_tilde == pytest.approx(m.R1)
-        np.testing.assert_allclose(der.mf_coef_1, 0.0, atol=1e-15)
-        np.testing.assert_allclose(der.mf_coef_2, 0.0, atol=1e-15)
-        np.testing.assert_allclose(der.mean_coef_1, der.dev_coef_1, atol=1e-15)
-        np.testing.assert_allclose(der.mean_coef_2, der.dev_coef_2, atol=1e-15)
+        for dev, mf, mean in feedback_coefs(m).values():
+            np.testing.assert_allclose(mf, 0.0, atol=1e-15)
+            np.testing.assert_allclose(mean, dev, atol=1e-15)
 
     def test_result_kept_on_the_model(self, model):
         """The checks run once per model; the derived arrays are shared by
@@ -101,22 +101,17 @@ class TestValidate:
     @settings(max_examples=60, deadline=None)
     def test_coefficient_identity(self, a, abar, b1, b1bar, b2, b2bar,
                                   r1, r1bar, r2, r2bar, gamma):
-        """mean_coef equals dev_coef plus the mean-field correction."""
+        """The mean feedback coefficient equals the deviation one plus the
+        mean-field correction, on every game that validates."""
         m = ModelParams.from_scalars(
             A=a, A_bar=abar, B1=b1, B1_bar=b1bar, B2=b2, B2_bar=b2bar,
             Q=0.4, Q_bar=0.1, R1=r1, R1_bar=r1bar, R2=r2, R2_bar=r2bar,
             gamma=gamma, noise=NoiseSpec.zero())
-        der = validate(m)
-        for dev, mf, mean in [(der.dev_coef_1, der.mf_coef_1, der.mean_coef_1),
-                              (der.dev_coef_2, der.mf_coef_2, der.mean_coef_2)]:
-            np.testing.assert_allclose(mean - dev - mf, 0.0, atol=1e-12)
+        validate(m)
+        assert coefficient_gap(m) <= 1e-12
 
     def test_coefficient_identity_2d(self, model_2d):
-        der = validate(model_2d)
-        np.testing.assert_allclose(
-            der.mean_coef_1 - der.dev_coef_1 - der.mf_coef_1, 0.0, atol=1e-12)
-        np.testing.assert_allclose(
-            der.mean_coef_2 - der.dev_coef_2 - der.mf_coef_2, 0.0, atol=1e-12)
+        assert coefficient_gap(model_2d) <= 1e-12
 
 
 class TestStabilizingSet:
@@ -222,41 +217,56 @@ class TestPickle:
         assert not validate(copy).stack.A.flags.writeable
 
 
-class TestControls:
-    def test_zero_policy(self):
-        u1, u2 = control_from_policy(PolicyPair.zero(), np.array([3.0]),
-                                     np.array([1.0]))
-        assert u1 == pytest.approx(0.0)
-        assert u2 == pytest.approx(0.0)
+def assert_control_law(traj, theta):
+    """The recorded controls are u1 = -K1 (x - m) - L1 m and
+    u2 = K2 (x - m) + L2 m at each state x with conditional mean m, to 1e-12
+    of the summed magnitudes of the two terms."""
+    y, m = traj.states - traj.means, traj.means
+    for u, K, L, sign in ((traj.u1, theta.K1, theta.L1, -1.0),
+                          (traj.u2, theta.K2, theta.L2, 1.0)):
+        law = sign * (y @ K.T) + sign * (m @ L.T)
+        scale = np.abs(y) @ np.abs(K).T + np.abs(m) @ np.abs(L).T
+        assert np.all(np.abs(u - law) <= 1e-12 * scale)
 
-    def test_scalar_substitution(self):
+
+class TestControls:
+    """The control law of a policy pair, checked on the controls that
+    ``simulate_mkv`` records."""
+
+    def test_zero_policy(self, model, model_2d):
+        for m in (model, model_2d):
+            traj = simulate_mkv(m, PolicyPair.zero(m.d, m.ell), 20, 3)
+            assert np.any(traj.states != 0.0)
+            np.testing.assert_array_equal(traj.u1, 0.0)
+            np.testing.assert_array_equal(traj.u2, 0.0)
+
+    def test_scalar_substitution(self, model):
         theta = PolicyPair(K1=np.array([[1.0]]), L1=np.array([[2.0]]),
                            K2=np.array([[3.0]]), L2=np.array([[4.0]]))
-        u1, u2 = control_from_policy(theta, np.array([1.0]), np.array([0.5]))
-        assert u1[0] == pytest.approx(-1.5)
-        assert u2[0] == pytest.approx(3.5)
+        assert_control_law(simulate_mkv(model, theta, 20, 5), theta)
 
     def test_state_at_mean_ignores_deviation_gain(self):
-        theta = PolicyPair(K1=np.array([[9.9]]), L1=np.array([[2.0]]),
-                           K2=np.array([[-7.7]]), L2=np.array([[4.0]]))
-        x = np.array([0.3])
-        u1, u2 = control_from_policy(theta, x, x)
-        assert u1[0] == pytest.approx(-2.0 * 0.3, abs=1e-15)
-        assert u2[0] == pytest.approx(4.0 * 0.3, abs=1e-15)
+        """Without idiosyncratic noise every state is its mean, so the
+        controls are -L1 m and L2 m bit for bit, whatever K1 and K2 are."""
+        noise = NoiseSpec(init_common=Distribution.uniform(-1, 1),
+                          init_idio=Distribution.point(0.0),
+                          step_common=Distribution.gaussian(0, 0.01),
+                          step_idio=Distribution.point(0.0))
+        m = ModelParams.from_scalars(**benchmark_scalars(noise=noise))
+        L1, L2 = np.array([[2.0]]), np.array([[4.0]])
+        for K1, K2 in ((9.9, -7.7), (0.0, 0.0)):
+            theta = PolicyPair(K1=np.array([[K1]]), L1=L1, K2=np.array([[K2]]), L2=L2)
+            traj = simulate_mkv(m, theta, 20, 5)
+            np.testing.assert_array_equal(traj.u1, -(traj.means @ L1.T))
+            np.testing.assert_array_equal(traj.u2, traj.means @ L2.T)
 
-    @given(x1=st.floats(-5, 5), xb1=st.floats(-5, 5),
-           x2=st.floats(-5, 5), xb2=st.floats(-5, 5),
-           alpha=st.floats(-3, 3))
-    @settings(max_examples=50, deadline=None)
-    def test_superposition(self, x1, xb1, x2, xb2, alpha):
-        theta = PolicyPair(K1=np.array([[1.3]]), L1=np.array([[-0.4]]),
-                           K2=np.array([[0.7]]), L2=np.array([[2.1]]))
-        a1, a2 = control_from_policy(theta, np.array([x1]), np.array([xb1]))
-        b1, b2 = control_from_policy(theta, np.array([x2]), np.array([xb2]))
-        c1, c2 = control_from_policy(theta, np.array([x1 + alpha * x2]),
-                                     np.array([xb1 + alpha * xb2]))
-        np.testing.assert_allclose(c1, a1 + alpha * b1, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(c2, a2 + alpha * b2, rtol=1e-12, atol=1e-12)
+    def test_superposition(self, model_2d):
+        """On the two-dimensional game the recorded controls are the linear
+        map of (x - m, m) that the gains define, for any gains."""
+        rng = np.random.default_rng(11)
+        for seed in range(20):
+            theta = PolicyPair(*rng.uniform(-2.0, 2.0, (4, 1, 2)))
+            assert_control_law(simulate_mkv(model_2d, theta, 15, seed), theta)
 
 
 class TestNoise:
@@ -280,6 +290,15 @@ class TestNoise:
         NaN utilities, a misleading NotStabilizing or an OverflowError."""
         with pytest.raises(InvalidNoise):
             make()
+
+    @pytest.mark.parametrize("args", [("foo", 3.0), ("gaussian", 0.0, -1.0),
+                                      ("uniform", 1.0, 0.0)],
+                             ids=["unknown-kind", "negative-variance", "uniform-reversed"])
+    def test_direct_construction_checked(self, args):
+        """The constructor runs the checks the classmethods rely on, so a
+        direct construction fails as early as theirs."""
+        with pytest.raises(InvalidNoise):
+            Distribution(*args)
 
     def test_uniform_moments(self):
         dist = Distribution.uniform(-1.0, 1.0)

@@ -38,10 +38,8 @@ def exact_truncated_mean(model, theta, horizon):
     """Closed-form mean of the truncated utility: propagate the second
     moments of both processes and sum the discounted quadratic costs."""
     der = validate(model)
-    from lqmfg.model import dev_closed_loop, mean_closed_loop
-
-    M_dev = dev_closed_loop(model, theta.K1, theta.K2)
-    M_mean = mean_closed_loop(model, theta.L1, theta.L2, der)
+    M_dev = der.dev.closed_loop(theta.K1, theta.K2)
+    M_mean = der.mean.closed_loop(theta.L1, theta.L2)
     S_dev = (model.Q + theta.K1.T @ model.R1 @ theta.K1
              - theta.K2.T @ model.R2 @ theta.K2)
     S_mean = (der.Q_tilde + theta.L1.T @ der.R1_tilde @ theta.L1

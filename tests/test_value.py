@@ -17,7 +17,7 @@ from lqmfg import (
     validate,
 )
 from lqmfg.errors import NotStabilizing
-from lqmfg.model import dev_closed_loop, loop_stable, mean_closed_loop
+from lqmfg.model import loop_stable
 from lqmfg.value import MAX_DOUBLINGS, _dlyap
 
 from conftest import PIN_THETA, benchmark_scalars, digest, random_game, small_policy
@@ -59,7 +59,7 @@ class TestDevValue:
     def test_matches_series_oracle_at_equilibrium(self, model):
         theta = nash_policy(model, solve_riccati(model))
         P = solve_dev_value(model, theta.K1, theta.K2)
-        M = dev_closed_loop(model, theta.K1, theta.K2)
+        M = validate(model).dev.closed_loop(theta.K1, theta.K2)
         S = (model.Q + theta.K1.T @ model.R1 @ theta.K1
              - theta.K2.T @ model.R2 @ theta.K2)
         np.testing.assert_allclose(P, series_value_oracle(M, S, model.gamma),
@@ -69,7 +69,7 @@ class TestDevValue:
         rng = np.random.default_rng(3)
         theta = random_stabilizing_policy(model_2d, rng, scale=0.2)
         P = solve_dev_value(model_2d, theta.K1, theta.K2)
-        M = dev_closed_loop(model_2d, theta.K1, theta.K2)
+        M = validate(model_2d).dev.closed_loop(theta.K1, theta.K2)
         S = (model_2d.Q + theta.K1.T @ model_2d.R1 @ theta.K1
              - theta.K2.T @ model_2d.R2 @ theta.K2)
         np.testing.assert_allclose(P, series_value_oracle(M, S, model_2d.gamma),
@@ -94,7 +94,7 @@ class TestMeanValue:
         theta = nash_policy(model, solve_riccati(model))
         der = validate(model)
         P = solve_mean_value(model, theta.L1, theta.L2, der)
-        M = mean_closed_loop(model, theta.L1, theta.L2, der)
+        M = der.mean.closed_loop(theta.L1, theta.L2)
         S = (der.Q_tilde + theta.L1.T @ der.R1_tilde @ theta.L1
              - theta.L2.T @ der.R2_tilde @ theta.L2)
         np.testing.assert_allclose(P, series_value_oracle(M, S, model.gamma),
@@ -276,7 +276,7 @@ class TestExactGradient:
         for _ in range(10):
             theta = random_stabilizing_policy(model, rng)
             P = solve_dev_value(model, theta.K1, theta.K2)
-            M = dev_closed_loop(model, theta.K1, theta.K2)
+            M = der.dev.closed_loop(theta.K1, theta.K2)
             S = (model.Q + theta.K1.T @ model.R1 @ theta.K1
                  - theta.K2.T @ model.R2 @ theta.K2)
             resid = P - S - model.gamma * M.T @ P @ M
@@ -301,9 +301,9 @@ class TestGate:
         theta = PolicyPair(**{n: np.array([[gains.get(n, 0.0)]])
                               for n in ("K1", "L1", "K2", "L2")})
         if "L1" in gains:
-            assert loop_stable(dev_closed_loop(model, theta.K1, theta.K2), model.gamma)
-            assert not loop_stable(mean_closed_loop(model, theta.L1, theta.L2),
-                                   model.gamma)
+            der = validate(model)
+            assert loop_stable(der.dev.closed_loop(theta.K1, theta.K2), model.gamma)
+            assert not loop_stable(der.mean.closed_loop(theta.L1, theta.L2), model.gamma)
         assert not in_stabilizing_set(model, theta)
         with pytest.raises(NotStabilizing):
             exact_utility(model, theta)
