@@ -3,7 +3,7 @@
 Exact Nash equilibria via the stabilizing solutions of Riccati-type
 equations, closed-form policy evaluation and gradients, mean-field and
 finite-population simulators, sample-based gradient estimation, and
-alternating-gradient / gradient-descent-ascent learning loops.
+one alternating-gradient / gradient-descent-ascent learning loop.
 """
 
 from .errors import LqmfgError
@@ -22,8 +22,7 @@ from .optim import (
     RunLog,
     compute_benchmark,
     relative_error,
-    run_ag,
-    run_gda,
+    run,
 )
 from .riccati import (
     RiccatiSolution,

@@ -495,6 +495,8 @@ def main(argv=None) -> int:
             print(json.dumps({"theta_star": _theta_json(theta_star),
                               "cost_star": cost_star}, sort_keys=True))
         elif args.verb == "optimize":
+            if args.workers < 1:
+                raise SchemaError("--workers must be >= 1")
             summary = run_experiment(cfg, workers=args.workers)
             print(json.dumps({"final_rel_err_mean": summary["final_rel_err_mean"],
                               "termination": summary["termination_per_run"]},

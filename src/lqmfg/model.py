@@ -288,7 +288,7 @@ class PolicyPair:
     The pair holds one read-only array, ``stack`` (2 players, 2 blocks, ell,
     d) = [[K1, L1], [K2, L2]], each player's slice stacked like
     ``DerivedParams.stack``; ``K1`` ... ``L2`` are its views, made and kept on
-    first access. A learning step forms the next stack in one expression.
+    first access. A learning step updates a player's rows of a copy of it.
     """
 
     stack: np.ndarray

@@ -1,14 +1,14 @@
 """Competing-update schemes over a pluggable gradient oracle.
 
-Alternating-gradient runs T1 descent steps on the minimizer per single
-ascent step of the maximizer; gradient-descent-ascent updates both
-simultaneously from the pre-update pair. The oracle is either the exact
-closed-form gradient or the rollout-based estimator. Progress is tracked
-against the Riccati benchmark.
-
-The exact oracle evaluates each distinct iterate once (``_Oracle``), and a
-GDA step is one expression on the (2 players, 2 blocks, ell, d) stacks of the
-pair and its gradient.
+Both schemes are one loop over a per-step schedule of (k, players):
+gradient-descent-ascent steps both players at every global iteration k from
+the same pre-step pair; alternating gradient steps the minimizer T1 times,
+then the maximizer once, warm-started from the last minimizer iterate. Each
+step is one oracle gradient at the pre-step pair and one update of the
+players' rows of the (2 players, 2 blocks, ell, d) gain stack, with one
+failure path. The oracle is either the exact closed-form gradient, which
+evaluates each distinct iterate once (``_Oracle``), or the rollout-based
+estimator. Progress is tracked against the Riccati benchmark.
 """
 
 from __future__ import annotations
@@ -163,24 +163,13 @@ class _Oracle:
         return GradientPair(grad)
 
 
-def _theta_update(theta: PolicyPair, player: int, gK, gL, eta: float) -> PolicyPair:
-    stack, rate = theta.stack.copy(), (-eta if player == 1 else eta)
-    stack[player - 1, 0] += rate * gK
-    stack[player - 1, 1] += rate * gL
-    return PolicyPair.from_stack(stack)
-
-
-def _is_finite(theta: PolicyPair) -> bool:
-    return bool(np.isfinite(theta.stack).all())
-
-
 def _same_theta(a: PolicyPair, b: PolicyPair) -> bool:
     """The same gains bit for bit (NaN payloads and signed zeros included)."""
     return a is b or a.stack.tobytes() == b.stack.tobytes()
 
 
 class _Tracker:
-    """Logging helper shared by both schemes."""
+    """Records and outcome of one run."""
 
     def __init__(self, cfg, oracle, benchmark_theta, benchmark_cost):
         self.cfg = cfg
@@ -250,28 +239,32 @@ def _step_into_set(params, cfg, oracle, step):
     return None
 
 
-def _attempt_step(params, cfg, oracle, theta, player, eta):
-    """One oracle call plus update; optionally halves the step while the
-    tentative iterate exits the stabilizing set.
-
-    Returns (new_theta, grad_norms, status) where status is one of
-    "ok", "left_stabilizing_set", "non_finite"."""
-    try:
-        grad = oracle.gradient(theta, (player,))
-    except NotStabilizing:
-        return theta, (float("nan"),) * 4, "left_stabilizing_set"
-    norms = _grad_norms(grad)
-    gK, gL = grad.stack[player - 1]
-    new_theta = _step_into_set(
-        params, cfg, oracle, lambda s: _theta_update(theta, player, gK, gL, s * eta))
-    if new_theta is None:
-        return theta, norms, "left_stabilizing_set"
-    if not _is_finite(new_theta):
-        return theta, norms, "non_finite"
-    return new_theta, norms, "ok"
+def _schedule(cfg: OptimizerConfig):
+    """(k, players) for each step in order. GDA steps both players at k = 1..T;
+    AG steps the minimizer at k = m*T1 + 1 .. (m+1)*T1, then the maximizer at
+    k None, which logs no record of its own."""
+    if cfg.mode == "gda":
+        return ((k, (1, 2)) for k in range(1, cfg.T + 1))
+    return ((m * cfg.T1 + j, (1,)) if j <= cfg.T1 else (None, (2,))
+            for m in range(cfg.T2) for j in range(1, cfg.T1 + 2))
 
 
-def _prepare(params, cfg, benchmark):
+def _moved(theta: PolicyPair, rows: slice, delta: np.ndarray) -> PolicyPair:
+    stack = theta.stack.copy()
+    stack[rows] += delta
+    return PolicyPair.from_stack(stack)
+
+
+def run(params: ModelParams, cfg: OptimizerConfig,
+        benchmark: PolicyPair | None = None) -> RunLog:
+    """Run the scheme of ``cfg.mode`` from ``cfg.theta0`` (zero gains if unset).
+
+    Each step of ``_schedule`` takes one oracle gradient at the pre-step
+    pair and moves the listed players' rows of the stack. A step that leaves
+    the stabilizing set (at the gradient, or after MAX_STEP_HALVINGS under
+    shrink_on_exit) ends the run at the pre-step pair; a step to a
+    non-finite pair ends it at that pair. A step with a k is logged either
+    way."""
     oracle = _Oracle(params, cfg)
     theta = cfg.theta0 if cfg.theta0 is not None else PolicyPair.zero(params.d, params.ell)
     theta.check_dims(params)
@@ -281,67 +274,25 @@ def _prepare(params, cfg, benchmark):
         bench_theta = benchmark
         bench_cost = exact_utility(params, benchmark, oracle.derived).cost
     tracker = _Tracker(cfg, oracle, bench_theta, bench_cost)
-    return theta, oracle, tracker
-
-
-def run_ag(params: ModelParams, cfg: OptimizerConfig,
-           benchmark: PolicyPair | None = None) -> RunLog:
-    """Alternating gradient: T1 minimizer steps per maximizer step, inner
-    loop warm-started from the previous outer iterate.
-
-    Global iteration k counts minimizer steps; the maximizer's update lands
-    between iterations k = m*T1 and k = m*T1 + 1.
-    """
-    if cfg.mode != "ag":
-        raise ValueError("config mode must be 'ag'")
-    theta, oracle, tracker = _prepare(params, cfg, benchmark)
-    k = 0
-    for _ in range(1, cfg.T2 + 1):
-        for _ in range(1, cfg.T1 + 1):
-            k += 1
-            theta, norms, status = _attempt_step(
-                params, cfg, oracle, theta, player=1, eta=cfg.eta1)
+    # a row of theta + s*rates*g is K1 - s*eta1*dK1, ..., K2 + s*eta2*dK2
+    # bit for bit: a + (-b) is a - b, and (-x)*y is -(x*y)
+    rates = np.array([-cfg.eta1, cfg.eta2]).reshape(2, 1, 1, 1)
+    for k, players in _schedule(cfg):
+        rows = slice(players[0] - 1, players[-1])
+        norms, status = (float("nan"),) * 4, "left_stabilizing_set"
+        try:
+            grad = oracle.gradient(theta, players)
+        except NotStabilizing:
+            grad = None
+        if grad is not None:
+            norms = _grad_norms(grad)
+            tentative = _step_into_set(params, cfg, oracle, lambda s: _moved(
+                theta, rows, s * rates[rows] * grad.stack[rows]))
+            if tentative is not None:
+                theta = tentative
+                status = "ok" if np.isfinite(theta.stack).all() else "non_finite"
+        if k is not None:
             tracker.record(k, theta, norms)
-            if status != "ok":
-                return tracker.finish(theta, status)
-        theta, norms, status = _attempt_step(
-            params, cfg, oracle, theta, player=2, eta=cfg.eta2)
         if status != "ok":
             return tracker.finish(theta, status)
     return tracker.finish(theta, "completed")
-
-
-def run_gda(params: ModelParams, cfg: OptimizerConfig,
-            benchmark: PolicyPair | None = None) -> RunLog:
-    """Gradient descent-ascent: both players step simultaneously from
-    gradients evaluated at the pre-update pair."""
-    if cfg.mode != "gda":
-        raise ValueError("config mode must be 'gda'")
-    theta, oracle, tracker = _prepare(params, cfg, benchmark)
-    # theta + s*rates*g is theta.K1 - s*eta1*dK1, ..., theta.K2 + s*eta2*dK2,
-    # ... bit for bit: a + (-b) is a - b, and (-x)*y is -(x*y)
-    rates = np.array([-cfg.eta1, cfg.eta2]).reshape(2, 1, 1, 1)
-    for k in range(1, cfg.T + 1):
-        try:
-            grad = oracle.gradient(theta, (1, 2))
-        except NotStabilizing:
-            tracker.record(k, theta, (float("nan"),) * 4)
-            return tracker.finish(theta, "left_stabilizing_set")
-        norms = _grad_norms(grad)
-        tentative = _step_into_set(params, cfg, oracle, lambda s: PolicyPair.from_stack(
-            theta.stack + s * rates * grad.stack))
-        if tentative is None:
-            tracker.record(k, theta, norms)
-            return tracker.finish(theta, "left_stabilizing_set")
-        theta = tentative
-        if not _is_finite(theta):
-            tracker.record(k, theta, norms)
-            return tracker.finish(theta, "non_finite")
-        tracker.record(k, theta, norms)
-    return tracker.finish(theta, "completed")
-
-
-def run(params: ModelParams, cfg: OptimizerConfig,
-        benchmark: PolicyPair | None = None) -> RunLog:
-    return run_ag(params, cfg, benchmark) if cfg.mode == "ag" \
-        else run_gda(params, cfg, benchmark)

@@ -22,8 +22,7 @@ from lqmfg import (
     nagent_utility_batch,
     nash_policy,
     relative_error,
-    run_ag,
-    run_gda,
+    run,
     solve_riccati,
     validate,
 )
@@ -104,13 +103,13 @@ def test_c04_model_based_convergence(model):
     cost_star = exact_utility(model, theta_star).cost
 
     t0 = time.perf_counter()
-    gda = run_gda(model, OptimizerConfig(mode="gda", T=2000))
+    gda = run(model, OptimizerConfig(mode="gda", T=2000))
     t_gda = time.perf_counter() - t0
     err_gda = relative_error(exact_utility(model, gda.final_theta).cost, cost_star)
     gap_gda = theta_gap(gda.final_theta, theta_star)
 
     t0 = time.perf_counter()
-    ag = run_ag(model, OptimizerConfig(mode="ag", T1=10, T2=200))
+    ag = run(model, OptimizerConfig(mode="ag", T1=10, T2=200))
     t_ag = time.perf_counter() - t0
     err_ag = relative_error(exact_utility(model, ag.final_theta).cost, cost_star)
     gap_ag = theta_gap(ag.final_theta, theta_star)
@@ -188,7 +187,7 @@ def test_c07_sample_based_convergence(model):
                               seed=derive_seed(2024, rep))
         cfg = OptimizerConfig(mode="gda", T=2000, oracle="sampled",
                               estimator=est, log_every=500)
-        log = run_gda(model, cfg, benchmark=theta_star)
+        log = run(model, cfg, benchmark=theta_star)
         errs.append(relative_error(exact_utility(model, log.final_theta).cost,
                                    cost_star))
     avg = float(np.mean(errs))

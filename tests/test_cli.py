@@ -316,11 +316,14 @@ class TestMainEntry:
         ("simulate", ["--horizon", "x"], "exact", "", None),
         ("simulate", ["--seed", "-1"], "exact", "", None),
         ("optimize", [], "exact", "", ("master_seed = 7", "master_seed = -1")),
+        ("optimize", ["--workers", "0"], "exact", "", None),
+        ("optimize", ["--workers", "-2"], "exact", "", None),
     ], ids=["estimator-M-0", "config-ns-abc", "flag-ns-abc", "flag-ns-0",
             "flag-reps-1", "simulate-horizon-0", "simulate-paths-0", "model-A-nan",
             "noise-uniform-nan", "optimizer-eta1-nan", "flag-seed-abc",
             "flag-repeats-x", "flag-workers-x", "flag-reps-x", "flag-paths-x",
-            "flag-horizon-x", "flag-seed-negative", "experiment-seed-negative"])
+            "flag-horizon-x", "flag-seed-negative", "experiment-seed-negative",
+            "flag-workers-0", "flag-workers-negative"])
     def test_bad_setting_exit_code(self, tmp_path, capsys, verb, flags, oracle,
                                    extra, edit):
         path = write_config(tmp_path, oracle=oracle, extra=extra)

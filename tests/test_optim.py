@@ -10,22 +10,18 @@ import pytest
 
 from lqmfg import (
     EstimatorConfig,
-    ModelParams,
-    NoiseSpec,
     OptimizerConfig,
     PolicyPair,
     compute_benchmark,
     exact_gradient,
-    exact_utility,
     relative_error,
-    run_ag,
-    run_gda,
+    run,
 )
 from lqmfg.errors import BenchmarkZero, NotStabilizing
 from lqmfg.optim import RunLog, RunRecord, _grad_norms, _Oracle
 from lqmfg.value import GradientPair
 
-from conftest import benchmark_scalars, small_policy
+from conftest import small_policy
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -48,7 +44,7 @@ class TestRelativeError:
 
     def test_decreases_along_gda(self, model):
         cfg = OptimizerConfig(mode="gda", T=50)
-        log = run_gda(model, cfg)
+        log = run(model, cfg)
         errs = [r.rel_err for r in log.records]
         assert errs[0] > 0.0
         assert errs[-1] < errs[0]
@@ -73,7 +69,7 @@ class TestRunGda:
         counts = []
         for T in (50, 100):
             solves.clear()
-            run_gda(cfg.model, replace(cfg.optimizer, T=T))
+            run(cfg.model, replace(cfg.optimizer, T=T))
             counts.append((len(solves), sum(solves)))
         assert counts[1][0] - counts[0][0] == 50
         assert counts[1][1] - counts[0][1] == 4 * 50
@@ -97,7 +93,7 @@ class TestRunGda:
         counts, logs = [], []
         for T in (1000, 2000):
             calls.clear()
-            logs.append(run_gda(cfg.model, replace(cfg.optimizer, T=T)))
+            logs.append(run(cfg.model, replace(cfg.optimizer, T=T)))
             counts.append(len(calls))
         assert counts[1] == counts[0]
         fixed = logs[1].records[802].theta.stack
@@ -108,7 +104,7 @@ class TestRunGda:
     def test_first_step_matches_hand_update(self, model):
         grad0 = exact_gradient(model, PolicyPair.zero())
         cfg = OptimizerConfig(mode="gda", T=1)
-        log = run_gda(model, cfg)
+        log = run(model, cfg)
         first = log.records[0].theta
         np.testing.assert_allclose(first.K1, -0.1 * grad0.dK1, atol=1e-15)
         np.testing.assert_allclose(first.L1, -0.1 * grad0.dL1, atol=1e-15)
@@ -118,13 +114,13 @@ class TestRunGda:
     def test_stationary_start_stays_put(self, model):
         theta_star, _ = compute_benchmark(model)
         cfg = OptimizerConfig(mode="gda", T=100, theta0=theta_star)
-        log = run_gda(model, cfg)
+        log = run(model, cfg)
         assert theta_gap(log.final_theta, theta_star) <= 1e-8
 
     def test_repeat_runs_identical(self, model):
         cfg = OptimizerConfig(mode="gda", T=30)
-        a = run_gda(model, cfg)
-        b = run_gda(model, cfg)
+        a = run(model, cfg)
+        b = run(model, cfg)
         assert theta_gap(a.final_theta, b.final_theta) == 0.0
         assert [r.cost for r in a.records] == [r.cost for r in b.records]
 
@@ -132,34 +128,39 @@ class TestRunGda:
         bad = PolicyPair(K1=np.zeros((1, 1)), L1=np.array([[-5.0]]),
                          K2=np.zeros((1, 1)), L2=np.zeros((1, 1)))
         cfg = OptimizerConfig(mode="gda", T=50, theta0=bad)
-        log = run_gda(model, cfg)
+        log = run(model, cfg)
         assert log.termination == "left_stabilizing_set"
         assert len(log.records) >= 1
 
-    def test_nan_step_ends_non_finite(self, model):
-        cfg = OptimizerConfig(mode="gda", T=10, eta1=1e308)
+    @pytest.mark.parametrize("mode", ["gda", "ag"])
+    def test_nan_step_ends_non_finite(self, model, mode):
+        cfg = OptimizerConfig(mode=mode, T=10, T1=3, T2=4, eta1=1e308)
         with pytest.warns(RuntimeWarning, match="overflow"):
-            log = run_gda(model, cfg)
+            log = run(model, cfg)
         assert log.termination == "non_finite"
         assert log.records[0].k == 1
         assert np.isnan(log.records[-1].cost)
 
-    def test_nan_step_logs_one_record(self, model):
+    @pytest.mark.parametrize("mode", ["gda", "ag"])
+    def test_nan_step_logs_one_record(self, model, mode):
         """The final NaN iterate is the one already logged, not a new one."""
-        cfg = OptimizerConfig(mode="gda", T=10, eta1=1e308)
+        cfg = OptimizerConfig(mode=mode, T=10, T1=3, T2=4, eta1=1e308)
         with pytest.warns(RuntimeWarning, match="overflow"):
-            log = run_gda(model, cfg)
+            log = run(model, cfg)
         assert [r.k for r in log.records] == [1]
+        assert not np.isfinite(log.final_theta.stack).all()
+        assert log.records[0].theta.stack.tobytes() == log.final_theta.stack.tobytes()
 
     def test_giant_step_exits_then_halts(self, model):
         cfg = OptimizerConfig(mode="gda", T=10, eta1=6.0, eta2=6.0)
-        log = run_gda(model, cfg)
+        log = run(model, cfg)
         assert log.termination == "left_stabilizing_set"
 
-    def test_shrink_on_exit_recovers(self, model):
-        cfg = OptimizerConfig(mode="gda", T=10, eta1=6.0, eta2=6.0,
+    @pytest.mark.parametrize("mode", ["gda", "ag"])
+    def test_shrink_on_exit_recovers(self, model, mode):
+        cfg = OptimizerConfig(mode=mode, T=10, T1=5, T2=2, eta1=6.0, eta2=6.0,
                               shrink_on_exit=True)
-        log = run_gda(model, cfg)
+        log = run(model, cfg)
         assert log.termination == "completed"
         from lqmfg import in_stabilizing_set
 
@@ -168,7 +169,7 @@ class TestRunGda:
     def test_sampled_oracle_smoke(self, model):
         est = EstimatorConfig(M=80, horizon=15, tau=0.1, seed=4)
         cfg = OptimizerConfig(mode="gda", T=5, oracle="sampled", estimator=est)
-        log = run_gda(model, cfg)
+        log = run(model, cfg)
         assert log.termination == "completed"
         assert len(log.records) == 5
         assert np.isfinite(log.records[-1].cost)
@@ -188,7 +189,7 @@ class TestRunGda:
 class TestRunAg:
     def test_zero_rates_constant_log(self, model):
         cfg = OptimizerConfig(mode="ag", T1=5, T2=8, eta1=0.0, eta2=0.0)
-        log = run_ag(model, cfg)
+        log = run(model, cfg)
         assert len(log.records) == 40
         first = log.records[0].theta
         for rec in log.records:
@@ -198,7 +199,7 @@ class TestRunAg:
         bad = PolicyPair(K1=np.zeros((1, 1)), L1=np.array([[-5.0]]),
                          K2=np.zeros((1, 1)), L2=np.zeros((1, 1)))
         cfg = OptimizerConfig(mode="ag", T1=5, T2=10, theta0=bad)
-        log = run_ag(model, cfg)
+        log = run(model, cfg)
         assert log.termination == "left_stabilizing_set"
         assert len(log.records) == 1
         assert np.isnan(log.records[0].grad_norms).all()
@@ -206,14 +207,14 @@ class TestRunAg:
     def test_stationary_start_stays_put(self, model):
         theta_star, _ = compute_benchmark(model)
         cfg = OptimizerConfig(mode="ag", T1=5, T2=20, theta0=theta_star)
-        log = run_ag(model, cfg)
+        log = run(model, cfg)
         assert theta_gap(log.final_theta, theta_star) <= 1e-8
 
     def test_descent_only_when_maximizer_frozen(self, model):
         """eta2 = 0 degenerates to T1*T2 descent steps on the minimizer and
         the utility is non-increasing at a small rate."""
         cfg = OptimizerConfig(mode="ag", T1=4, T2=10, eta1=0.01, eta2=0.0)
-        log = run_ag(model, cfg)
+        log = run(model, cfg)
         costs = [r.cost for r in log.records]
         assert all(b <= a + 1e-14 for a, b in zip(costs, costs[1:]))
 
@@ -221,7 +222,7 @@ class TestRunAg:
         """With the maximizer frozen, nested loops with warm starts equal
         one flat descent trajectory."""
         cfg = OptimizerConfig(mode="ag", T1=3, T2=7, eta1=0.05, eta2=0.0)
-        log = run_ag(model, cfg)
+        log = run(model, cfg)
         theta = PolicyPair.zero()
         for _ in range(21):
             g = exact_gradient(model, theta)
@@ -232,7 +233,7 @@ class TestRunAg:
 
     def test_maximizer_advances_every_t1_iterations(self, model):
         cfg = OptimizerConfig(mode="ag", T1=5, T2=4)
-        log = run_ag(model, cfg)
+        log = run(model, cfg)
         k2_values = [float(r.theta.K2[0, 0]) for r in log.records]
         # within each inner block the maximizer's gain is frozen
         for block in range(4):
@@ -247,15 +248,28 @@ class TestRunAg:
 
     def test_iteration_indices_strictly_increasing(self, model):
         cfg = OptimizerConfig(mode="ag", T1=3, T2=3, log_every=2)
-        log = run_ag(model, cfg)
+        log = run(model, cfg)
         ks = [r.k for r in log.records]
         assert ks == sorted(set(ks))
+
+    def test_failed_maximizer_step_ends_with_a_finish_row(self, model):
+        """A maximizer step logs no record of its own: the non-finite pair it
+        reaches gets the row k + 1 with NaN gradient norms."""
+        theta0 = PolicyPair(0.0, 0.0, 2.0, 0.0)
+        cfg = OptimizerConfig(mode="ag", T1=2, T2=3, eta1=0.0, eta2=1e308,
+                              theta0=theta0)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            log = run(model, cfg)
+        assert log.termination == "non_finite"
+        assert [r.k for r in log.records] == [1, 2, 3]
+        assert np.isnan(log.records[-1].grad_norms).all()
+        assert not np.isfinite(log.final_theta.K2).all()
 
     def test_sampled_oracle_smoke(self, model):
         est = EstimatorConfig(M=60, horizon=12, tau=0.1, seed=2)
         cfg = OptimizerConfig(mode="ag", T1=2, T2=3, oracle="sampled",
                               estimator=est)
-        log = run_ag(model, cfg)
+        log = run(model, cfg)
         assert log.termination == "completed"
         # T1*T2 convention records plus the final maximizer-update record
         assert log.records[-1].k == 7
@@ -324,20 +338,16 @@ class TestOracleReuse:
 
 class TestSimultaneity:
     def test_update_order_is_immaterial(self, model):
-        """Both GDA updates read the pre-update pair, so applying them in
-        either order gives bit-identical parameters."""
-        from lqmfg.optim import _theta_update
-
+        """Both GDA updates read the pre-update pair: one step equals each
+        player's hand update from the same pre-step gradient, bit for bit."""
         theta = PolicyPair(K1=np.array([[0.05]]), L1=np.array([[0.2]]),
                            K2=np.array([[0.04]]), L2=np.array([[0.15]]))
         g = exact_gradient(model, theta)
-        order_a = _theta_update(
-            _theta_update(theta, 1, g.dK1, g.dL1, 0.1), 2, g.dK2, g.dL2, 0.1)
-        order_b = _theta_update(
-            _theta_update(theta, 2, g.dK2, g.dL2, 0.1), 1, g.dK1, g.dL1, 0.1)
-        for name in ("K1", "L1", "K2", "L2"):
-            np.testing.assert_array_equal(getattr(order_a, name),
-                                          getattr(order_b, name))
+        cfg = OptimizerConfig(mode="gda", T=1, eta1=0.1, eta2=0.07, theta0=theta)
+        stepped = run(model, cfg).final_theta
+        by_hand = PolicyPair(K1=theta.K1 - 0.1 * g.dK1, L1=theta.L1 - 0.1 * g.dL1,
+                             K2=theta.K2 + 0.07 * g.dK2, L2=theta.L2 + 0.07 * g.dL2)
+        assert stepped.stack.tobytes() == by_hand.stack.tobytes()
 
 
 class TestGradNorms:
@@ -375,7 +385,7 @@ class TestGradNorms:
 class TestRunLogCsv:
     def test_columns_and_roundtrip(self, model, tmp_path):
         cfg = OptimizerConfig(mode="gda", T=6)
-        log = run_gda(model, cfg)
+        log = run(model, cfg)
         path = tmp_path / "run.csv"
         log.write_csv(path)
         with open(path) as fh:
