@@ -64,7 +64,9 @@ class ExperimentConfig:
             raise SchemaError("repeats must be >= 1")
         if self.master_seed < 0:
             raise SchemaError("master_seed must be >= 0")
-        if min(self.validation_ns) < 1 or self.validation_horizon < 1:
+        if not self.output_dir:  # else the artifacts would land in the working directory
+            raise SchemaError("output_dir must not be empty")
+        if min(self.validation_ns, default=0) < 1 or self.validation_horizon < 1:
             raise SchemaError("validation sizes and horizon must be >= 1")
         if self.validation_reps < 2:
             raise SchemaError("validation reps must be >= 2 for a standard error")
@@ -102,15 +104,6 @@ def _parse_ints(text: str, field: str) -> tuple[int, ...]:
     return tuple(_parse_int(v, field) for v in text.split(","))
 
 
-def _parse_bool(text: str, field: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ParseError(f"field '{field}': cannot parse boolean from {text!r}")
-
-
 def _parse_distribution(text: str, field: str) -> Distribution:
     text = text.strip()
     if not (text.endswith(")") and "(" in text):
@@ -144,12 +137,6 @@ def _parse_choice(first: str, second: str):
     return parse
 
 
-def _parse_dir(text: str, field: str) -> str:
-    if not text:  # else the artifacts would land in the working directory
-        raise SchemaError(f"field '{field}': must not be empty")
-    return text
-
-
 _REQUIRED = object()
 _GAINS = ("K1", "L1", "K2", "L2")
 
@@ -176,9 +163,8 @@ _SCHEMA = {
     ("estimator", "smoothing_dim"): (_parse_word, None),
     **{("optimizer", key): (_parse_float, None) for key in ("eta1", "eta2")},
     **{("optimizer", key): (_parse_int, None) for key in ("T1", "T2", "T", "log_every")},
-    ("optimizer", "shrink_on_exit"): (_parse_bool, None),
     ("experiment", "repeats"): (_parse_int, _REQUIRED),
-    ("experiment", "output_dir"): (_parse_dir, _REQUIRED),
+    ("experiment", "output_dir"): (lambda text, field: text, _REQUIRED),
     ("validation", "ns"): (_parse_ints, None),
     ("validation", "reps"): (_parse_int, None),
     ("validation", "horizon"): (_parse_int, None),
@@ -307,6 +293,8 @@ def _run_one_repeat(args) -> RunLog:
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> dict:
     """Benchmark, optimize `repeats` times, and write all artifacts."""
+    if workers < 1:
+        raise SchemaError("workers must be >= 1")
     out = Path(cfg.output_dir)
     theta_star, cost_star = write_benchmark(cfg, out)
 
@@ -366,10 +354,13 @@ def run_nagent_validation(cfg: ExperimentConfig, Ns=None, reps: int | None = Non
     benchmark policy, paired on the common-noise draws.
 
     Writes one CSV row per population size: mean, standard error, and the
-    relative gap against the mean-field reference sample mean."""
-    Ns = tuple(Ns) if Ns is not None else cfg.validation_ns
-    reps = reps if reps is not None else cfg.validation_reps
-    horizon = horizon if horizon is not None else cfg.validation_horizon
+    relative gap against the mean-field reference sample mean. ``Ns``,
+    ``reps`` and ``horizon`` override the config's ``validation_*`` fields
+    and are checked as they are."""
+    flags = {"validation_ns": tuple(Ns) if Ns is not None else None,
+             "validation_reps": reps, "validation_horizon": horizon}
+    cfg = replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+    Ns, reps, horizon = cfg.validation_ns, cfg.validation_reps, cfg.validation_horizon
     out = Path(cfg.output_dir)
     theta_star, cost_star = write_benchmark(cfg, out)
 
@@ -415,6 +406,8 @@ def run_nagent_validation(cfg: ExperimentConfig, Ns=None, reps: int | None = Non
 
 def run_simulate(cfg: ExperimentConfig, paths: int, horizon: int) -> list[Path]:
     """Dump one mean-field trajectory CSV per derived seed."""
+    if paths < 1 or horizon < 1:
+        raise SchemaError("paths and horizon must be >= 1")
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     theta_star, _ = compute_benchmark(cfg.model)
@@ -430,7 +423,7 @@ def run_simulate(cfg: ExperimentConfig, paths: int, horizon: int) -> list[Path]:
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     changes = {}
-    if getattr(args, "out", None):
+    if getattr(args, "out", None) is not None:
         changes["output_dir"] = args.out
     if getattr(args, "seed", None) is not None:
         changes["master_seed"] = args.seed
@@ -495,25 +488,18 @@ def main(argv=None) -> int:
             print(json.dumps({"theta_star": _theta_json(theta_star),
                               "cost_star": cost_star}, sort_keys=True))
         elif args.verb == "optimize":
-            if args.workers < 1:
-                raise SchemaError("--workers must be >= 1")
             summary = run_experiment(cfg, workers=args.workers)
             print(json.dumps({"final_rel_err_mean": summary["final_rel_err_mean"],
                               "termination": summary["termination_per_run"]},
                              sort_keys=True))
         elif args.verb == "validate-nagent":
-            flags = {"validation_ns": _parse_ints(args.ns, "--ns") if args.ns else None,
-                     "validation_reps": args.reps, "validation_horizon": args.horizon}
-            cfg = replace(cfg, **{k: v for k, v in flags.items() if v is not None})
-            payload = run_nagent_validation(cfg)
+            Ns = _parse_ints(args.ns, "--ns") if args.ns is not None else None
+            payload = run_nagent_validation(cfg, Ns=Ns, reps=args.reps,
+                                            horizon=args.horizon)
             print(json.dumps({"mkv_mean": payload["mkv_mean"],
                               "gaps": {str(r["N"]): r["rel_gap"] for r in payload["rows"]}},
                              sort_keys=True))
         else:
-            if args.paths < 1:
-                raise SchemaError("--paths must be >= 1")
-            if args.horizon < 1:
-                raise SchemaError("--horizon must be >= 1")
             written = run_simulate(cfg, args.paths, args.horizon)
             print(json.dumps({"files": [str(p) for p in written]}))
     except LqmfgError as exc:

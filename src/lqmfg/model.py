@@ -156,6 +156,8 @@ class ModelParams:
     A, A_bar are d x d; B1, B1_bar, B2, B2_bar are d x ell; Q, Q_bar are
     d x d symmetric; the R blocks are ell x ell symmetric with R_i and
     R_i + R_i_bar positive definite; gamma is the discount in (0, 1).
+    Each matrix is coerced to its shape, so the scalar game (d = ell = 1,
+    the default) takes plain numbers.
     """
 
     A: np.ndarray
@@ -200,28 +202,6 @@ class ModelParams:
         # through the constructor: the copy gets read-only matrices of its
         # own, and ``derived`` is recomputed on first access, not shipped
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
-
-    @classmethod
-    def from_scalars(
-        cls,
-        A: float,
-        A_bar: float,
-        B1: float,
-        B1_bar: float,
-        B2: float,
-        B2_bar: float,
-        Q: float,
-        Q_bar: float,
-        R1: float,
-        R1_bar: float,
-        R2: float,
-        R2_bar: float,
-        gamma: float,
-        noise: NoiseSpec,
-    ) -> "ModelParams":
-        """Convenience constructor for the one-dimensional case."""
-        return cls(A, A_bar, B1, B1_bar, B2, B2_bar, Q, Q_bar,
-                   R1, R1_bar, R2, R2_bar, gamma, noise, d=1, ell=1)
 
 
 @dataclass(frozen=True)
@@ -274,11 +254,6 @@ class DerivedParams:
     stack: LQBlock
     dev: LQBlock
     mean: LQBlock
-
-    @staticmethod
-    def gains(theta: PolicyPair) -> tuple[np.ndarray, np.ndarray]:
-        """(G1, G2) of a policy pair stacked like ``stack``: its player slices."""
-        return theta.stack[0], theta.stack[1]
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -413,10 +388,8 @@ def loop_stable(M: np.ndarray, gamma: float) -> bool:
     return True
 
 
-def in_stabilizing_set(params: ModelParams, theta: PolicyPair,
-                       derived: DerivedParams | None = None) -> bool:
+def in_stabilizing_set(params: ModelParams, theta: PolicyPair) -> bool:
     """Membership test for the set of policy pairs with summable discounted
     second moments: both closed loops must pass ``loop_stable``."""
     theta.check_dims(params)
-    der = derived if derived is not None else validate(params)
-    return loop_stable(der.stack.closed_loop(*der.gains(theta)), params.gamma)
+    return loop_stable(validate(params).stack.closed_loop(*theta.stack), params.gamma)

@@ -21,12 +21,11 @@ import numpy as np
 
 from .errors import BenchmarkZero, NotStabilizing
 from .estimator import EstimatorConfig, estimate_gradient
-from .model import ModelParams, PolicyPair, in_stabilizing_set, validate
+# in_stabilizing_set, validate: looked up here by perfbench/spans.py
+from .model import ModelParams, PolicyPair, in_stabilizing_set, validate  # noqa: F401
 from .riccati import nash_policy, solve_riccati
 from .simulate import derive_seed
 from .value import GradientPair, exact_gradient, exact_utility
-
-MAX_STEP_HALVINGS = 20
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,6 @@ class OptimizerConfig:
     oracle: str = "exact"           # "exact" | "sampled"
     estimator: EstimatorConfig | None = None
     log_every: int = 1
-    shrink_on_exit: bool = False
 
     def __post_init__(self):
         if self.mode not in ("ag", "gda"):
@@ -130,14 +128,13 @@ class _Oracle:
     def __init__(self, params: ModelParams, cfg: OptimizerConfig):
         self.params = params
         self.cfg = cfg
-        self.derived = validate(params)
         self.calls = 0
         self._theta = self._solution = self._grad = None
 
     def utility(self, theta: PolicyPair):
         """exact_utility at theta, reused while theta has the stored gains."""
         if self._theta is None or not _same_theta(self._theta, theta):
-            solution = exact_utility(self.params, theta, self.derived)
+            solution = exact_utility(self.params, theta)
             self._theta, self._solution, self._grad = theta, solution, None
         return self._solution
 
@@ -152,7 +149,7 @@ class _Oracle:
             self.calls += 1
             solution = self.utility(theta)
             if self._grad is None:
-                self._grad = exact_gradient(self.params, theta, self.derived, solution)
+                self._grad = exact_gradient(self.params, theta, solution)
             return self._grad
         est = self.cfg.estimator
         grad = np.full((2, 2, self.params.ell, self.params.d), np.nan)
@@ -223,22 +220,6 @@ def _scaled_norm(v: np.ndarray) -> float:
     return scale * math.sqrt(w.dot(w))
 
 
-def _step_into_set(params, cfg, oracle, step):
-    """step(1), or with shrink_on_exit under the exact oracle the first of
-    step(1), step(1/2), ... inside the stabilizing set; None when
-    MAX_STEP_HALVINGS halvings do not get there."""
-    new_theta = step(1.0)
-    if not (cfg.shrink_on_exit and cfg.oracle == "exact"):
-        return new_theta
-    scale = 1.0
-    for _ in range(MAX_STEP_HALVINGS):
-        if in_stabilizing_set(params, new_theta, oracle.derived):
-            return new_theta
-        scale *= 0.5
-        new_theta = step(scale)
-    return None
-
-
 def _schedule(cfg: OptimizerConfig):
     """(k, players) for each step in order. GDA steps both players at k = 1..T;
     AG steps the minimizer at k = m*T1 + 1 .. (m+1)*T1, then the maximizer at
@@ -260,11 +241,10 @@ def run(params: ModelParams, cfg: OptimizerConfig,
     """Run the scheme of ``cfg.mode`` from ``cfg.theta0`` (zero gains if unset).
 
     Each step of ``_schedule`` takes one oracle gradient at the pre-step
-    pair and moves the listed players' rows of the stack. A step that leaves
-    the stabilizing set (at the gradient, or after MAX_STEP_HALVINGS under
-    shrink_on_exit) ends the run at the pre-step pair; a step to a
-    non-finite pair ends it at that pair. A step with a k is logged either
-    way."""
+    pair and moves the listed players' rows of the stack at the fixed rates.
+    A pre-step pair outside the stabilizing set, where the exact gradient
+    raises NotStabilizing, ends the run there; a step to a non-finite pair
+    ends it at that pair. A step with a k is logged either way."""
     oracle = _Oracle(params, cfg)
     theta = cfg.theta0 if cfg.theta0 is not None else PolicyPair.zero(params.d, params.ell)
     theta.check_dims(params)
@@ -272,25 +252,21 @@ def run(params: ModelParams, cfg: OptimizerConfig,
         bench_theta, bench_cost = compute_benchmark(params)
     else:
         bench_theta = benchmark
-        bench_cost = exact_utility(params, benchmark, oracle.derived).cost
+        bench_cost = exact_utility(params, benchmark).cost
     tracker = _Tracker(cfg, oracle, bench_theta, bench_cost)
-    # a row of theta + s*rates*g is K1 - s*eta1*dK1, ..., K2 + s*eta2*dK2
+    # a row of theta + rates*g is K1 - eta1*dK1, ..., K2 + eta2*dK2
     # bit for bit: a + (-b) is a - b, and (-x)*y is -(x*y)
     rates = np.array([-cfg.eta1, cfg.eta2]).reshape(2, 1, 1, 1)
     for k, players in _schedule(cfg):
         rows = slice(players[0] - 1, players[-1])
-        norms, status = (float("nan"),) * 4, "left_stabilizing_set"
         try:
             grad = oracle.gradient(theta, players)
         except NotStabilizing:
-            grad = None
-        if grad is not None:
+            norms, status = (float("nan"),) * 4, "left_stabilizing_set"
+        else:
             norms = _grad_norms(grad)
-            tentative = _step_into_set(params, cfg, oracle, lambda s: _moved(
-                theta, rows, s * rates[rows] * grad.stack[rows]))
-            if tentative is not None:
-                theta = tentative
-                status = "ok" if np.isfinite(theta.stack).all() else "non_finite"
+            theta = _moved(theta, rows, rates[rows] * grad.stack[rows])
+            status = "ok" if np.isfinite(theta.stack).all() else "non_finite"
         if k is not None:
             tracker.record(k, theta, norms)
         if status != "ok":

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndefiniteInnerProblem, NonStabilizingSolution, SingularR
-from .model import (DerivedParams, LQBlock, ModelParams, PolicyPair, in_stabilizing_set,
-                    loop_stable, validate)
+from .model import LQBlock, ModelParams, PolicyPair, in_stabilizing_set, loop_stable, validate
 # solve_dev_value / solve_mean_value: looked up here by perfbench/spans.py
 from .value import MAX_DOUBLINGS, _mT, solve_dev_value, solve_mean_value  # noqa: F401
 
@@ -107,7 +106,7 @@ def solve_riccati(params: ModelParams) -> RiccatiSolution:
     residual = np.linalg.norm(P - mapped, ord=2, axis=(-2, -1))
     sol = RiccatiSolution(P_dev=P[0], P_mean=P[1], residual_dev=float(residual[0]),
                           residual_mean=float(residual[1]), iterations=int(steps.sum()))
-    if not in_stabilizing_set(params, nash_policy(params, sol, derived=der), der):
+    if not in_stabilizing_set(params, nash_policy(params, sol)):
         raise NonStabilizingSolution("the solution induces an unstable loop")
     return sol
 
@@ -120,12 +119,11 @@ def _nash_gains(block: LQBlock, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise SingularR(str(exc)) from None
 
 
-def nash_policy(params: ModelParams, sol: RiccatiSolution,
-                derived: DerivedParams | None = None) -> PolicyPair:
+def nash_policy(params: ModelParams, sol: RiccatiSolution) -> PolicyPair:
     """Equilibrium gains from the Riccati fixed points:
     K_i = 1/2 R_i^{-1} B_i' P_dev and L_i = 1/2 R_tilde_i^{-1} B_tilde_i' P_mean.
     """
-    der = derived if derived is not None else validate(params)
+    der = validate(params)
     K1, K2 = _nash_gains(der.dev, sol.P_dev)
     L1, L2 = _nash_gains(der.mean, sol.P_mean)
     return PolicyPair(K1=K1, L1=L1, K2=K2, L2=L2)

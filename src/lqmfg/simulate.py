@@ -296,7 +296,7 @@ def _nagent_engine(params: ModelParams, theta: PolicyPair, N: int,
     g = params.gamma
     noise = params.noise
     # closed loops and stage weights of both blocks, ungated: any gains roll out
-    G1, G2 = der.gains(theta)
+    G1, G2 = theta.stack
     M_dev, M_mean = der.stack.closed_loop(G1, G2)
     W_dev, W_mean = der.stack.stage_weights(G1, G2)
     rng_ci, rng_ii, rng_cs, rng_is = _streams(seed)

@@ -150,8 +150,7 @@ class GradientPair:
         return float(np.max(np.abs(self.stack)))
 
 
-def exact_utility(params: ModelParams, theta: PolicyPair,
-                  derived: DerivedParams | None = None) -> ValueSolution:
+def exact_utility(params: ModelParams, theta: PolicyPair) -> ValueSolution:
     """Exact discounted utility of a stabilizing policy pair.
 
     cost_dev = tr(P_dev V0_dev) + gamma/(1-gamma) tr(P_dev W_dev), and the
@@ -159,12 +158,11 @@ def exact_utility(params: ModelParams, theta: PolicyPair,
     one ``loop_stable`` call, and their four Lyapunov equations (P on M,
     Sigma on M') are solved in one doubling loop.
     """
-    der = derived if derived is not None else validate(params)
+    S = validate(params).stack
     theta.check_dims(params)
     g = params.gamma
     tail = g / (1.0 - g)
-    S = der.stack
-    M, source = _gated_loop(S, *der.gains(theta), g)
+    M, source = _gated_loop(S, *theta.stack, g)
     solved = _dlyap(np.concatenate((M, _mT(M))),
                     np.concatenate((source, S.V0 + tail * S.W)), g)
     P = solved[:2]
@@ -190,7 +188,6 @@ def gradient_coefs(block: LQBlock, P: np.ndarray, G1, G2,
 
 
 def exact_gradient(params: ModelParams, theta: PolicyPair,
-                   derived: DerivedParams | None = None,
                    solution: ValueSolution | None = None) -> GradientPair:
     """Exact utility gradient with respect to (K1, L1, K2, L2).
 
@@ -199,7 +196,7 @@ def exact_gradient(params: ModelParams, theta: PolicyPair,
     in one stacked pass.
     ``solution`` is ``exact_utility`` at theta when the caller already has it.
     """
-    der = derived if derived is not None else validate(params)
-    sol = solution if solution is not None else exact_utility(params, theta, der)
-    coefs = np.stack(gradient_coefs(der.stack, sol.P, *der.gains(theta), params.gamma))
+    sol = solution if solution is not None else exact_utility(params, theta)
+    coefs = np.stack(gradient_coefs(validate(params).stack, sol.P, *theta.stack,
+                                    params.gamma))
     return GradientPair(2.0 * coefs @ sol.Sigma)

@@ -49,12 +49,12 @@ def benchmark_scalars(**overrides) -> dict:
 @pytest.fixture
 def model() -> ModelParams:
     """The scalar benchmark game used throughout the experiments."""
-    return ModelParams.from_scalars(**benchmark_scalars())
+    return ModelParams(**benchmark_scalars())
 
 
 @pytest.fixture
 def zero_noise_model() -> ModelParams:
-    return ModelParams.from_scalars(**benchmark_scalars(noise=NoiseSpec.zero()))
+    return ModelParams(**benchmark_scalars(noise=NoiseSpec.zero()))
 
 
 @pytest.fixture

@@ -21,6 +21,7 @@ from lqmfg.cli import (
     main,
     run_experiment,
     run_nagent_validation,
+    run_simulate,
 )
 from lqmfg.errors import CrossFieldError, ParseError, SchemaError
 
@@ -272,6 +273,24 @@ class TestNAgentValidation:
             assert np.isfinite(float(row[1]))
 
 
+@pytest.mark.parametrize("call", [
+    lambda cfg: run_nagent_validation(cfg, reps=1),
+    lambda cfg: run_nagent_validation(cfg, Ns=(0,)),
+    lambda cfg: run_nagent_validation(cfg, Ns=()),
+    lambda cfg: run_nagent_validation(cfg, horizon=0),
+    lambda cfg: run_experiment(cfg, workers=0),
+    lambda cfg: run_simulate(cfg, 0, 5),
+    lambda cfg: run_simulate(cfg, 5, 0),
+], ids=["nagent-reps-1", "nagent-ns-0", "nagent-ns-empty", "nagent-horizon-0",
+        "experiment-workers-0", "simulate-paths-0", "simulate-horizon-0"])
+def test_library_entry_rejects_bad_setting(tmp_path, call):
+    """The library entry points check what main checks, before any artifact."""
+    cfg = load_config(write_config(tmp_path))
+    with pytest.raises(SchemaError):
+        call(cfg)
+    assert not Path(cfg.output_dir).exists()
+
+
 class TestMainEntry:
     def test_benchmark_verb(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -318,12 +337,15 @@ class TestMainEntry:
         ("optimize", [], "exact", "", ("master_seed = 7", "master_seed = -1")),
         ("optimize", ["--workers", "0"], "exact", "", None),
         ("optimize", ["--workers", "-2"], "exact", "", None),
+        ("benchmark", ["--out", ""], "exact", "", None),
+        ("validate-nagent", ["--ns", ""], "exact", "", None),
     ], ids=["estimator-M-0", "config-ns-abc", "flag-ns-abc", "flag-ns-0",
             "flag-reps-1", "simulate-horizon-0", "simulate-paths-0", "model-A-nan",
             "noise-uniform-nan", "optimizer-eta1-nan", "flag-seed-abc",
             "flag-repeats-x", "flag-workers-x", "flag-reps-x", "flag-paths-x",
             "flag-horizon-x", "flag-seed-negative", "experiment-seed-negative",
-            "flag-workers-0", "flag-workers-negative"])
+            "flag-workers-0", "flag-workers-negative", "flag-out-empty",
+            "flag-ns-empty"])
     def test_bad_setting_exit_code(self, tmp_path, capsys, verb, flags, oracle,
                                    extra, edit):
         path = write_config(tmp_path, oracle=oracle, extra=extra)
@@ -413,7 +435,9 @@ PINNED_FAULTS = {
     **{("optimizer", key): _cannot_parse("matrix")
        for key in ("K1_0", "L1_0", "K2_0", "L2_0")},
     ("optimizer", "log_every"): _cannot_parse("integer"),
-    ("optimizer", "shrink_on_exit"): _cannot_parse("boolean"),
+    # a removed key: named, not ignored
+    ("optimizer", "shrink_on_exit"): (
+        "SchemaError", "section [optimizer]: unknown fields ['shrink_on_exit']"),
     **{("estimator", key): _cannot_parse("integer") for key in ("M", "horizon")},
     ("estimator", "tau"): _cannot_parse("number"),
     ("estimator", "smoothing_dim"): (

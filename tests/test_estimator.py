@@ -114,7 +114,7 @@ class TestEstimateGradient:
         assert seen["K2"].shape == (64, 1, 1)
 
     def test_zero_utility_surface_gives_zero(self):
-        m = ModelParams.from_scalars(**benchmark_scalars(noise=NoiseSpec.zero()))
+        m = ModelParams(**benchmark_scalars(noise=NoiseSpec.zero()))
         cfg = EstimatorConfig(M=100, horizon=10, tau=0.1, seed=3)
         gK, gL = estimate_gradient(m, PolicyPair.zero(), 1, cfg)
         assert gK[0, 0] == 0.0
@@ -150,7 +150,7 @@ class TestEstimateGradient:
             Q=np.array([[0.4]]), Q_bar=np.array([[0.2]]),
             R1=0.4 * np.eye(2), R1_bar=0.1 * np.eye(2),
             R2=0.4 * np.eye(2), R2_bar=0.1 * np.eye(2),
-            gamma=0.9, noise=ModelParams.from_scalars(
+            gamma=0.9, noise=ModelParams(
                 **benchmark_scalars()).noise, d=1, ell=2)
         theta = PolicyPair.zero(d=1, ell=2)
         base = dict(M=500, horizon=10, tau=0.1, seed=99)

@@ -43,14 +43,14 @@ class TestValidate:
 
     def test_negative_weight_rejected(self):
         with pytest.raises(NonPositiveDefinite):
-            validate(ModelParams.from_scalars(**benchmark_scalars(R1=-0.1)))
+            validate(ModelParams(**benchmark_scalars(R1=-0.1)))
 
     def test_zero_weight_rejected(self):
         with pytest.raises(NonPositiveDefinite):
-            validate(ModelParams.from_scalars(**benchmark_scalars(R2=0.0)))
+            validate(ModelParams(**benchmark_scalars(R2=0.0)))
 
     def test_zero_mean_field_coupling(self):
-        m = ModelParams.from_scalars(**benchmark_scalars(
+        m = ModelParams(**benchmark_scalars(
             A_bar=0.0, B1_bar=0.0, B2_bar=0.0, Q_bar=0.0, R1_bar=0.0, R2_bar=0.0))
         der = validate(m)
         assert der.A_tilde == pytest.approx(m.A)
@@ -70,7 +70,7 @@ class TestValidate:
             assert not any(a.flags.writeable for a in arrays), name
 
     def test_failed_validation_is_not_kept(self):
-        m = ModelParams.from_scalars(**benchmark_scalars(R1=-0.1))
+        m = ModelParams(**benchmark_scalars(R1=-0.1))
         for _ in range(2):
             with pytest.raises(NonPositiveDefinite):
                 validate(m)
@@ -79,7 +79,7 @@ class TestValidate:
     @pytest.mark.parametrize("gamma", [1.0, 0.0, -0.2, 1.5])
     def test_bad_discount(self, gamma):
         with pytest.raises(BadDiscount):
-            validate(ModelParams.from_scalars(**benchmark_scalars(gamma=gamma)))
+            validate(ModelParams(**benchmark_scalars(gamma=gamma)))
 
     def test_dimension_mismatch(self, model):
         with pytest.raises(DimensionMismatch):
@@ -103,7 +103,7 @@ class TestValidate:
                                   r1, r1bar, r2, r2bar, gamma):
         """The mean feedback coefficient equals the deviation one plus the
         mean-field correction, on every game that validates."""
-        m = ModelParams.from_scalars(
+        m = ModelParams(
             A=a, A_bar=abar, B1=b1, B1_bar=b1bar, B2=b2, B2_bar=b2bar,
             Q=0.4, Q_bar=0.1, R1=r1, R1_bar=r1bar, R2=r2, R2_bar=r2bar,
             gamma=gamma, noise=NoiseSpec.zero())
@@ -131,15 +131,15 @@ class TestStabilizingSet:
     def test_monotone_in_discount(self, gain, gamma, shrink):
         theta = PolicyPair(K1=np.array([[gain]]), L1=np.array([[gain]]),
                            K2=np.array([[gain]]), L2=np.array([[gain]]))
-        m_hi = ModelParams.from_scalars(**benchmark_scalars(
+        m_hi = ModelParams(**benchmark_scalars(
             gamma=gamma, noise=NoiseSpec.zero()))
-        m_lo = ModelParams.from_scalars(**benchmark_scalars(
+        m_lo = ModelParams(**benchmark_scalars(
             gamma=gamma * shrink + 1e-6, noise=NoiseSpec.zero()))
         if in_stabilizing_set(m_hi, theta):
             assert in_stabilizing_set(m_lo, theta)
 
     def test_vanishing_discount(self, model):
-        m = ModelParams.from_scalars(**benchmark_scalars(gamma=1e-9))
+        m = ModelParams(**benchmark_scalars(gamma=1e-9))
         big = np.array([[50.0]])
         assert in_stabilizing_set(m, PolicyPair(K1=big, L1=big, K2=big, L2=big))
 
@@ -252,7 +252,7 @@ class TestControls:
                           init_idio=Distribution.point(0.0),
                           step_common=Distribution.gaussian(0, 0.01),
                           step_idio=Distribution.point(0.0))
-        m = ModelParams.from_scalars(**benchmark_scalars(noise=noise))
+        m = ModelParams(**benchmark_scalars(noise=noise))
         L1, L2 = np.array([[2.0]]), np.array([[4.0]])
         for K1, K2 in ((9.9, -7.7), (0.0, 0.0)):
             theta = PolicyPair(K1=np.array([[K1]]), L1=L1, K2=np.array([[K2]]), L2=L2)

@@ -92,7 +92,7 @@ class TestSolveRiccati:
             solve_riccati(random_game(d, ell))
 
     def test_zero_state_weight_gives_zero(self):
-        m = ModelParams.from_scalars(**benchmark_scalars(Q=0.0, Q_bar=0.0))
+        m = ModelParams(**benchmark_scalars(Q=0.0, Q_bar=0.0))
         sol = solve_riccati(m)
         assert sol.P_dev[0, 0] == pytest.approx(0.0, abs=1e-13)
         assert sol.P_mean[0, 0] == pytest.approx(0.0, abs=1e-13)
@@ -101,7 +101,7 @@ class TestSolveRiccati:
         """Without the second player the deviation game is a plain
         discounted LQ problem; gains and value must match the independent
         discrete-Riccati solution."""
-        m = ModelParams.from_scalars(**benchmark_scalars(B2=0.0, B2_bar=0.0))
+        m = ModelParams(**benchmark_scalars(B2=0.0, B2_bar=0.0))
         sol = solve_riccati(m)
         theta = nash_policy(m, sol)
         S, K = discounted_dare_oracle(m.A, m.B1, m.Q, m.R1, m.gamma)
@@ -112,7 +112,7 @@ class TestSolveRiccati:
                                    atol=1e-8)
 
     def test_divergent_model_reports_no_convergence(self):
-        m = ModelParams.from_scalars(**benchmark_scalars(
+        m = ModelParams(**benchmark_scalars(
             A=2.0, A_bar=0.0, B1=0.01, B1_bar=0.0, B2=0.01, B2_bar=0.0,
             Q=1.0, Q_bar=0.0))
         with pytest.raises(NonStabilizingSolution):
@@ -135,7 +135,7 @@ class TestNashPolicy:
             assert getattr(theta, name)[0, 0] == 0.0
 
     def test_symmetric_players(self):
-        m = ModelParams.from_scalars(**benchmark_scalars(B2=0.4, B2_bar=0.4))
+        m = ModelParams(**benchmark_scalars(B2=0.4, B2_bar=0.4))
         theta = nash_policy(m, solve_riccati(m))
         np.testing.assert_allclose(theta.K1, theta.K2, atol=1e-12)
         np.testing.assert_allclose(theta.L1, theta.L2, atol=1e-12)
@@ -178,7 +178,7 @@ class TestBestResponse:
         """With B2 = 0 the response is the plain discounted LQ gain for the
         effective weight Q - K2'R2 K2 (the opponent still enters the cost,
         so the response is not literally K2-free)."""
-        m = ModelParams.from_scalars(**benchmark_scalars(B2=0.0, B2_bar=0.0))
+        m = ModelParams(**benchmark_scalars(B2=0.0, B2_bar=0.0))
         for k2 in (0.0, 0.5):
             br = best_response_K1(m, np.array([[k2]]))
             Q_eff = m.Q - k2 * m.R2 * k2
@@ -186,7 +186,7 @@ class TestBestResponse:
             np.testing.assert_allclose(br, K, atol=1e-8)
 
     def test_nothing_to_regulate(self):
-        m = ModelParams.from_scalars(**benchmark_scalars(A=0.0, Q=0.0))
+        m = ModelParams(**benchmark_scalars(A=0.0, Q=0.0))
         K1 = best_response_K1(m, np.zeros((1, 1)))
         assert K1[0, 0] == pytest.approx(0.0, abs=1e-12)
 
@@ -220,12 +220,12 @@ class TestGradientRoot:
                 getattr(theta_ric, name)[0, 0], abs=1e-6)
 
     def test_degenerate_second_player(self):
-        m = ModelParams.from_scalars(**benchmark_scalars(B2=0.0, B2_bar=0.0))
+        m = ModelParams(**benchmark_scalars(B2=0.0, B2_bar=0.0))
         with pytest.raises(DegenerateProblem):
             nash_via_gradient_root(m)
 
     def test_symmetric_players(self):
-        m = ModelParams.from_scalars(**benchmark_scalars(B2=0.4, B2_bar=0.4))
+        m = ModelParams(**benchmark_scalars(B2=0.4, B2_bar=0.4))
         theta_root = nash_via_gradient_root(m)
         theta_ric = nash_policy(m, solve_riccati(m))
         np.testing.assert_allclose(theta_root.K2, theta_ric.K2, atol=1e-6)

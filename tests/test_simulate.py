@@ -67,7 +67,7 @@ class TestMkvSimulator:
         assert traj.utility == 0.0
 
     def test_two_step_hand_computation(self):
-        m = ModelParams.from_scalars(**benchmark_scalars(
+        m = ModelParams(**benchmark_scalars(
             noise=forced_start_noise(1.0, 0.0)))
         traj = simulate_mkv(m, PolicyPair.zero(), 2, 123)
         assert traj.states[0, 0] == pytest.approx(1.0, abs=1e-15)
@@ -100,7 +100,7 @@ class TestMkvSimulator:
                           init_idio=Distribution.point(0.0),
                           step_common=Distribution.gaussian(0, 0.01),
                           step_idio=Distribution.point(0.0))
-        m = ModelParams.from_scalars(**benchmark_scalars(noise=noise))
+        m = ModelParams(**benchmark_scalars(noise=noise))
         theta = PolicyPair(K1=np.array([[0.2]]), L1=np.array([[0.4]]),
                            K2=np.array([[0.1]]), L2=np.array([[0.3]]))
         traj = simulate_mkv(m, theta, 30, 5)
@@ -294,7 +294,7 @@ class TestNAgentSimulator:
                           init_idio=Distribution.point(0.0),
                           step_common=Distribution.gaussian(0, 0.01),
                           step_idio=Distribution.point(0.0))
-        m = ModelParams.from_scalars(**benchmark_scalars(noise=noise))
+        m = ModelParams(**benchmark_scalars(noise=noise))
         theta = PolicyPair(K1=np.array([[0.15]]), L1=np.array([[0.6]]),
                            K2=np.array([[0.1]]), L2=np.array([[0.5]]))
         pop = nagent_utility_batch(m, theta, 8, 30, 200, 4242)
@@ -383,7 +383,7 @@ class TestNAgentSimulator:
 def _reference_game(key, noise=None):
     if key == "scalar":
         extra = {} if noise is None else {"noise": noise}
-        return ModelParams.from_scalars(**benchmark_scalars(**extra)), PIN_THETA
+        return ModelParams(**benchmark_scalars(**extra)), PIN_THETA
     model = random_game(*key, noise=noise)
     return model, small_policy(model)
 

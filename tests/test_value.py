@@ -52,7 +52,7 @@ class TestDevValue:
         assert P[0, 0] == pytest.approx(0.4 / 0.856, abs=1e-12)
 
     def test_zero_source(self, model):
-        m = ModelParams.from_scalars(**benchmark_scalars(Q=0.0))
+        m = ModelParams(**benchmark_scalars(Q=0.0))
         P = solve_dev_value(m, np.zeros((1, 1)), np.zeros((1, 1)))
         assert P[0, 0] == pytest.approx(0.0, abs=1e-14)
 
@@ -86,7 +86,7 @@ class TestMeanValue:
         assert P[0, 0] == pytest.approx(0.8 / 0.424, abs=1e-12)
 
     def test_zero_source(self):
-        m = ModelParams.from_scalars(**benchmark_scalars(Q=0.0, Q_bar=0.0))
+        m = ModelParams(**benchmark_scalars(Q=0.0, Q_bar=0.0))
         P = solve_mean_value(m, np.zeros((1, 1)), np.zeros((1, 1)))
         assert P[0, 0] == pytest.approx(0.0, abs=1e-14)
 
@@ -201,7 +201,7 @@ class TestExactUtility:
                           init_idio=Distribution.uniform(-1.0, 1.0),
                           step_common=Distribution.point(0.0),
                           step_idio=Distribution.point(0.0))
-        m = ModelParams.from_scalars(**benchmark_scalars(noise=noise))
+        m = ModelParams(**benchmark_scalars(noise=noise))
         sol = exact_utility(m, PolicyPair.zero())
         # mean process starts at 1.0 (common draw), deviation at U[-1,1]
         assert sol.cost_dev == pytest.approx((0.4 / 0.856) / 3.0, abs=1e-12)
@@ -240,7 +240,7 @@ class TestExactGradient:
                 assert fd == pytest.approx(block[0, j], rel=1e-4, abs=1e-8)
 
     def test_one_player_reduction(self):
-        m = ModelParams.from_scalars(**benchmark_scalars(B2=0.0, B2_bar=0.0))
+        m = ModelParams(**benchmark_scalars(B2=0.0, B2_bar=0.0))
         K1 = np.array([[0.2]])
         L1 = np.array([[0.3]])
         theta = PolicyPair(K1=K1, L1=L1, K2=np.zeros((1, 1)), L2=np.zeros((1, 1)))
@@ -260,7 +260,7 @@ class TestExactGradient:
     def test_player_two_block_antisymmetry(self):
         # with A = 0 and B1 = 0 the second player's deviation gradient
         # reduces to 2 (-R2 K2) Sigma
-        m = ModelParams.from_scalars(**benchmark_scalars(A=0.0, B1=0.0))
+        m = ModelParams(**benchmark_scalars(A=0.0, B1=0.0))
         K2 = np.array([[0.4]])
         theta = PolicyPair(K1=np.zeros((1, 1)), L1=np.zeros((1, 1)),
                            K2=K2, L2=np.zeros((1, 1)))
@@ -369,7 +369,7 @@ def _bump(theta: PolicyPair, name: str, delta: float, col: int = 0) -> PolicyPai
 def _oracle_case(name: str):
     """(model, policy pair) of one pinned exact-oracle case."""
     if name.startswith("scalar"):
-        model = ModelParams.from_scalars(**benchmark_scalars())
+        model = ModelParams(**benchmark_scalars())
         return model, PIN_THETA if name == "scalar_pin" else PolicyPair.zero()
     d, ell = {"d3": (3, 2), "d16": (16, 4)}[name]
     model = random_game(d, ell)
