@@ -48,8 +48,6 @@ class ExperimentConfig:
     """Validated, fully-resolved experiment description."""
 
     model: ModelParams
-    method: str                     # "ag" | "gda"
-    oracle: str                     # "exact" | "sampled"
     optimizer: OptimizerConfig
     estimator: EstimatorConfig | None
     repeats: int
@@ -58,6 +56,9 @@ class ExperimentConfig:
     validation_ns: tuple[int, ...] = (10, 100, 1000)
     validation_reps: int = 2000
     validation_horizon: int = 50
+
+    method = property(lambda self: self.optimizer.mode)      # "ag" | "gda"
+    oracle = property(lambda self: self.optimizer.oracle)    # "exact" | "sampled"
 
     def __post_init__(self):
         if self.repeats < 1:
@@ -68,6 +69,8 @@ class ExperimentConfig:
             raise SchemaError("output_dir must not be empty")
         if min(self.validation_ns, default=0) < 1 or self.validation_horizon < 1:
             raise SchemaError("validation sizes and horizon must be >= 1")
+        if len(set(self.validation_ns)) < len(self.validation_ns):  # samples are kept per size
+            raise SchemaError("validation sizes must be distinct")
         if self.validation_reps < 2:
             raise SchemaError("validation reps must be >= 2 for a standard error")
 
@@ -213,11 +216,12 @@ def load_config(path) -> ExperimentConfig:
         elif section in texts and default is not None:
             values[section][key] = default
     exp, opt = values["experiment"], values["optimizer"]
+    method, oracle = exp.pop("method"), exp.pop("oracle")
 
     has_estimator = "estimator" in texts
-    if exp["oracle"] == "sampled" and not has_estimator:
+    if oracle == "sampled" and not has_estimator:
         raise CrossFieldError("oracle=sampled requires an [estimator] section")
-    if exp["oracle"] == "exact" and has_estimator:
+    if oracle == "exact" and has_estimator:
         raise CrossFieldError("[estimator] section requires oracle=sampled")
 
     try:
@@ -239,9 +243,8 @@ def load_config(path) -> ExperimentConfig:
         except ValueError as exc:
             raise SchemaError(f"estimator: {exc}") from None
     try:
-        optimizer = OptimizerConfig(mode=exp["method"], oracle=exp["oracle"],
-                                    theta0=PolicyPair(**gains), estimator=estimator,
-                                    **opt)
+        optimizer = OptimizerConfig(mode=method, theta0=PolicyPair(**gains),
+                                    estimator=estimator, **opt)
     except ValueError as exc:
         raise SchemaError(f"optimizer: {exc}") from None
 
@@ -429,14 +432,6 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         changes["master_seed"] = args.seed
     if getattr(args, "repeats", None) is not None:
         changes["repeats"] = args.repeats
-    oracle = getattr(args, "oracle", None)
-    if oracle and oracle != cfg.oracle:
-        if oracle == "sampled" and cfg.estimator is None:
-            raise CrossFieldError("--oracle sampled requires an [estimator] section")
-        changes["oracle"] = oracle
-        changes["optimizer"] = replace(
-            cfg.optimizer, oracle=oracle,
-            estimator=cfg.estimator if oracle == "sampled" else None)
     return replace(cfg, **changes)
 
 
@@ -464,8 +459,6 @@ def main(argv=None) -> int:
     p_opt = sub.add_parser("optimize", help="run the configured optimization experiment")
     common(p_opt)
     p_opt.add_argument("--repeats", type=int, help="number of repeats (overrides config)")
-    p_opt.add_argument("--oracle", choices=["exact", "sampled"],
-                       help="gradient oracle (overrides config)")
     p_opt.add_argument("--workers", type=int, default=1,
                        help="parallel workers across repeats")
 

@@ -39,17 +39,14 @@ class OptimizerConfig:
     T2: int = 200                   # AG outer steps
     T: int = 2000                   # GDA steps
     theta0: PolicyPair | None = None
-    oracle: str = "exact"           # "exact" | "sampled"
-    estimator: EstimatorConfig | None = None
+    estimator: EstimatorConfig | None = None    # set for the sampled oracle
     log_every: int = 1
+
+    oracle = property(lambda self: "exact" if self.estimator is None else "sampled")
 
     def __post_init__(self):
         if self.mode not in ("ag", "gda"):
             raise ValueError("mode must be 'ag' or 'gda'")
-        if self.oracle not in ("exact", "sampled"):
-            raise ValueError("oracle must be 'exact' or 'sampled'")
-        if self.oracle == "sampled" and self.estimator is None:
-            raise ValueError("sampled oracle requires an estimator config")
         if min(self.T1, self.T2, self.T, self.log_every) < 1:
             raise ValueError("iteration counts must be >= 1")
         if not (0.0 <= self.eta1 < np.inf and 0.0 <= self.eta2 < np.inf):
@@ -76,7 +73,6 @@ class RunLog:
     records: list[RunRecord] = field(default_factory=list)
     final_theta: PolicyPair | None = None
     termination: str = "completed"
-    benchmark_theta: PolicyPair | None = None
     benchmark_cost: float = float("nan")
     wall_time: float = 0.0
 
@@ -145,7 +141,7 @@ class _Oracle:
         stabilizing, signalled via NotStabilizing). Sampled mode runs the
         estimator once per listed player, each call with its own derived
         seed; the blocks of a player not listed are NaN."""
-        if self.cfg.oracle == "exact":
+        if self.cfg.estimator is None:
             self.calls += 1
             solution = self.utility(theta)
             if self._grad is None:
@@ -168,11 +164,10 @@ def _same_theta(a: PolicyPair, b: PolicyPair) -> bool:
 class _Tracker:
     """Records and outcome of one run."""
 
-    def __init__(self, cfg, oracle, benchmark_theta, benchmark_cost):
+    def __init__(self, cfg, oracle, benchmark_cost):
         self.cfg = cfg
         self.oracle = oracle
-        self.log = RunLog(benchmark_theta=benchmark_theta,
-                          benchmark_cost=benchmark_cost)
+        self.log = RunLog(benchmark_cost=benchmark_cost)
         self.t0 = time.perf_counter()
 
     def exact_cost(self, theta: PolicyPair) -> float:
@@ -248,12 +243,9 @@ def run(params: ModelParams, cfg: OptimizerConfig,
     oracle = _Oracle(params, cfg)
     theta = cfg.theta0 if cfg.theta0 is not None else PolicyPair.zero(params.d, params.ell)
     theta.check_dims(params)
-    if benchmark is None:
-        bench_theta, bench_cost = compute_benchmark(params)
-    else:
-        bench_theta = benchmark
-        bench_cost = exact_utility(params, benchmark).cost
-    tracker = _Tracker(cfg, oracle, bench_theta, bench_cost)
+    bench_cost = (compute_benchmark(params)[1] if benchmark is None
+                  else exact_utility(params, benchmark).cost)
+    tracker = _Tracker(cfg, oracle, bench_cost)
     # a row of theta + rates*g is K1 - eta1*dK1, ..., K2 + eta2*dK2
     # bit for bit: a + (-b) is a - b, and (-x)*y is -(x*y)
     rates = np.array([-cfg.eta1, cfg.eta2]).reshape(2, 1, 1, 1)

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +107,18 @@ class TestLoadConfig:
         assert cfg.estimator.horizon == 50
         assert cfg.estimator.tau == 0.1
         assert cfg.repeats == 5
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in REPO_CONFIGS.glob("*.cfg")))
+    def test_scheme_and_oracle_have_one_owner(self, name):
+        """method and oracle are read from the optimizer, whose oracle is
+        whether an estimator is set; neither is a field of its own."""
+        cfg = load_config(REPO_CONFIGS / f"{name}.cfg")
+        assert (cfg.method, cfg.oracle) == tuple(name.split("_")[1:3])
+        assert cfg.method == cfg.optimizer.mode
+        assert cfg.oracle == cfg.optimizer.oracle
+        assert replace(cfg.optimizer, estimator=None).oracle == "exact"
+        assert {"method", "oracle"}.isdisjoint(f.name for f in fields(ExperimentConfig))
+        assert "oracle" not in {f.name for f in fields(OptimizerConfig)}
 
     def test_sampled_without_estimator_section(self, tmp_path):
         path = write_config(tmp_path, oracle="sampled")
@@ -215,8 +228,6 @@ class TestRunExperiment:
         cfg_a = load_config(write_config(tmp_path, T=6, oracle="sampled",
                                          repeats=2, extra=est, name="a.cfg"))
         run_experiment(cfg_a, workers=1)
-        from dataclasses import replace
-
         cfg_b = replace(cfg_a, output_dir=str(tmp_path / "out_b"))
         run_experiment(cfg_b, workers=2)
         seq, par = Path(cfg_a.output_dir), Path(cfg_b.output_dir)
@@ -277,11 +288,13 @@ class TestNAgentValidation:
     lambda cfg: run_nagent_validation(cfg, reps=1),
     lambda cfg: run_nagent_validation(cfg, Ns=(0,)),
     lambda cfg: run_nagent_validation(cfg, Ns=()),
+    lambda cfg: run_nagent_validation(cfg, Ns=(3, 3)),
     lambda cfg: run_nagent_validation(cfg, horizon=0),
     lambda cfg: run_experiment(cfg, workers=0),
     lambda cfg: run_simulate(cfg, 0, 5),
     lambda cfg: run_simulate(cfg, 5, 0),
-], ids=["nagent-reps-1", "nagent-ns-0", "nagent-ns-empty", "nagent-horizon-0",
+], ids=["nagent-reps-1", "nagent-ns-0", "nagent-ns-empty", "nagent-ns-duplicate",
+         "nagent-horizon-0",
         "experiment-workers-0", "simulate-paths-0", "simulate-horizon-0"])
 def test_library_entry_rejects_bad_setting(tmp_path, call):
     """The library entry points check what main checks, before any artifact."""
@@ -308,6 +321,21 @@ class TestMainEntry:
         assert (out / "summary.json").is_file()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["master_seed"] == 123
+
+    @pytest.mark.parametrize("verb", ["benchmark", "optimize", "validate-nagent",
+                                      "simulate"])
+    def test_readme_synopsis_lists_every_flag(self, capsys, verb):
+        """The verb's synopsis line in README "CLI" names exactly the flags
+        its --help prints, --help aside."""
+        readme = (REPO_CONFIGS.parent / "README.md").read_text()
+        cli = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        synopsis = re.findall(rf"^lqmfg {verb} .*$", cli, flags=re.M)
+        assert len(synopsis) == 1
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--help"])
+        assert exc.value.code == 0
+        accepted = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert accepted == set(re.findall(r"--[a-z][a-z-]*", synopsis[0])) | {"--help"}
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         rc = main(["optimize", "--config", str(tmp_path / "nope.cfg")])
@@ -339,13 +367,17 @@ class TestMainEntry:
         ("optimize", ["--workers", "-2"], "exact", "", None),
         ("benchmark", ["--out", ""], "exact", "", None),
         ("validate-nagent", ["--ns", ""], "exact", "", None),
+        ("validate-nagent", ["--ns", "3,3"], "exact", "", None),
+        ("validate-nagent", [], "exact", "[validation]\nns = 3,3\n", None),
+        ("optimize", ["--oracle", "exact"], "exact", "", None),
     ], ids=["estimator-M-0", "config-ns-abc", "flag-ns-abc", "flag-ns-0",
             "flag-reps-1", "simulate-horizon-0", "simulate-paths-0", "model-A-nan",
             "noise-uniform-nan", "optimizer-eta1-nan", "flag-seed-abc",
             "flag-repeats-x", "flag-workers-x", "flag-reps-x", "flag-paths-x",
             "flag-horizon-x", "flag-seed-negative", "experiment-seed-negative",
             "flag-workers-0", "flag-workers-negative", "flag-out-empty",
-            "flag-ns-empty"])
+            "flag-ns-empty", "flag-ns-duplicate", "config-ns-duplicate",
+            "flag-oracle"])
     def test_bad_setting_exit_code(self, tmp_path, capsys, verb, flags, oracle,
                                    extra, edit):
         path = write_config(tmp_path, oracle=oracle, extra=extra)
@@ -512,8 +544,6 @@ class TestDeterminism:
         path = write_config(tmp_path, T=6, oracle="sampled", repeats=2,
                             extra=est)
         cfg = load_config(path)
-        from dataclasses import replace
-
         cfg_a = replace(cfg, output_dir=str(tmp_path / "a"))
         cfg_b = replace(cfg, output_dir=str(tmp_path / "b"))
         run_experiment(cfg_a)
@@ -550,13 +580,11 @@ EXACT_RUN_DIGESTS = {
 
 def _exact_run_config(case: str, out: Path) -> ExperimentConfig:
     if case.startswith("table1_"):
-        from dataclasses import replace
-
         return replace(load_config(REPO_CONFIGS / f"{case}.cfg"), output_dir=str(out))
     optimizer = OptimizerConfig(mode="gda", T=40, theta0=PolicyPair.zero(3, 2))
-    return ExperimentConfig(model=random_game(3, 2), method="gda", oracle="exact",
-                            optimizer=optimizer, estimator=None, repeats=1,
-                            output_dir=str(out), master_seed=0)
+    return ExperimentConfig(model=random_game(3, 2), optimizer=optimizer,
+                            estimator=None, repeats=1, output_dir=str(out),
+                            master_seed=0)
 
 
 # the same four artifacts of two sampled runs on the shipped scalar game,
@@ -592,8 +620,6 @@ ITERATE_COLUMN_DIGESTS = {
 
 
 def _sampled_run_config(case: str, out: Path) -> ExperimentConfig:
-    from dataclasses import replace
-
     cfg = load_config(REPO_CONFIGS / f"{case}.cfg")
     return replace(cfg, output_dir=str(out),
                    optimizer=replace(cfg.optimizer, **SAMPLED_RUN_STEPS[case]),
@@ -657,13 +683,13 @@ FUZZ_VALUES = st.one_of(
                      "0.4; 0.1", "uniform(-1, 1)", "uniform(1, -1)",
                      "gaussian(0, -1)", "gaussian(0.5, 0.01)", "point(0.3)",
                      "gda", "ag", "exact", "sampled", "true"]))
-FUZZ_FLAG = st.sampled_from(["0", "1", "2", "-1", "x", "", "2,3", "2,x",
+FUZZ_FLAG = st.sampled_from(["0", "1", "2", "-1", "x", "", "2,3", "2,2", "2,x",
                              "1.5", "1e3"])
 FUZZ_VERB_FLAGS = {
     "benchmark": [],
     "simulate": ["--paths", "--horizon"],
     "validate-nagent": ["--ns", "--reps", "--horizon"],
-    "optimize": ["--repeats", "--workers", "--oracle"],
+    "optimize": ["--repeats", "--workers"],
 }
 
 
@@ -674,9 +700,7 @@ def fuzz_invocation(draw):
     verb = draw(st.sampled_from(sorted(FUZZ_VERB_FLAGS)))
     flags = []
     for flag in ["--seed"] + FUZZ_VERB_FLAGS[verb]:
-        if flag == "--oracle":
-            value = draw(st.sampled_from(["exact", "sampled", "other"]))
-        elif flag == "--workers":
+        if flag == "--workers":
             # never more than one worker: no process pool in a fuzz test
             value = draw(st.sampled_from(["1", "0", "-2", "x", ""]))
         else:

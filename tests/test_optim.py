@@ -160,16 +160,12 @@ class TestRunGda:
 
     def test_sampled_oracle_smoke(self, model):
         est = EstimatorConfig(M=80, horizon=15, tau=0.1, seed=4)
-        cfg = OptimizerConfig(mode="gda", T=5, oracle="sampled", estimator=est)
+        cfg = OptimizerConfig(mode="gda", T=5, estimator=est)
         log = run(model, cfg)
         assert log.termination == "completed"
         assert len(log.records) == 5
         assert np.isfinite(log.records[-1].cost)
         assert np.isfinite([r.grad_norms for r in log.records]).all()
-
-    def test_requires_estimator_when_sampled(self):
-        with pytest.raises(ValueError):
-            OptimizerConfig(mode="gda", oracle="sampled")
 
     @pytest.mark.parametrize("eta", [-0.1, float("nan"), float("inf"), float("-inf")])
     def test_rejects_bad_learning_rates(self, eta):
@@ -259,8 +255,7 @@ class TestRunAg:
 
     def test_sampled_oracle_smoke(self, model):
         est = EstimatorConfig(M=60, horizon=12, tau=0.1, seed=2)
-        cfg = OptimizerConfig(mode="ag", T1=2, T2=3, oracle="sampled",
-                              estimator=est)
+        cfg = OptimizerConfig(mode="ag", T1=2, T2=3, estimator=est)
         log = run(model, cfg)
         assert log.termination == "completed"
         # T1*T2 convention records plus the final maximizer-update record
