@@ -31,7 +31,7 @@ from .errors import (
 from .estimator import EstimatorConfig
 from .model import Distribution, ModelParams, NoiseSpec, PolicyPair
 from .model import validate as validate_model
-from .optim import OptimizerConfig, RunLog, compute_benchmark, run
+from .optim import OptimizerConfig, RunLog, compute_benchmark, relative_error, run
 from .riccati import nash_policy, solve_riccati
 from .simulate import (
     derive_seed,
@@ -127,13 +127,9 @@ def _parse_distribution(text: str, field: str) -> Distribution:
     raise ParseError(f"field '{field}': unknown distribution {text!r}")
 
 
-def _parse_word(text: str, field: str) -> str:
-    return text.strip().lower()
-
-
 def _parse_choice(first: str, second: str):
     def parse(text: str, field: str) -> str:
-        value = _parse_word(text, field)
+        value = text.strip().lower()
         if value not in (first, second):
             raise SchemaError(f"{field} must be {first!r} or {second!r}, got {value!r}")
         return value
@@ -163,7 +159,6 @@ _SCHEMA = {
     ("estimator", "M"): (_parse_int, 10000),
     ("estimator", "horizon"): (_parse_int, 50),
     ("estimator", "tau"): (_parse_float, 0.1),
-    ("estimator", "smoothing_dim"): (_parse_word, None),
     **{("optimizer", key): (_parse_float, None) for key in ("eta1", "eta2")},
     **{("optimizer", key): (_parse_int, None) for key in ("T1", "T2", "T", "log_every")},
     ("experiment", "repeats"): (_parse_int, _REQUIRED),
@@ -285,7 +280,7 @@ def write_benchmark(cfg: ExperimentConfig, out: Path) -> tuple[PolicyPair, float
 def _repeat_config(cfg: ExperimentConfig, repeat: int) -> OptimizerConfig:
     if cfg.oracle != "sampled":
         return cfg.optimizer
-    seeded = replace(cfg.estimator, seed=derive_seed(cfg.master_seed, repeat))
+    seeded = replace(cfg.optimizer.estimator, seed=derive_seed(cfg.master_seed, repeat))
     return replace(cfg.optimizer, estimator=seeded)
 
 
@@ -391,7 +386,7 @@ def run_nagent_validation(cfg: ExperimentConfig, Ns=None, reps: int | None = Non
         paired = u - mkv
         paired_se = float(paired.std(ddof=1) / np.sqrt(len(paired)))
         # degenerate zero-noise runs have both means exactly zero
-        gap = 0.0 if mean == mkv_mean else abs(mean - mkv_mean) / scale
+        gap = 0.0 if mean == mkv_mean else relative_error(mean, mkv_mean)
         rows.append({"N": N, "mean": mean, "stderr": se, "rel_gap": gap,
                      "paired_gap_stderr": paired_se / scale if scale else 0.0})
 

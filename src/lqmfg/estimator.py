@@ -23,18 +23,12 @@ _MAX_REDRAWS = 100
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Perturbation count M, rollout truncation horizon, sphere radius tau,
-    and the seed all randomness derives from.
-
-    ``smoothing_dim`` selects the constant in front of the estimator:
-    "parameter" uses the number of perturbed entries per block (ell * d),
-    "state" uses the state dimension d. The two agree when d = ell = 1.
-    """
+    and the seed all randomness derives from."""
 
     M: int
     horizon: int
     tau: float
     seed: int
-    smoothing_dim: str = "parameter"
 
     def __post_init__(self):
         if self.M < 1:
@@ -45,8 +39,6 @@ class EstimatorConfig:
             raise ValueError("tau must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.smoothing_dim not in ("parameter", "state"):
-            raise ValueError("smoothing_dim must be 'parameter' or 'state'")
 
 
 def sphere_sample(dim: int, tau: float, rng: np.random.Generator) -> np.ndarray:
@@ -85,7 +77,7 @@ def estimate_gradient(
 
     Per perturbation i, both of the player's blocks get independent sphere
     perturbations and one utility sample scores them jointly:
-      grad_K ~= (D / tau^2) * mean_i(C_i * v_K_i),   D per `smoothing_dim`.
+      grad_K ~= (D / tau^2) * mean_i(C_i * v_K_i),   D = ell * d entries.
 
     `utility_fn` defaults to batched mean-field rollouts; tests may inject
     a surrogate. It receives the stacked perturbed gains (the opponent's
@@ -96,7 +88,6 @@ def estimate_gradient(
     theta.check_dims(params)
     ell, d = params.ell, params.d
     block_dim = ell * d
-    smooth = block_dim if cfg.smoothing_dim == "parameter" else d
 
     root = np.random.SeedSequence(int(cfg.seed))
     pert_ss, sim_ss = root.spawn(2)
@@ -118,7 +109,7 @@ def estimate_gradient(
     if utilities.shape != (cfg.M,):
         raise ValueError(f"utility samples must have shape ({cfg.M},)")
 
-    scale = smooth / cfg.tau**2
+    scale = block_dim / cfg.tau**2
     grad_K = scale * np.einsum("m,mij->ij", utilities, vK) / cfg.M
     grad_L = scale * np.einsum("m,mij->ij", utilities, vL) / cfg.M
     return grad_K, grad_L

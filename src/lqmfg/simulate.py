@@ -1,20 +1,24 @@
-"""Stochastic rollout engines.
+"""Stochastic rollout engines, which yield steps, and their reductions.
 
-Two views of the same game, each stepped through the closed loops M and
-scored with the stage weights W of its two blocks (`LQBlock.closed_loop`,
-`LQBlock.stage_weights`). The mean-field simulator steps a state's
-deviation y from its conditional mean and that mean z as one (2, n, d)
-stack s = (y, z): s <- M s + w, scored as the sum over blocks of s' W s.
-Shared gains are always folded into M and W; per-path gain stacks only
-where per-path (2, n, d, d) loops are no larger than the stacks (d <= ell).
+`_mkv_steps` and `_nagent_steps` yield each step's state and stage cost.
+The utility batches are their discounted sums by `_discounted`, the one
+place a rollout utility is summed (and where one end-of-rollout `isfinite`
+check of both engines belongs); `simulate_mkv` and `simulate_n_agent`
+collect path or replication 0 of a one-path run.
+
+Both views of the game step through the closed loops M and score with the
+stage weights W of its two blocks (`LQBlock.closed_loop`,
+`LQBlock.stage_weights`). The mean-field engine steps a state's deviation
+y from its conditional mean and that mean z as one (2, n, d) stack
+s = (y, z): s <- M s + w, scored as the sum over blocks of s' W s. Shared
+gains are always folded into M and W; per-path gain stacks only where
+per-path (2, n, d, d) loops are no larger than the stacks (d <= ell).
 Otherwise a player acts through u = G s, with its signed B u in the step
-and u' R u in the cost. The finite-population simulator steps N coupled
+and u' R u in the cost. The finite-population engine steps N coupled
 agents as their deviations y from the empirical mean and that mean x-bar.
 Every step recentres y on its mean (the step's mean idiosyncratic draw, up
 to rounding), which then moves x-bar, so agents that start and stay alike
-keep y exactly zero. `simulate_mkv` is path 0 of a one-path
-`mkv_utility_batch` run, and `simulate_n_agent` is replication 0 of a
-one-replication `nagent_utility_batch` run, each with its trajectory kept.
+keep y exactly zero.
 
 Randomness discipline: every rollout derives four named streams from its
 seed -- common-init, idio-init, common-step, idio-step, in that order -- so
@@ -22,15 +26,16 @@ extending the horizon never reshuffles earlier draws, and engines sharing a
 seed share the common-noise path draw-for-draw.
 
 Both engines share one draw policy (`_step_noise`). The draws do not depend
-on the state, so one helper thread, opened and joined within the call,
-draws the idio-step stream ahead, k steps at a time as one (k, ...) array
-(k steps fit in `_DRAW_AHEAD_BYTES`: 4 of the 10^4 scalar paths of a
-gradient estimate, one of 800 replications of 100 agents or more), while
-the calling thread draws the common step and runs the dynamics. A
-generator fills an array in order, so every rollout keeps the bits of
-inline per-step draws. A product with a matrix shared over the batch is
-one BLAS call (`_batch_apply`, or one per block in `_stack_apply`); at
-d = 1 it is an elementwise product, and per-path stacks use one `einsum`.
+on the state, so one helper thread, opened by the engine's first step and
+joined when it ends or is closed, draws the idio-step stream ahead, k steps
+at a time as one (k, ...) array (k steps fit in `_DRAW_AHEAD_BYTES`: 4 of
+the 10^4 scalar paths of a gradient estimate, one of 800 replications of
+100 agents or more), while the calling thread draws the common step and
+runs the dynamics. A generator fills an array in order, so every rollout
+keeps the bits of inline per-step draws. A product with a matrix shared
+over the batch is one BLAS call (`_batch_apply`, or one per block in
+`_stack_apply`); at d = 1 it is an elementwise product, and per-path
+stacks use one `einsum`.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ import csv
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -151,18 +157,33 @@ class NAgentTrajectory:
     utility: float
 
 
+def _discounted(gamma: float, costs) -> np.ndarray:
+    """sum_t gamma^t c_t over a rollout's per-step stage costs, in step
+    order from +0.0 (a rollout of -0.0 costs is worth +0.0)."""
+    utility, discount = 0.0, 1.0
+    for cost in costs:
+        utility += discount * cost
+        discount *= gamma
+    return utility
+
+
 def simulate_mkv(params: ModelParams, theta: PolicyPair, horizon: int,
                  seed: int) -> MkvTrajectory:
     """Roll out the mean-field dynamics for `horizon` steps.
 
-    The rollout is path 0 of a one-path `mkv_utility_batch` run with its
-    trajectory kept. The conditional mean starts at the common draw plus
-    the idiosyncratic mean and follows the aggregated recursion driven by
-    the common noise only. Identical seeds give bit-identical trajectories.
+    The rollout is path 0 of a one-path `mkv_utility_batch` run. The
+    conditional mean starts at the common draw plus the idiosyncratic mean
+    and follows the aggregated recursion driven by the common noise only.
+    Identical seeds give bit-identical trajectories.
     """
-    _, traj = _mkv_engine(params, theta, horizon, 1, seed, None,
-                          keep_trajectory=True)
-    return traj
+    path0, costs = zip(*((s[:, 0], cost) for s, cost
+                         in _mkv_steps(params, theta, horizon, 1, seed, None)))
+    path0 = np.stack(path0)  # (T, 2, d): deviation and mean
+    # the controls from the states: u_i = +-(G_i over both blocks)
+    u = np.einsum("pbij,tbj->tpi", theta.stack, path0)
+    return MkvTrajectory(states=path0[:, 0] + path0[:, 1], means=path0[:, 1].copy(),
+                         u1=-u[:, 0], u2=u[:, 1], costs=np.concatenate(costs),
+                         utility=float(_discounted(params.gamma, costs)[0]))
 
 
 def mkv_utility_batch(params: ModelParams, theta: PolicyPair, horizon: int,
@@ -176,17 +197,21 @@ def mkv_utility_batch(params: ModelParams, theta: PolicyPair, horizon: int,
     `nagent_utility_batch` given the same seed sees the same common-noise
     arrays.
     """
-    utilities, _ = _mkv_engine(params, theta, horizon, n_paths, seed,
-                               gain_stacks, keep_trajectory=False)
-    return utilities
+    steps = _mkv_steps(params, theta, horizon, n_paths, seed, gain_stacks)
+    # unlike a generator expression, map holds no state of a step while the
+    # engine makes the next one
+    return _discounted(params.gamma, map(itemgetter(-1), steps))
 
 
 # the player and block of each gain in `PolicyPair.stack`
 _GAIN_SLOTS = {"K1": (0, 0), "L1": (0, 1), "K2": (1, 0), "L2": (1, 1)}
 
 
-def _mkv_engine(params: ModelParams, theta: PolicyPair, horizon: int,
-                n_paths: int, seed, stacks, keep_trajectory: bool):
+def _mkv_steps(params: ModelParams, theta: PolicyPair, horizon: int,
+               n_paths: int, seed, stacks):
+    """Yield (s, cost) at t = 0 ... horizon-1: the (2, n_paths, d) stack
+    s = (y, z) and its (n_paths,) stage cost. No yielded array is written
+    to afterwards; closing the generator early joins the helper thread."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     der = validate(params)
@@ -228,20 +253,12 @@ def _mkv_engine(params: ModelParams, theta: PolicyPair, horizon: int,
         s = np.stack((eps_idio - idio_mean, eps_common + idio_mean))
         del eps_common, eps_idio
 
-        if keep_trajectory:
-            path0, costs = np.empty((horizon, 2, d)), np.empty(horizon)
-        utility = np.zeros(n_paths)
-        discount = 1.0
         for t in range(horizon):
             us = [_stack_apply(G, s) for G, _, _ in terms]
             cost = _stack_quad(W, s)
             for u, (_, _, R) in zip(us, terms):
                 cost += _stack_quad(R, u)
-            utility += discount * cost
-            discount *= params.gamma
-            if keep_trajectory:
-                path0[t] = s[:, 0]
-                costs[t] = cost[0]
+            yield s, cost
             if t + 1 < horizon:
                 w_common, w_idio = next(draws)
                 s = _stack_apply(M, s)
@@ -250,14 +267,6 @@ def _mkv_engine(params: ModelParams, theta: PolicyPair, horizon: int,
                 s[0] += w_idio
                 s[1] += w_common
                 del w_common, w_idio
-    if keep_trajectory:
-        # path 0's controls from its states: u_i = +-(G_i over both blocks)
-        u = np.einsum("pbij,tbj->tpi", np.stack([G[:, 0] for G in gains]), path0)
-        traj = MkvTrajectory(states=path0[:, 0] + path0[:, 1],
-                             means=path0[:, 1].copy(), u1=-u[:, 0], u2=u[:, 1],
-                             costs=costs, utility=float(utility[0]))
-        return utility, traj
-    return utility, None
 
 
 def simulate_n_agent(params: ModelParams, theta: PolicyPair, N: int,
@@ -265,11 +274,15 @@ def simulate_n_agent(params: ModelParams, theta: PolicyPair, N: int,
     """Roll out N coupled agents sharing the common noise path.
 
     Controls use the empirical state mean; the reported utility is the
-    discounted sum of population-average stage costs.
+    discounted sum of population-average stage costs. The rollout is
+    replication 0 of a one-replication `nagent_utility_batch` run.
     """
-    _, traj = _nagent_engine(params, theta, N, horizon, seed,
-                             n_reps=1, keep_trajectory=True)
-    return traj
+    states, means, costs = zip(*((y[0] + x_bar[0], x_bar[0], cost) for y, x_bar, cost
+                                 in _nagent_steps(params, theta, N, horizon, seed, 1)))
+    return NAgentTrajectory(states=np.array(states), means=np.array(means),
+                            u1_means=np.array([-theta.L1 @ m for m in means]),
+                            u2_means=np.array([theta.L2 @ m for m in means]),
+                            utility=float(_discounted(params.gamma, costs)[0]))
 
 
 def nagent_utility_batch(params: ModelParams, theta: PolicyPair, N: int,
@@ -279,21 +292,23 @@ def nagent_utility_batch(params: ModelParams, theta: PolicyPair, N: int,
     Common-noise draws have shape (n_reps, d) per step, matching
     `mkv_utility_batch` under the same seed, so population and mean-field
     samples can be paired path-by-path."""
-    utilities, _ = _nagent_engine(params, theta, N, horizon, seed,
-                                  n_reps=n_reps, keep_trajectory=False)
-    return utilities
+    steps = _nagent_steps(params, theta, N, horizon, seed, n_reps)
+    return _discounted(params.gamma, map(itemgetter(-1), steps))
 
 
-def _nagent_engine(params: ModelParams, theta: PolicyPair, N: int,
-                   horizon: int, seed, n_reps: int, keep_trajectory: bool):
+def _nagent_steps(params: ModelParams, theta: PolicyPair, N: int,
+                  horizon: int, seed, n_reps: int):
+    """Yield (y, x_bar, cost) at t = 0 ... horizon-1: the (n_reps, N, d)
+    deviations, their (n_reps, d) mean and the (n_reps,) population-average
+    stage cost. No yielded array is written to afterwards; closing the
+    generator early joins the helper thread."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     der = validate(params)
     theta.check_dims(params)
-    d, ell = params.d, params.ell
-    g = params.gamma
+    d = params.d
     noise = params.noise
     # closed loops and stage weights of both blocks, ungated: any gains roll out
     G1, G2 = theta.stack
@@ -307,25 +322,12 @@ def _nagent_engine(params: ModelParams, theta: PolicyPair, N: int,
     y -= m[:, None, :]
     x_bar = eps_common + m
 
-    states = np.empty((horizon, N, d)) if keep_trajectory else None
-    means = np.empty((horizon, d)) if keep_trajectory else None
-    u1_means = np.empty((horizon, ell)) if keep_trajectory else None
-    u2_means = np.empty((horizon, ell)) if keep_trajectory else None
-
-    utility = np.zeros(n_reps)
-    discount = 1.0
     with _step_noise(noise, rng_cs, rng_is, horizon - 1,
                      (n_reps, d), (n_reps, N, d)) as draws:
         for t in range(horizon):
             # population-average cost: deviation terms per agent, mean terms shared
             cost = np.einsum("rni,ij,rnj->r", y, W_dev, y) / N + _quad(x_bar, W_mean)
-            utility += discount * cost
-            discount *= g
-            if keep_trajectory:
-                states[t] = y[0] + x_bar[0]
-                means[t] = x_bar[0]
-                u1_means[t] = -theta.L1 @ x_bar[0]
-                u2_means[t] = theta.L2 @ x_bar[0]
+            yield y, x_bar, cost
             if t + 1 < horizon:
                 w_common, w_idio = next(draws)
                 y = _batch_apply(M_dev, y)
@@ -336,11 +338,6 @@ def _nagent_engine(params: ModelParams, theta: PolicyPair, N: int,
                 x_bar += w_common
                 x_bar += m
                 del w_common, w_idio
-    if keep_trajectory:
-        traj = NAgentTrajectory(states=states, means=means, u1_means=u1_means,
-                                u2_means=u2_means, utility=float(utility[0]))
-        return utility, traj
-    return utility, None
 
 
 def dump_trajectory_csv(traj: MkvTrajectory, path) -> None:

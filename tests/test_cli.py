@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from lqmfg import OptimizerConfig, PolicyPair
 from lqmfg.cli import (
+    _SCHEMA,
     ExperimentConfig,
     load_config,
     main,
@@ -119,6 +120,31 @@ class TestLoadConfig:
         assert replace(cfg.optimizer, estimator=None).oracle == "exact"
         assert {"method", "oracle"}.isdisjoint(f.name for f in fields(ExperimentConfig))
         assert "oracle" not in {f.name for f in fields(OptimizerConfig)}
+
+    def test_readme_defaults_match_schema(self):
+        """The optimizer and estimator defaults README "Config format" states
+        are the ones a config without those keys gets, and it states them
+        all."""
+        readme = (REPO_CONFIGS.parent / "README.md").read_text()
+        text = " ".join(readme.split("\n### Config format\n", 1)[1]
+                        .split("\n### ", 1)[0].split())
+        optimizer = re.search(r"`OptimizerConfig` \(([^)]*)\)", text).group(1)
+        estimator = re.search(r"Estimator fields default to (.*?)(?:, and `|\. )",
+                              text).group(1)
+        stated = {section: dict(re.findall(r"(\w+)=([\w.]*\w)", sentence))
+                  for section, sentence in (("optimizer", optimizer),
+                                            ("estimator", estimator))}
+        eta = stated["optimizer"].pop("eta")
+        stated["optimizer"].update(eta1=eta, eta2=eta)
+        defaults = {f.name: f.default for f in fields(OptimizerConfig)}
+        for section, values in stated.items():
+            schema = {key: (parse, default) for (name, key), (parse, default)
+                      in _SCHEMA.items() if name == section and not key.endswith("_0")}
+            assert set(values) == set(schema), section
+            for key, value in values.items():
+                parse, default = schema[key]
+                want = defaults[key] if section == "optimizer" else default
+                assert parse(value, key) == want, (section, key)
 
     def test_sampled_without_estimator_section(self, tmp_path):
         path = write_config(tmp_path, oracle="sampled")
@@ -236,6 +262,22 @@ class TestRunExperiment:
         assert len(names) == 5  # benchmark, summary, convergence, two runs
         for name in names:
             assert (seq / name).read_bytes() == (par / name).read_bytes(), name
+
+    def test_sampled_run_reads_the_optimizer_estimator(self, tmp_path):
+        """Each repeat seeds the optimizer's estimator: a sampled config
+        without the duplicate `ExperimentConfig.estimator` writes the same
+        artifacts."""
+        est = "[estimator]\nM = 40\nhorizon = 10\n"
+        cfg_a = load_config(write_config(tmp_path, T=4, oracle="sampled",
+                                         repeats=2, extra=est))
+        run_experiment(cfg_a)
+        cfg_b = replace(cfg_a, estimator=None, output_dir=str(tmp_path / "out_b"))
+        run_experiment(cfg_b)
+        seq, alone = Path(cfg_a.output_dir), Path(cfg_b.output_dir)
+        names = sorted(p.name for p in seq.iterdir() if p.name != "timing.json")
+        assert names == sorted(p.name for p in alone.iterdir() if p.name != "timing.json")
+        for name in names:
+            assert (seq / name).read_bytes() == (alone / name).read_bytes(), name
 
     def test_exact_run_loads_no_random_or_pool(self, tmp_path):
         """An exact run draws nothing and starts no thread, so it imports
@@ -439,6 +481,23 @@ class TestMainEntry:
         rows = files[0].read_text().strip().splitlines()
         assert len(rows) == 7
 
+    def test_zero_mean_field_mean_exit_code(self, tmp_path, capsys):
+        """A population mean against a mean-field mean of exactly zero has no
+        relative gap: validate-nagent exits 3 with one JSON line."""
+        text = (REPO_CONFIGS / "table1_gda_exact.cfg").read_text()
+        for key, value in [("Q", "0.0"), ("init_common", "point(0)"),
+                           ("step_common", "point(0)"), ("output_dir", tmp_path / "out")]:
+            text, found = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+            assert found == 1
+        path = tmp_path / "zero.cfg"
+        path.write_text(text)
+        rc = main(["validate-nagent", "--config", str(path), "--reps", "20",
+                   "--ns", "10,100"])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 3
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "BenchmarkZero"
+
     def test_validate_nagent_verb(self, tmp_path, capsys):
         path = write_config(tmp_path)
         rc = main(["validate-nagent", "--config", str(path), "--ns", "2,4",
@@ -467,13 +526,13 @@ PINNED_FAULTS = {
     **{("optimizer", key): _cannot_parse("matrix")
        for key in ("K1_0", "L1_0", "K2_0", "L2_0")},
     ("optimizer", "log_every"): _cannot_parse("integer"),
-    # a removed key: named, not ignored
+    # removed keys: named, not ignored
     ("optimizer", "shrink_on_exit"): (
         "SchemaError", "section [optimizer]: unknown fields ['shrink_on_exit']"),
     **{("estimator", key): _cannot_parse("integer") for key in ("M", "horizon")},
     ("estimator", "tau"): _cannot_parse("number"),
     ("estimator", "smoothing_dim"): (
-        "SchemaError", "estimator: smoothing_dim must be 'parameter' or 'state'"),
+        "SchemaError", "section [estimator]: unknown fields ['smoothing_dim']"),
     ("experiment", "method"): ("SchemaError", "method must be 'ag' or 'gda', got {value!r}"),
     ("experiment", "oracle"): (
         "SchemaError", "oracle must be 'exact' or 'sampled', got {value!r}"),
@@ -621,9 +680,9 @@ ITERATE_COLUMN_DIGESTS = {
 
 def _sampled_run_config(case: str, out: Path) -> ExperimentConfig:
     cfg = load_config(REPO_CONFIGS / f"{case}.cfg")
-    return replace(cfg, output_dir=str(out),
-                   optimizer=replace(cfg.optimizer, **SAMPLED_RUN_STEPS[case]),
-                   estimator=replace(cfg.estimator, M=2000, horizon=50))
+    estimator = replace(cfg.optimizer.estimator, M=2000, horizon=50)
+    optimizer = replace(cfg.optimizer, estimator=estimator, **SAMPLED_RUN_STEPS[case])
+    return replace(cfg, output_dir=str(out), optimizer=optimizer, estimator=estimator)
 
 
 class TestPinnedArtifacts:

@@ -140,26 +140,6 @@ class TestEstimateGradient:
                         + gL.ravel() @ exact_pair[1].ravel())
             assert dot > 0.0
 
-    def test_smoothing_dimension_switch(self):
-        """'state' uses the state dimension, 'parameter' the block entry
-        count; with ell=2, d=1 the two estimates differ by exactly 2."""
-        m = ModelParams(
-            A=np.array([[0.4]]), A_bar=np.array([[0.2]]),
-            B1=np.array([[0.4, 0.1]]), B1_bar=np.array([[0.0, 0.0]]),
-            B2=np.array([[0.2, 0.1]]), B2_bar=np.array([[0.0, 0.0]]),
-            Q=np.array([[0.4]]), Q_bar=np.array([[0.2]]),
-            R1=0.4 * np.eye(2), R1_bar=0.1 * np.eye(2),
-            R2=0.4 * np.eye(2), R2_bar=0.1 * np.eye(2),
-            gamma=0.9, noise=ModelParams(
-                **benchmark_scalars()).noise, d=1, ell=2)
-        theta = PolicyPair.zero(d=1, ell=2)
-        base = dict(M=500, horizon=10, tau=0.1, seed=99)
-        gK_param, _ = estimate_gradient(m, theta, 1,
-                                        EstimatorConfig(**base))
-        gK_state, _ = estimate_gradient(m, theta, 1,
-                                        EstimatorConfig(**base, smoothing_dim="state"))
-        np.testing.assert_allclose(gK_param, 2.0 * gK_state, atol=1e-12)
-
     def test_near_stationary_at_equilibrium(self, model):
         """At the equilibrium the exact gradient vanishes; the estimate's
         mean across seeds must stay within the smoothing-bias scale (0.05
@@ -212,6 +192,3 @@ class TestEstimateGradient:
             EstimatorConfig(M=10, horizon=10, tau=float("inf"), seed=0)
         with pytest.raises(ValueError):
             EstimatorConfig(M=10, horizon=10, tau=0.1, seed=-1)
-        with pytest.raises(ValueError):
-            EstimatorConfig(M=10, horizon=10, tau=0.1, seed=0,
-                            smoothing_dim="bogus")

@@ -380,6 +380,40 @@ class TestNAgentSimulator:
         assert peak <= 5 * reps * N * model.d * 8
 
 
+def _steps(engine, model):
+    """A step generator of the scalar game, or of a d=3, ell=2 game whose
+    mean-field paths carry per-path gains of player 1 (in gain form)."""
+    theta = PIN_THETA if model.d == 1 else small_policy(model)
+    if engine == "nagent":
+        return simulate._nagent_steps(model, theta, 20, 12, 3, 5)
+    stacks = None if model.d == 1 else _gain_stacks(model, theta, ("K1", "L1"), 40)
+    return simulate._mkv_steps(model, theta, 12, 40, 3, stacks)
+
+
+class TestStepGenerators:
+    """The engines are generators of steps: closing one early joins its
+    helper thread, and it never writes into an array it has yielded."""
+
+    @pytest.mark.parametrize("engine", ["mkv", "nagent"])
+    def test_close_after_first_step_joins_the_thread(self, model, engine):
+        before = threading.active_count()
+        steps = _steps(engine, model)
+        next(steps)
+        assert threading.active_count() == before + 1
+        steps.close()
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("game", ["scalar", "d3"])
+    @pytest.mark.parametrize("engine", ["mkv", "nagent"])
+    def test_yielded_arrays_are_not_written_afterwards(self, model, engine, game):
+        game_model = model if game == "scalar" else random_game(3, 2)
+        kept = [(step, [a.tobytes() for a in step])
+                for step in _steps(engine, game_model)]
+        assert len(kept) == 12
+        for step, at_yield in kept:
+            assert [a.tobytes() for a in step] == at_yield
+
+
 def _reference_game(key, noise=None):
     if key == "scalar":
         extra = {} if noise is None else {"noise": noise}
