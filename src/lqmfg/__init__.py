@@ -7,7 +7,7 @@ one alternating-gradient / gradient-descent-ascent learning loop.
 """
 
 from .errors import LqmfgError
-from .estimator import EstimatorConfig, estimate_gradient, sphere_sample
+from .estimator import EstimatorConfig, estimate_gradient
 from .model import (
     DerivedParams,
     Distribution,
@@ -26,21 +26,15 @@ from .optim import (
 )
 from .riccati import (
     RiccatiSolution,
-    best_response_K1,
-    best_response_K2,
-    best_response_L1,
-    best_response_L2,
     nash_policy,
     solve_riccati,
 )
 from .simulate import (
     MkvTrajectory,
-    NAgentTrajectory,
     derive_seed,
     mkv_utility_batch,
     nagent_utility_batch,
     simulate_mkv,
-    simulate_n_agent,
 )
 from .value import (
     GradientPair,

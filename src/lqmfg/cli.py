@@ -31,7 +31,7 @@ from .errors import (
 from .estimator import EstimatorConfig
 from .model import Distribution, ModelParams, NoiseSpec, PolicyPair
 from .model import validate as validate_model
-from .optim import OptimizerConfig, RunLog, compute_benchmark, relative_error, run
+from .optim import OptimizerConfig, RunLog, relative_error, run
 from .riccati import nash_policy, solve_riccati
 from .simulate import (
     derive_seed,
@@ -408,7 +408,7 @@ def run_simulate(cfg: ExperimentConfig, paths: int, horizon: int) -> list[Path]:
         raise SchemaError("paths and horizon must be >= 1")
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    theta_star, _ = compute_benchmark(cfg.model)
+    theta_star = nash_policy(cfg.model, solve_riccati(cfg.model))
     written = []
     for p in range(paths):
         seed = derive_seed(cfg.master_seed, 201, p)

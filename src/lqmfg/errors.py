@@ -32,16 +32,6 @@ class NonStabilizingSolution(LqmfgError):
     outside the stabilizing set."""
 
 
-class SingularR(LqmfgError):
-    """A control-weight block is numerically singular."""
-
-
-class IndefiniteInnerProblem(LqmfgError):
-    """The one-player problem against a frozen opponent has no best response:
-    no stabilizing solution with positive definite curvature and a closed
-    loop in the stabilizing set."""
-
-
 class NotStabilizing(LqmfgError):
     """Policy pair outside the stabilizing set; discounted moments diverge."""
 

@@ -41,14 +41,6 @@ class EstimatorConfig:
             raise ValueError("seed must be >= 0")
 
 
-def sphere_sample(dim: int, tau: float, rng: np.random.Generator) -> np.ndarray:
-    """Uniform draw from the radius-tau sphere in R^dim
-    (normalized Gaussian; all-zero draws are redrawn)."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    return _sphere_stack(1, dim, tau, rng)[0]
-
-
 def _sphere_stack(n: int, dim: int, tau: float, rng: np.random.Generator) -> np.ndarray:
     """n independent sphere draws, shape (n, dim)."""
     v = rng.standard_normal((n, dim))

@@ -106,10 +106,6 @@ class Distribution:
     def cov(self, dim: int) -> np.ndarray:
         return self.var_scalar * np.eye(dim)
 
-    def second_moment(self, dim: int) -> np.ndarray:
-        mu = self.mean(dim)
-        return self.cov(dim) + np.outer(mu, mu)
-
     def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
         """Draw an array of the given shape (last axis = coordinate)."""
         if self.kind == "uniform":

@@ -1,5 +1,5 @@
 """Equilibrium computation: the stabilizing solutions of the two Riccati-type
-equations, the gains they induce, and best responses.
+equations and the gains they induce.
 
 The paper's equilibrium conditions are the fixed points of
 P = g (A'P + 2Q)(A + (B1 c1 + B2 c2) P), one for the deviation block and its
@@ -8,10 +8,10 @@ c_i = -+1/2 R_i^{-1} B_i' (minus for the minimizing player 1, plus for the
 maximizing player 2). In the symmetric X with P = 2 g X M, M the closed loop,
 each is the game Riccati equation
   X = Q + g A'XA - g^2 A'XB (R + g B'XB)^{-1} B'XA,  B = [B1 B2], R = diag(R1, -R2),
-and a player's best response against a frozen opponent solves the same
-equation for that player alone. One structure-preserving doubling kernel
-solves all of them (Chu, Fan, Lin & Wang 2004; Lin & Xu, SIAM J. Matrix
-Anal. Appl. 2006).
+solved for both blocks at once by one structure-preserving doubling kernel
+(Chu, Fan, Lin & Wang 2004; Lin & Xu, SIAM J. Matrix Anal. Appl. 2006).
+The tests reuse that kernel for a player's best response against a frozen
+opponent, as a test-only oracle.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndefiniteInnerProblem, NonStabilizingSolution, SingularR
-from .model import LQBlock, ModelParams, PolicyPair, in_stabilizing_set, loop_stable, validate
+from .errors import NonStabilizingSolution
+from .model import LQBlock, ModelParams, PolicyPair, in_stabilizing_set, validate
 # solve_dev_value / solve_mean_value: looked up here by perfbench/spans.py
 from .value import MAX_DOUBLINGS, _mT, solve_dev_value, solve_mean_value  # noqa: F401
 
@@ -39,7 +39,7 @@ class RiccatiSolution:
     iterations: int
 
 
-def _sda(A: np.ndarray, G: np.ndarray, H: np.ndarray, error: type[Exception]):
+def _sda(A: np.ndarray, G: np.ndarray, H: np.ndarray):
     """Stabilizing solutions X = H + A'X (I + G X)^{-1} A for each slice of
     the stacks (k, d, d) by structure-preserving doubling, and the doubling
     steps each slice took.
@@ -47,8 +47,9 @@ def _sda(A: np.ndarray, G: np.ndarray, H: np.ndarray, error: type[Exception]):
     With W = (I + G H)^{-1}, each step A <- A W A, G <- G + A W G A',
     H <- H + A'H W A doubles the horizon that H sums. As in ``value._dlyap``,
     a slice leaves the stack at the first step its H stops changing in
-    floating point. Raises ``error`` when MAX_DOUBLINGS, a singular I + G H
-    or a non-finite H shows that no stabilizing solution was reached.
+    floating point. Raises NonStabilizingSolution when MAX_DOUBLINGS, a
+    singular I + G H or a non-finite H shows that no stabilizing solution
+    was reached.
     """
     X, steps = np.empty_like(H), np.zeros(len(H), dtype=int)
     rows, eye = np.arange(len(H)), np.eye(H.shape[-1])
@@ -68,7 +69,7 @@ def _sda(A: np.ndarray, G: np.ndarray, H: np.ndarray, error: type[Exception]):
                 return X, steps
             rows, H = rows[~done], H_next[~done]
             A, G = (A @ WA)[~done], (G + A @ WG @ _mT(A))[~done]
-    raise error("doubling found no stabilizing solution")
+    raise NonStabilizingSolution("doubling found no stabilizing solution")
 
 
 def _positive_definite(C: np.ndarray) -> bool:
@@ -92,7 +93,7 @@ def solve_riccati(params: ModelParams) -> RiccatiSolution:
     R = np.zeros((2, 2 * ell, 2 * ell))
     R[:, :ell, :ell], R[:, ell:, ell:] = S.R1, -S.R2
     G = g * B @ np.linalg.solve(R, _mT(B))
-    X, steps = _sda(np.sqrt(g) * S.A, G, S.Q, NonStabilizingSolution)
+    X, steps = _sda(np.sqrt(g) * S.A, G, S.Q)
     curvature = R + g * _mT(B) @ X @ B
     if not _positive_definite(curvature[:, :ell, :ell]):
         raise NonStabilizingSolution("the minimizer's curvature is not positive definite")
@@ -112,11 +113,8 @@ def solve_riccati(params: ModelParams) -> RiccatiSolution:
 
 
 def _nash_gains(block: LQBlock, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        return (0.5 * np.linalg.solve(block.R1, block.B1.T @ P),
-                0.5 * np.linalg.solve(block.R2, block.B2.T @ P))
-    except np.linalg.LinAlgError as exc:  # precluded by validation
-        raise SingularR(str(exc)) from None
+    return (0.5 * np.linalg.solve(block.R1, block.B1.T @ P),
+            0.5 * np.linalg.solve(block.R2, block.B2.T @ P))
 
 
 def nash_policy(params: ModelParams, sol: RiccatiSolution) -> PolicyPair:
@@ -127,51 +125,3 @@ def nash_policy(params: ModelParams, sol: RiccatiSolution) -> PolicyPair:
     K1, K2 = _nash_gains(der.dev, sol.P_dev)
     L1, L2 = _nash_gains(der.mean, sol.P_mean)
     return PolicyPair(K1=K1, L1=L1, K2=K2, L2=L2)
-
-
-def _best_response(block: LQBlock, player: int, G_opp, gamma: float) -> np.ndarray:
-    """Optimal gain of `player` in one block against the opponent's frozen
-    gain G_opp:
-      G = g (R +- g B'XB)^{-1} B'X A_eff,
-    X the stabilizing solution of the one-player equation
-      X = Q_eff + g A_eff'X A_eff - g^2 A_eff'XB (+-R + g B'XB)^{-1} B'X A_eff
-    for effective weight Q_eff = Q -+ G_opp' R_opp G_opp and drift
-    A_eff = A +- B_opp G_opp (upper signs for the minimizing player 1, lower
-    signs for the maximizing player 2). IndefiniteInnerProblem is raised
-    unless the doubling converges, R +- g B'XB is positive definite and the
-    closed loop passes ``loop_stable``."""
-    sgn = 1.0 if player == 1 else -1.0
-    B, R, B_opp, R_opp = ((block.B1, block.R1, block.B2, block.R2) if player == 1
-                          else (block.B2, block.R2, block.B1, block.R1))
-    G_opp = np.atleast_2d(G_opp)
-    A_eff = block.A + sgn * B_opp @ G_opp
-    Q_eff = block.Q - sgn * G_opp.T @ R_opp @ G_opp
-    X = _sda(np.sqrt(gamma) * A_eff[None], sgn * gamma * (B @ np.linalg.solve(R, B.T))[None],
-             Q_eff[None], IndefiniteInnerProblem)[0][0]
-    curvature = R + sgn * gamma * B.T @ X @ B
-    if not _positive_definite(curvature):
-        raise IndefiniteInnerProblem("inner curvature is not positive definite")
-    G = gamma * np.linalg.solve(curvature, B.T @ X @ A_eff)
-    if not loop_stable(A_eff - sgn * B @ G, gamma):
-        raise IndefiniteInnerProblem("the response does not stabilize the loop")
-    return G
-
-
-def best_response_K1(params: ModelParams, K2) -> np.ndarray:
-    """Optimal K1 against a frozen K2 (deviation block)."""
-    return _best_response(validate(params).dev, 1, K2, params.gamma)
-
-
-def best_response_K2(params: ModelParams, K1) -> np.ndarray:
-    """Optimal K2 against a frozen K1 (maximizing player; sign-flipped R2)."""
-    return _best_response(validate(params).dev, 2, K1, params.gamma)
-
-
-def best_response_L1(params: ModelParams, L2) -> np.ndarray:
-    """Optimal L1 against a frozen L2 (tilde quantities)."""
-    return _best_response(validate(params).mean, 1, L2, params.gamma)
-
-
-def best_response_L2(params: ModelParams, L1) -> np.ndarray:
-    """Optimal L2 against a frozen L1 (tilde quantities, sign-flipped)."""
-    return _best_response(validate(params).mean, 2, L1, params.gamma)

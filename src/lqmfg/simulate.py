@@ -3,8 +3,8 @@
 `_mkv_steps` and `_nagent_steps` yield each step's state and stage cost.
 The utility batches are their discounted sums by `_discounted`, the one
 place a rollout utility is summed (and where one end-of-rollout `isfinite`
-check of both engines belongs); `simulate_mkv` and `simulate_n_agent`
-collect path or replication 0 of a one-path run.
+check of both engines belongs); `simulate_mkv` collects path 0 of a
+one-path mean-field run.
 
 Both views of the game step through the closed loops M and score with the
 stage weights W of its two blocks (`LQBlock.closed_loop`,
@@ -146,17 +146,6 @@ class MkvTrajectory:
     utility: float
 
 
-@dataclass(frozen=True)
-class NAgentTrajectory:
-    """One finite-population rollout with empirical means."""
-
-    states: np.ndarray       # (T, N, d)
-    means: np.ndarray        # (T, d)
-    u1_means: np.ndarray     # (T, ell)
-    u2_means: np.ndarray     # (T, ell)
-    utility: float
-
-
 def _discounted(gamma: float, costs) -> np.ndarray:
     """sum_t gamma^t c_t over a rollout's per-step stage costs, in step
     order from +0.0 (a rollout of -0.0 costs is worth +0.0)."""
@@ -214,6 +203,8 @@ def _mkv_steps(params: ModelParams, theta: PolicyPair, horizon: int,
     to afterwards; closing the generator early joins the helper thread."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
     der = validate(params)
     theta.check_dims(params)
     d, ell = params.d, params.ell
@@ -222,6 +213,9 @@ def _mkv_steps(params: ModelParams, theta: PolicyPair, horizon: int,
     # (2, 1, ell, d) when shared, (2, n_paths, ell, d) with a per-path stack
     gains = [theta.stack[0][:, None], theta.stack[1][:, None]]
     for name, stack in (stacks or {}).items():
+        if name not in _GAIN_SLOTS:
+            raise ValueError(f"unknown gain stack {name!r}: "
+                             f"expected one of {', '.join(_GAIN_SLOTS)}")
         stack = np.asarray(stack, dtype=float)
         if stack.shape != (n_paths, ell, d):
             raise ValueError(f"{name} stack must be (n_paths, ell, d)")
@@ -269,22 +263,6 @@ def _mkv_steps(params: ModelParams, theta: PolicyPair, horizon: int,
                 del w_common, w_idio
 
 
-def simulate_n_agent(params: ModelParams, theta: PolicyPair, N: int,
-                     horizon: int, seed: int) -> NAgentTrajectory:
-    """Roll out N coupled agents sharing the common noise path.
-
-    Controls use the empirical state mean; the reported utility is the
-    discounted sum of population-average stage costs. The rollout is
-    replication 0 of a one-replication `nagent_utility_batch` run.
-    """
-    states, means, costs = zip(*((y[0] + x_bar[0], x_bar[0], cost) for y, x_bar, cost
-                                 in _nagent_steps(params, theta, N, horizon, seed, 1)))
-    return NAgentTrajectory(states=np.array(states), means=np.array(means),
-                            u1_means=np.array([-theta.L1 @ m for m in means]),
-                            u2_means=np.array([theta.L2 @ m for m in means]),
-                            utility=float(_discounted(params.gamma, costs)[0]))
-
-
 def nagent_utility_batch(params: ModelParams, theta: PolicyPair, N: int,
                          horizon: int, n_reps: int, seed) -> np.ndarray:
     """Utilities of `n_reps` independent N-agent rollouts.
@@ -306,6 +284,8 @@ def _nagent_steps(params: ModelParams, theta: PolicyPair, N: int,
         raise ValueError("N must be >= 1")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if n_reps < 1:
+        raise ValueError("n_reps must be >= 1")
     der = validate(params)
     theta.check_dims(params)
     d = params.d

@@ -143,9 +143,6 @@ class GradientPair:
     dK2 = property(lambda self: self.stack[1, 0])
     dL2 = property(lambda self: self.stack[1, 1])
 
-    def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return self.dK1, self.dL1, self.dK2, self.dL2
-
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.stack)))
 

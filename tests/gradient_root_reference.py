@@ -22,10 +22,11 @@ from functools import partial
 
 import numpy as np
 
-from lqmfg.errors import IndefiniteInnerProblem, LqmfgError, NotStabilizing
+from lqmfg.errors import LqmfgError, NotStabilizing
 from lqmfg.model import LQBlock, ModelParams, PolicyPair, validate
-from lqmfg.riccati import _best_response
 from lqmfg.value import block_value, gradient_coefs
+
+from best_response_reference import IndefiniteInnerProblem, _best_response
 
 
 class NoRoot(LqmfgError):

@@ -1,16 +1,48 @@
-"""The agent-by-agent N-agent engine, kept as a test-only reference.
+"""N-agent trajectories, kept as test-only references.
 
-This is the population engine as it stood before it stepped the closed
-loops in (y, x-bar) coordinates: each step forms every agent's controls,
-their empirical means and the stage cost term by term, then the state x
-of every agent. The current engine must reproduce it to rounding.
+`simulate_n_agent` is replication 0 of a one-replication run of the
+package's engine, `simulate._nagent_steps`, with the agents' states and
+empirical means kept per step. `_nagent_engine` is the population engine
+as it stood before it stepped the closed loops in (y, x-bar) coordinates:
+each step forms every agent's controls, their empirical means and the
+stage cost term by term, then the state x of every agent. The current
+engine must reproduce it to rounding.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from lqmfg.model import ModelParams, PolicyPair, validate
-from lqmfg.simulate import (NAgentTrajectory, _batch_apply, _quad, _step_noise,
-                            _streams)
+from lqmfg.simulate import (_batch_apply, _discounted, _nagent_steps, _quad,
+                            _step_noise, _streams)
+
+
+@dataclass(frozen=True)
+class NAgentTrajectory:
+    """One finite-population rollout with empirical means."""
+
+    states: np.ndarray       # (T, N, d)
+    means: np.ndarray        # (T, d)
+    u1_means: np.ndarray     # (T, ell)
+    u2_means: np.ndarray     # (T, ell)
+    utility: float
+
+
+def simulate_n_agent(params: ModelParams, theta: PolicyPair, N: int,
+                     horizon: int, seed: int) -> NAgentTrajectory:
+    """Roll out N coupled agents sharing the common noise path.
+
+    Controls use the empirical state mean; the reported utility is the
+    discounted sum of population-average stage costs. The rollout is
+    replication 0 of a one-replication `nagent_utility_batch` run.
+    """
+    states, means, costs = zip(*((y[0] + x_bar[0], x_bar[0], cost) for y, x_bar, cost
+                                 in _nagent_steps(params, theta, N, horizon, seed, 1)))
+    return NAgentTrajectory(states=np.array(states), means=np.array(means),
+                            u1_means=np.array([-theta.L1 @ m for m in means]),
+                            u2_means=np.array([theta.L2 @ m for m in means]),
+                            utility=float(_discounted(params.gamma, costs)[0]))
 
 
 def _nagent_engine(params: ModelParams, theta: PolicyPair, N: int,

@@ -71,7 +71,8 @@ def test_c02_gradient_matches_finite_differences(model):
     for _ in range(20):
         theta = random_stabilizing_policy(model, rng)
         grad = exact_gradient(model, theta)
-        for name, block in zip(("K1", "L1", "K2", "L2"), grad.blocks()):
+        blocks = (grad.dK1, grad.dL1, grad.dK2, grad.dL2)
+        for name, block in zip(("K1", "L1", "K2", "L2"), blocks):
             mats = {n: np.array(getattr(theta, n)) for n in ("K1", "L1", "K2", "L2")}
             hi = dict(mats); hi[name] = mats[name] + h
             lo = dict(mats); lo[name] = mats[name] - h

@@ -8,7 +8,6 @@ from lqmfg import (
     PolicyPair,
     estimate_gradient,
     exact_gradient,
-    sphere_sample,
 )
 from lqmfg.estimator import _sphere_stack
 
@@ -20,12 +19,12 @@ class TestSphereSample:
     def test_norm_is_radius(self, dim):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            v = sphere_sample(dim, 0.1, rng)
+            v = _sphere_stack(1, dim, 0.1, rng)[0]
             assert np.linalg.norm(v) == pytest.approx(0.1, abs=1e-12)
 
     def test_dim_one_is_signed_radius(self):
         rng = np.random.default_rng(1)
-        draws = np.array([sphere_sample(1, 0.5, rng)[0] for _ in range(10_000)])
+        draws = np.array([_sphere_stack(1, 1, 0.5, rng)[0, 0] for _ in range(10_000)])
         assert set(np.round(np.abs(draws), 12)) == {0.5}
         # each sign with probability 1/2; empirical frequency within 3 sigma
         freq = (draws > 0).mean()
@@ -174,10 +173,10 @@ class TestEstimateGradient:
                     return np.zeros(shape)
                 return np.ones(shape)
 
-        v = sphere_sample(3, 0.2, ZeroThenValue(zeros=5))
+        v = _sphere_stack(1, 3, 0.2, ZeroThenValue(zeros=5))[0]
         assert np.linalg.norm(v) == pytest.approx(0.2, abs=1e-12)
         with pytest.raises(DegenerateDraw):
-            sphere_sample(3, 0.2, ZeroThenValue(zeros=10_000))
+            _sphere_stack(1, 3, 0.2, ZeroThenValue(zeros=10_000))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

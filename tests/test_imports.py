@@ -1,13 +1,26 @@
-"""Every imported name is used in the module that imports it.
+"""Every imported name is used, and every public name of the package is
+reached from outside its own definition.
 
 An AST scan of each module in ``src/lqmfg`` (the package ``__init__``, which
 imports to re-export, aside) and in ``tests``: a name an import binds must
 appear somewhere else in the module. The exceptions are the names that
 ``perfbench/spans.py`` looks up in a module (its ``WRAPS``), which that
 module imports for the benchmark alone.
+
+A second scan keeps test-only code out of the package: every public
+top-level function, class and method in ``src/lqmfg`` must be used by the
+package itself (an AST name, attribute or string outside its own
+definition and ``__init__``), by README's library quick tour, or by
+``perfbench``, ``scripts`` or ``pyproject.toml``. What only the tests use
+belongs in ``tests/``.
 """
 
 import ast
+import os
+import re
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,8 +28,8 @@ import pytest
 from conftest import perfbench_module
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(p for p in (ROOT / "src" / "lqmfg").glob("*.py") if p.name != "__init__.py")
-MODULES += sorted(Path(__file__).resolve().parent.glob("*.py"))
+PACKAGE = sorted(p for p in (ROOT / "src" / "lqmfg").glob("*.py") if p.name != "__init__.py")
+MODULES = PACKAGE + sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _imported(tree: ast.Module) -> set[str]:
@@ -41,3 +54,65 @@ def test_no_unused_import(path, wraps):
     module = f"lqmfg.{path.stem}" if path.parent.name == "lqmfg" else None
     wrapped = {attr for name, attr, _ in wraps if name == module}
     assert sorted(_imported(tree) - used - wrapped) == []
+
+
+def _readme_tour() -> str:
+    """The code of README's "Library quick tour"."""
+    readme = (ROOT / "README.md").read_text()
+    tour = readme.split("\n## Library quick tour\n", 1)[1]
+    return re.search(r"```python\n(.*?)```", tour, flags=re.S).group(1)
+
+
+def _uses(node: ast.AST) -> Counter:
+    """Names, attributes and strings under `node`."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            found[sub.value] += 1
+    return found
+
+
+def _public_definitions(tree: ast.Module):
+    """(qualified name, name, node) of each public top-level function and
+    class and each public method of a top-level class."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, kinds) and not node.name.startswith("_"):
+            yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, kinds[:2]) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+def test_every_public_name_is_reached():
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in PACKAGE}
+    src_uses = sum((_uses(tree) for tree in trees.values()), Counter())
+    outside = [_readme_tour(), (ROOT / "pyproject.toml").read_text()]
+    outside += [p.read_text() for d in ("perfbench", "scripts")
+                for p in sorted((ROOT / d).glob("*.py"))]
+    unreached = []
+    for path, tree in trees.items():
+        for qualified, name, node in _public_definitions(tree):
+            if src_uses[name] > _uses(node)[name]:
+                continue
+            if any(re.search(rf"\b{name}\b", text) for text in outside):
+                continue
+            unreached.append(f"{path.stem}.{qualified}")
+    assert unreached == []
+
+
+def test_readme_tour_runs():
+    """README's quick tour runs as printed, and the gradient it prints at
+    the equilibrium is zero to rounding."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", _readme_tour()], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    _, gradient = map(float, done.stdout.split())
+    assert gradient <= 1e-12

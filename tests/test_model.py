@@ -304,13 +304,12 @@ class TestNoise:
         dist = Distribution.uniform(-1.0, 1.0)
         assert dist.mean_scalar == pytest.approx(0.0)
         assert dist.var_scalar == pytest.approx(1.0 / 3.0)
-        np.testing.assert_allclose(dist.second_moment(2), np.eye(2) / 3.0)
+        np.testing.assert_allclose(dist.cov(2), np.eye(2) / 3.0)
 
     def test_gaussian_moments(self):
         dist = Distribution.gaussian(0.5, 0.01)
         np.testing.assert_allclose(dist.mean(2), [0.5, 0.5])
-        np.testing.assert_allclose(dist.second_moment(2),
-                                   0.01 * np.eye(2) + 0.25)
+        np.testing.assert_allclose(dist.cov(2), 0.01 * np.eye(2))
 
     def test_point_mass_sampling(self):
         rng = np.random.default_rng(0)

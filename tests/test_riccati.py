@@ -5,19 +5,22 @@ import scipy.linalg
 from lqmfg import (
     ModelParams,
     PolicyPair,
-    best_response_K1,
-    best_response_K2,
-    best_response_L1,
-    best_response_L2,
     exact_gradient,
     exact_utility,
     nash_policy,
     solve_dev_value,
     solve_riccati,
 )
-from lqmfg.errors import IndefiniteInnerProblem, NonStabilizingSolution
+from lqmfg.errors import NonStabilizingSolution
 from lqmfg.riccati import RiccatiSolution
 
+from best_response_reference import (
+    IndefiniteInnerProblem,
+    best_response_K1,
+    best_response_K2,
+    best_response_L1,
+    best_response_L2,
+)
 from conftest import (
     K1_ORACLE,
     K2_ORACLE,

@@ -14,7 +14,6 @@ from lqmfg import (
     nagent_utility_batch,
     nash_policy,
     simulate_mkv,
-    simulate_n_agent,
     solve_riccati,
     validate,
 )
@@ -25,6 +24,7 @@ from conftest import (PIN_THETA, benchmark_scalars, digest, perfbench_game,
                       random_game, small_policy)
 import mkv_reference
 import nagent_reference
+from nagent_reference import simulate_n_agent
 
 
 def forced_start_noise(common: float, idio: float) -> NoiseSpec:
@@ -412,6 +412,24 @@ class TestStepGenerators:
         assert len(kept) == 12
         for step, at_yield in kept:
             assert [a.tobytes() for a in step] == at_yield
+
+
+class TestBatchArguments:
+    """An empty batch and an unknown gain-stack key are a ValueError that
+    names the argument, not an error from deep inside the engine."""
+
+    @pytest.mark.parametrize("engine", ["mkv", "nagent"])
+    def test_empty_batch_rejected(self, model, engine):
+        with pytest.raises(ValueError, match=r"^n_(paths|reps) must be >= 1$"):
+            if engine == "mkv":
+                mkv_utility_batch(model, PolicyPair.zero(), 10, 0, 1)
+            else:
+                nagent_utility_batch(model, PolicyPair.zero(), 5, 10, 0, 1)
+
+    def test_unknown_gain_stack_named(self, model):
+        with pytest.raises(ValueError, match=r"'X1'.*K1, L1, K2, L2$"):
+            mkv_utility_batch(model, PolicyPair.zero(), 10, 3, 1,
+                              gain_stacks={"X1": np.zeros((3, 1, 1))})
 
 
 def _reference_game(key, noise=None):

@@ -219,7 +219,8 @@ class TestExactGradient:
         for _ in range(8):
             theta = random_stabilizing_policy(model, rng)
             grad = exact_gradient(model, theta)
-            for name, block in zip(("K1", "L1", "K2", "L2"), grad.blocks()):
+            blocks = (grad.dK1, grad.dL1, grad.dK2, grad.dL2)
+            for name, block in zip(("K1", "L1", "K2", "L2"), blocks):
                 hi_t = _bump(theta, name, h)
                 lo_t = _bump(theta, name, -h)
                 fd = (exact_utility(model, hi_t).cost
@@ -231,7 +232,8 @@ class TestExactGradient:
         theta = random_stabilizing_policy(model_2d, rng, scale=0.2)
         grad = exact_gradient(model_2d, theta)
         h = 1e-6
-        for name, block in zip(("K1", "L1", "K2", "L2"), grad.blocks()):
+        blocks = (grad.dK1, grad.dL1, grad.dK2, grad.dL2)
+        for name, block in zip(("K1", "L1", "K2", "L2"), blocks):
             for j in range(model_2d.d):
                 hi_t = _bump(theta, name, h, col=j)
                 lo_t = _bump(theta, name, -h, col=j)
@@ -399,5 +401,6 @@ class TestPinnedBits:
         sol = exact_utility(model, theta)
         grad = exact_gradient(model, theta, solution=sol)
         got = digest(sol.P_dev, sol.P_mean, sol.Sigma_dev, sol.Sigma_mean,
-                     [sol.cost_dev, sol.cost_mean, sol.cost], *grad.blocks())
+                     [sol.cost_dev, sol.cost_mean, sol.cost],
+                     grad.dK1, grad.dL1, grad.dK2, grad.dL2)
         assert got == ORACLE_DIGESTS[case]
