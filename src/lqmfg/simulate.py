@@ -25,17 +25,20 @@ seed -- common-init, idio-init, common-step, idio-step, in that order -- so
 extending the horizon never reshuffles earlier draws, and engines sharing a
 seed share the common-noise path draw-for-draw.
 
-Both engines share one draw policy (`_step_noise`). The draws do not depend
-on the state, so one helper thread, opened by the engine's first step and
-joined when it ends or is closed, draws the idio-step stream ahead, k steps
-at a time as one (k, ...) array (k steps fit in `_DRAW_AHEAD_BYTES`: 4 of
-the 10^4 scalar paths of a gradient estimate, one of 800 replications of
-100 agents or more), while the calling thread draws the common step and
-runs the dynamics. A generator fills an array in order, so every rollout
-keeps the bits of inline per-step draws. A product with a matrix shared
-over the batch is one BLAS call (`_batch_apply`, or one per block in
-`_stack_apply`); at d = 1 it is an elementwise product, and per-path
-stacks use one `einsum`.
+The step draws do not depend on the state. The mean-field engine draws its
+idio-step stream ahead (`_step_noise`): one helper thread, opened by the
+engine's first step and joined when it ends or is closed, draws k steps at
+a time as one (k, n_paths, d) array (k steps fit in `_DRAW_AHEAD_BYTES`, 4
+of the 10^4 scalar paths of a gradient estimate), while the calling thread
+draws the common step and runs the dynamics. The population engine starts
+no thread: it steps y into the spare of two (n_reps, N, d) buffers and
+adds the idio-step draw into it in blocks of at most `_DRAW_AHEAD_BYTES`,
+so that two rollouts side by side (the population sweep's) hold what one
+drawing ahead did. A generator fills an array in order, so every rollout
+keeps the bits of one draw per step and stream. A product with a matrix
+shared over the batch is one BLAS call (`_batch_apply`, `np.dot` into the
+spare buffer, or one per block in `_stack_apply`); at d = 1 it is an
+elementwise product, and per-path stacks use one `einsum`.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ import numpy as np
 
 from .model import LQBlock, ModelParams, NoiseSpec, PolicyPair, validate
 
-# bytes of step noise drawn at once per stream (4 steps of 10^4 scalar paths)
+# bytes of idio-step noise drawn at once (4 steps of 10^4 scalar paths)
 _DRAW_AHEAD_BYTES = 320_000
 
 
@@ -70,9 +73,10 @@ def _streams(seed) -> tuple[np.random.Generator, ...]:
 @contextmanager
 def _step_noise(noise: NoiseSpec, rng_cs, rng_is, steps: int,
                 common_shape: tuple, idio_shape: tuple):
-    """Iterator over `steps` step-noise pairs (w_common, w_idio): the
-    idio-step stream is drawn ahead on one helper thread that lives as long
-    as the `with` block, the common-step one inline on the calling thread.
+    """Iterator over `steps` step-noise pairs (w_common, w_idio) of the
+    mean-field engine: the idio-step stream is drawn ahead on one helper
+    thread that lives as long as the `with` block, the common-step one
+    inline on the calling thread.
 
     The idio-step stream is drawn k steps at a time as one (k, *shape)
     array; the first chunk is submitted on entry and each next one as soon
@@ -278,8 +282,9 @@ def _nagent_steps(params: ModelParams, theta: PolicyPair, N: int,
                   horizon: int, seed, n_reps: int):
     """Yield (y, x_bar, cost) at t = 0 ... horizon-1: the (n_reps, N, d)
     deviations, their (n_reps, d) mean and the (n_reps,) population-average
-    stage cost. No yielded array is written to afterwards; closing the
-    generator early joins the helper thread."""
+    stage cost. y alternates between two buffers, so a yielded y holds its
+    values until the next step is requested; x_bar and the cost are never
+    written to afterwards. The engine draws inline and starts no thread."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if horizon < 1:
@@ -302,22 +307,27 @@ def _nagent_steps(params: ModelParams, theta: PolicyPair, N: int,
     y -= m[:, None, :]
     x_bar = eps_common + m
 
-    with _step_noise(noise, rng_cs, rng_is, horizon - 1,
-                     (n_reps, d), (n_reps, N, d)) as draws:
-        for t in range(horizon):
-            # population-average cost: deviation terms per agent, mean terms shared
-            cost = np.einsum("rni,ij,rnj->r", y, W_dev, y) / N + _quad(x_bar, W_mean)
-            yield y, x_bar, cost
-            if t + 1 < horizon:
-                w_common, w_idio = next(draws)
-                y = _batch_apply(M_dev, y)
-                y += w_idio
-                m = y.mean(axis=1)
-                y -= m[:, None, :]
-                x_bar = _batch_apply(M_mean, x_bar)
-                x_bar += w_common
-                x_bar += m
-                del w_common, w_idio
+    spare = np.empty_like(y)
+    rows = max(1, _DRAW_AHEAD_BYTES // (8 * d))  # agent rows per step draw
+    for t in range(horizon):
+        # population-average cost: deviation terms per agent, mean terms shared
+        cost = np.einsum("rni,ij,rnj->r", y, W_dev, y) / N + _quad(x_bar, W_mean)
+        yield y, x_bar, cost
+        if t + 1 < horizon:
+            w_common = noise.step_common.sample(rng_cs, (n_reps, d))
+            # step into the spare buffer, then add the idio-step draw block
+            # by block, in the order one (n_reps, N, d) draw fills
+            y, spare = spare, y
+            flat = y.reshape(-1, d)
+            np.dot(spare.reshape(-1, d), M_dev.T, out=flat)
+            for start in range(0, len(flat), rows):
+                block = flat[start:start + rows]
+                block += noise.step_idio.sample(rng_is, block.shape)
+            m = y.mean(axis=1)
+            y -= m[:, None, :]
+            x_bar = _batch_apply(M_mean, x_bar)
+            x_bar += w_common
+            x_bar += m
 
 
 def dump_trajectory_csv(traj: MkvTrajectory, path) -> None:

@@ -6,6 +6,10 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
+import tracemalloc
+from concurrent import futures
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields, replace
 from pathlib import Path
@@ -15,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lqmfg import OptimizerConfig, PolicyPair
+from lqmfg import OptimizerConfig, PolicyPair, cli
 from lqmfg.cli import (
     _SCHEMA,
     ExperimentConfig,
@@ -26,6 +30,7 @@ from lqmfg.cli import (
     run_simulate,
 )
 from lqmfg.errors import CrossFieldError, ParseError, SchemaError
+from lqmfg.simulate import derive_seed
 
 from conftest import random_game
 
@@ -324,6 +329,90 @@ class TestNAgentValidation:
         assert [row[0] for row in rows[1:]] == ["3", "9"]
         for row in rows[1:]:
             assert np.isfinite(float(row[1]))
+
+    # 400_000 // 100_000 = 4 replications per seed chunk: chunks of 4, 4 and 2
+    SWEEP = {"Ns": (3, 100_000, 17), "reps": 10, "horizon": 5}
+    SWEEP_DIGESTS = {
+        "nagent_validation.csv":
+            "197feecf54d538047fefcd910f28c3f814b8c9ebe31405678a4a2f75e76d3b16",
+        "nagent_summary.json":
+            "c6d3e2f902a72505f56f191dfbcc6d4c62c78f099fda497ab36626e03404fbfa",
+    }
+
+    def test_side_by_side_sweep_matches_a_serial_loop(self, tmp_path, monkeypatch):
+        """The rollouts run two at a time write the bytes of the same
+        rollouts run one after another on the calling thread."""
+        cfg = load_config(write_config(tmp_path))
+        run_nagent_validation(cfg, **self.SWEEP)
+        rollouts = []
+
+        class SerialLoop(futures.ThreadPoolExecutor):
+            """Runs each call as it is submitted; it starts no thread."""
+
+            def submit(self, fn, *args):
+                rollouts.append((fn.__name__, args[2:]))
+                done = futures.Future()
+                done.set_result(fn(*args))
+                return done
+
+        monkeypatch.setattr(futures, "ThreadPoolExecutor", SerialLoop)
+        serial = replace(cfg, output_dir=str(tmp_path / "serial"))
+        run_nagent_validation(serial, **self.SWEEP)
+        for name, want in self.SWEEP_DIGESTS.items():
+            side_by_side = (Path(cfg.output_dir) / name).read_bytes()
+            assert side_by_side == (Path(serial.output_dir) / name).read_bytes()
+            assert hashlib.sha256(side_by_side).hexdigest() == want
+        # one mean-field reference and one population per N for each chunk
+        chunks = [(n, derive_seed(cfg.master_seed, 101, idx))
+                  for idx, n in enumerate((4, 4, 2))]
+        # (the mean-field engine's step draws run through the same pool class)
+        assert sorted(r for r in rollouts if r[0] != "draw") == sorted(
+            [("mkv_utility_batch", (5, n, seed)) for n, seed in chunks]
+            + [("nagent_utility_batch", (N, 5, n, seed))
+               for n, seed in chunks for N in self.SWEEP["Ns"]])
+
+    def test_failed_rollout_reaches_caller(self, tmp_path, monkeypatch):
+        """The third population rollout raises while others are queued: the
+        caller gets that exception object, the queued rollouts never start
+        and no thread is left."""
+        error = RuntimeError("rollout failed")
+        started = []
+        lock = threading.Lock()
+        rollout = cli.nagent_utility_batch
+
+        def failing_rollout(*args):
+            with lock:
+                started.append(None)
+                nth = len(started)
+            if nth == 3:
+                raise error
+            time.sleep(0.05)  # the failure is read with rollouts still queued
+            return rollout(*args)
+
+        monkeypatch.setattr(cli, "nagent_utility_batch", failing_rollout)
+        cfg = load_config(write_config(tmp_path))
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            run_nagent_validation(cfg, **self.SWEEP)
+        assert info.value is error
+        assert 3 <= len(started) < 9
+        assert threading.active_count() == before
+        assert not (Path(cfg.output_dir) / "nagent_validation.csv").exists()
+
+    def test_peak_memory_of_two_rollouts_in_flight(self, tmp_path):
+        """The two seed chunks of the largest population are submitted first
+        and run side by side, and stay within five (chunk, max_N, d) arrays
+        (about 4.2 read here)."""
+        cfg = load_config(write_config(tmp_path))
+        sweep = {"Ns": (10, 1000), "reps": 800, "horizon": 5}  # chunks of 400
+        run_nagent_validation(cfg, **sweep)
+        tracemalloc.start()
+        try:
+            run_nagent_validation(cfg, **sweep)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 400 * 1000 * 8
 
 
 @pytest.mark.parametrize("call", [

@@ -319,8 +319,8 @@ class TestNAgentSimulator:
         assert threading.active_count() == before
 
     def test_failed_step_draw_reaches_caller(self, model, monkeypatch):
-        """The third draw, the first step draw, raises on the helper
-        thread: the caller gets that exception and no thread is left."""
+        """The third draw, the first step draw, raises: the caller gets that
+        exception, no further draw is made and no thread is left."""
         error = RuntimeError("draw failed")
         calls = []
         sample = Distribution.sample
@@ -341,9 +341,8 @@ class TestNAgentSimulator:
 
     @pytest.mark.parametrize("call", ["batch", "trajectory"])
     def test_no_thread_outlives_a_failed_step(self, model, monkeypatch, call):
-        """The third step's cost raises on the calling thread while the next
-        step draw is in flight: the caller gets that exception and no
-        thread is left."""
+        """The third step's cost raises mid-horizon: the caller gets that
+        exception and no thread is left."""
         error = RuntimeError("step failed")
         calls = []
         quad = simulate._quad
@@ -365,11 +364,12 @@ class TestNAgentSimulator:
         assert len(calls) == 3
         assert threading.active_count() == before
 
-    def test_peak_memory_within_five_population_arrays(self, model):
-        """The engine holds the state, its next value, the step draw in hand
-        and the one in flight: the traced peak stays within five
-        (reps, N, d) arrays."""
-        N, horizon, reps = 1000, 5, 50
+    def test_peak_memory_within_two_population_arrays(self, model):
+        """The engine steps between two (reps, N, d) buffers and adds the
+        step draw in blocks: the traced peak stays within two population
+        arrays and two draw blocks (one block, and the recentring and cost
+        temporaries, read about 0.11 array here)."""
+        N, horizon, reps = 1000, 5, 400
         nagent_utility_batch(model, PIN_THETA, N, horizon, reps, 3)
         tracemalloc.start()
         try:
@@ -377,7 +377,7 @@ class TestNAgentSimulator:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 5 * reps * N * model.d * 8
+        assert peak <= 2 * reps * N * model.d * 8 + 2 * simulate._DRAW_AHEAD_BYTES
 
 
 def _steps(engine, model):
@@ -391,27 +391,38 @@ def _steps(engine, model):
 
 
 class TestStepGenerators:
-    """The engines are generators of steps: closing one early joins its
-    helper thread, and it never writes into an array it has yielded."""
+    """The engines are generators of steps. The mean-field engine's helper
+    thread is joined when it is closed early, and it never writes into an
+    array it has yielded. The population engine starts no thread; it steps
+    y between two buffers, so a yielded y holds until the next step is
+    requested, and it never writes into a yielded x-bar or cost."""
 
     @pytest.mark.parametrize("engine", ["mkv", "nagent"])
     def test_close_after_first_step_joins_the_thread(self, model, engine):
+        """For the population engine: it starts no thread at all."""
         before = threading.active_count()
         steps = _steps(engine, model)
         next(steps)
-        assert threading.active_count() == before + 1
+        assert threading.active_count() == before + (engine == "mkv")
         steps.close()
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("game", ["scalar", "d3"])
     @pytest.mark.parametrize("engine", ["mkv", "nagent"])
     def test_yielded_arrays_are_not_written_afterwards(self, model, engine, game):
+        """For the population engine: y until the next step is requested
+        (its bytes at yield against its bytes just before `next()`), x-bar
+        and the cost throughout."""
         game_model = model if game == "scalar" else random_game(3, 2)
-        kept = [(step, [a.tobytes() for a in step])
-                for step in _steps(engine, game_model)]
+        kept = []
+        for step in _steps(engine, game_model):
+            kept.append((step, [a.tobytes() for a in step]))
+            if engine == "nagent":  # just before the next step is requested
+                assert step[0].tobytes() == kept[-1][1][0]
         assert len(kept) == 12
+        first = 1 if engine == "nagent" else 0  # y's buffer is reused
         for step, at_yield in kept:
-            assert [a.tobytes() for a in step] == at_yield
+            assert [a.tobytes() for a in step[first:]] == at_yield[first:]
 
 
 class TestBatchArguments:
