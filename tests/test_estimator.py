@@ -11,7 +11,7 @@ from lqmfg import (
 )
 from lqmfg.estimator import _sphere_stack
 
-from conftest import benchmark_scalars
+from conftest import PIN_THETA, benchmark_scalars, digest, random_game, small_policy
 
 
 class TestSphereSample:
@@ -191,3 +191,34 @@ class TestEstimateGradient:
             EstimatorConfig(M=10, horizon=10, tau=float("inf"), seed=0)
         with pytest.raises(ValueError):
             EstimatorConfig(M=10, horizon=10, tau=0.1, seed=-1)
+
+
+ESTIMATE_DIGESTS = {
+    ("scalar", 1): "e7d9fbcb514f38f435eeaef3577616ddd4c784825c2d236fe31256a83dd750d8",
+    ("scalar", 2): "6dbb3730b61a71c9824ee98872a69950b0a893e3b91ae4c802ff7ba1e582df31",
+    ("d3", 1): "846c0953aaee3332fe2cbfd3309e63d284585a54a157591877df174cabc3e8bb",
+    ("d3", 2): "865f4c58b3cf2a7ec5e2c2fbf5c3c5222a2fa8f035b478868da34ad389a3cc44",
+}
+
+
+class TestPinnedBits:
+    """`estimate_gradient` pinned bit for bit (sha256 of the float64 bytes of
+    (grad_K, grad_L)) for both players: on the scalar game at M = 10^4, where
+    the engine folds the per-path gains into per-path loops, and on a d=3,
+    ell=2 random game, where the perturbed player acts in gain form.
+
+    The shipped sampled artifacts are built from these estimates, so a
+    change to how the perturbed gains reach the engine must leave these
+    digests unchanged.
+    """
+
+    @pytest.mark.parametrize("case", sorted(ESTIMATE_DIGESTS), ids=str)
+    def test_estimate(self, case):
+        game, player = case
+        if game == "scalar":
+            model, theta, M, horizon = ModelParams(**benchmark_scalars()), PIN_THETA, 10_000, 50
+        else:
+            model = random_game(3, 2)
+            theta, M, horizon = small_policy(model), 2000, 40
+        cfg = EstimatorConfig(M=M, horizon=horizon, tau=0.1, seed=20261020)
+        assert digest(*estimate_gradient(model, theta, player, cfg)) == ESTIMATE_DIGESTS[case]

@@ -29,6 +29,7 @@ from conftest import (
     P_DEV_ORACLE,
     P_MEAN_ORACLE,
     benchmark_scalars,
+    digest,
     perfbench_game,
     random_game,
 )
@@ -146,6 +147,26 @@ class TestNashPolicy:
     def test_stationarity(self, model):
         theta = nash_policy(model, solve_riccati(model))
         assert exact_gradient(model, theta).max_abs() <= 1e-6
+
+
+NASH_DIGESTS = {
+    ("conftest", 3, 2): "4c3a370e5450a17c550870dcde7f9584589f6cedd3c6d40bba2ac97a87800160",
+    ("conftest", 8, 3): "1881576fba5013bd2c2b1a3b07ff604b1b365e1d30ed6ae569b6e73b344ba0c7",
+    ("perfbench", 16, 4): "1e47ee9518c66f92acc6b459b5c56a30b36b65f95004b459afcd248900ddc49d",
+}
+
+
+class TestPinnedBits:
+    """The equilibrium gains `nash_policy(m, solve_riccati(m)).stack` pinned
+    bit for bit (sha256 of the float64 bytes) on three random games. The
+    exact runs start from and report against these gains, so a change to how
+    the gains are solved from P must leave these digests unchanged."""
+
+    @pytest.mark.parametrize("case", sorted(NASH_DIGESTS), ids=str)
+    def test_nash_gains(self, case):
+        kind, d, ell = case
+        m = random_game(d, ell) if kind == "conftest" else perfbench_game(d, ell)
+        assert digest(nash_policy(m, solve_riccati(m)).stack) == NASH_DIGESTS[case]
 
 
 class TestBestResponse:
