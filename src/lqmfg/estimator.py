@@ -55,7 +55,7 @@ def _sphere_stack(n: int, dim: int, tau: float, rng: np.random.Generator) -> np.
 
 
 # quoted: evaluating np.random here would load it in runs that draw nothing
-UtilityFn = Callable[[dict[str, np.ndarray], "np.random.SeedSequence"], np.ndarray]
+UtilityFn = Callable[[tuple[int, np.ndarray], "np.random.SeedSequence"], np.ndarray]
 
 
 def estimate_gradient(
@@ -68,12 +68,14 @@ def estimate_gradient(
     """Estimated utility gradient for one player's (K, L) blocks.
 
     Per perturbation i, both of the player's blocks get independent sphere
-    perturbations and one utility sample scores them jointly:
+    perturbations v_i = (v_K_i, v_L_i), drawn into one (2, M, ell, d) stack,
+    and one utility sample scores them jointly:
       grad_K ~= (D / tau^2) * mean_i(C_i * v_K_i),   D = ell * d entries.
 
     `utility_fn` defaults to batched mean-field rollouts; tests may inject
-    a surrogate. It receives the stacked perturbed gains (the opponent's
-    entries are plain shared matrices) and a seed sequence for rollout noise.
+    a surrogate. Like `mkv_utility_batch`'s `per_path`, it receives
+    (player, G) with the perturbed gains G = theta.stack[player - 1] + v
+    (the opponent's gains are theta's), and a seed sequence for rollout noise.
     """
     if player not in (1, 2):
         raise ValueError("player must be 1 or 2")
@@ -84,25 +86,18 @@ def estimate_gradient(
     root = np.random.SeedSequence(int(cfg.seed))
     pert_ss, sim_ss = root.spawn(2)
     rng = np.random.default_rng(pert_ss)
-    vK = _sphere_stack(cfg.M, block_dim, cfg.tau, rng).reshape(cfg.M, ell, d)
-    vL = _sphere_stack(cfg.M, block_dim, cfg.tau, rng).reshape(cfg.M, ell, d)
-
-    own_K, own_L = ("K1", "L1") if player == 1 else ("K2", "L2")
-    stacks = {own_K: getattr(theta, own_K)[None, :, :] + vK,
-              own_L: getattr(theta, own_L)[None, :, :] + vL}
+    v = np.stack([_sphere_stack(cfg.M, block_dim, cfg.tau, rng).reshape(cfg.M, ell, d)
+                  for _ in range(2)])
+    per_path = (player, theta.stack[player - 1][:, None] + v)
 
     if utility_fn is None:
-        utilities = mkv_utility_batch(params, theta, cfg.horizon, cfg.M, sim_ss,
-                                      gain_stacks=stacks)
+        utilities = mkv_utility_batch(params, theta, cfg.horizon, cfg.M, sim_ss, per_path)
     else:
-        gains = {"K1": theta.K1, "L1": theta.L1, "K2": theta.K2, "L2": theta.L2,
-                 **stacks}
-        utilities = np.asarray(utility_fn(gains, sim_ss), dtype=float)
+        utilities = np.asarray(utility_fn(per_path, sim_ss), dtype=float)
     if utilities.shape != (cfg.M,):
         raise ValueError(f"utility samples must have shape ({cfg.M},)")
 
     scale = block_dim / cfg.tau**2
-    grad_K = scale * np.einsum("m,mij->ij", utilities, vK) / cfg.M
-    grad_L = scale * np.einsum("m,mij->ij", utilities, vL) / cfg.M
+    grad_K, grad_L = (scale * np.einsum("m,mij->ij", utilities, v[b]) / cfg.M
+                      for b in (0, 1))
     return grad_K, grad_L
-

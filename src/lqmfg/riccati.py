@@ -21,22 +21,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonStabilizingSolution
-from .model import LQBlock, ModelParams, PolicyPair, in_stabilizing_set, validate
+from .model import ModelParams, PolicyPair, in_stabilizing_set, validate
 # solve_dev_value / solve_mean_value: looked up here by perfbench/spans.py
 from .value import MAX_DOUBLINGS, _mT, solve_dev_value, solve_mean_value  # noqa: F401
 
 
 @dataclass(frozen=True)
 class RiccatiSolution:
-    """Solutions P of the deviation and mean equilibrium equations, the
-    residual norms of the paper's maps at them, and the number of doubling
-    steps the two blocks took together."""
+    """Solutions ``P`` (2, d, d) of the (dev, mean) equilibrium equations,
+    stacked like ``ValueSolution.P``, the ``residual`` (2,) norms of the
+    paper's maps at them, and the doubling steps the two blocks took
+    together. ``P_dev`` ... ``residual_mean`` are their slices, the
+    residuals as Python floats."""
 
-    P_dev: np.ndarray
-    P_mean: np.ndarray
-    residual_dev: float
-    residual_mean: float
+    P: np.ndarray
+    residual: np.ndarray
     iterations: int
+
+    P_dev = property(lambda self: self.P[0])
+    P_mean = property(lambda self: self.P[1])
+    residual_dev = property(lambda self: float(self.residual[0]))
+    residual_mean = property(lambda self: float(self.residual[1]))
 
 
 def _sda(A: np.ndarray, G: np.ndarray, H: np.ndarray):
@@ -105,23 +110,17 @@ def solve_riccati(params: ModelParams) -> RiccatiSolution:
     # the paper's map, with B1 c1 + B2 c2 = -G / (2 g)
     mapped = g * (_mT(S.A) @ P + 2.0 * S.Q) @ (S.A - G @ P / (2.0 * g))
     residual = np.linalg.norm(P - mapped, ord=2, axis=(-2, -1))
-    sol = RiccatiSolution(P_dev=P[0], P_mean=P[1], residual_dev=float(residual[0]),
-                          residual_mean=float(residual[1]), iterations=int(steps.sum()))
+    sol = RiccatiSolution(P, residual, int(steps.sum()))
     if not in_stabilizing_set(params, nash_policy(params, sol)):
         raise NonStabilizingSolution("the solution induces an unstable loop")
     return sol
 
 
-def _nash_gains(block: LQBlock, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return (0.5 * np.linalg.solve(block.R1, block.B1.T @ P),
-            0.5 * np.linalg.solve(block.R2, block.B2.T @ P))
-
-
 def nash_policy(params: ModelParams, sol: RiccatiSolution) -> PolicyPair:
-    """Equilibrium gains from the Riccati fixed points:
+    """Equilibrium gains from the Riccati fixed points, both blocks at once:
+    G_i = 1/2 R_i^{-1} B_i' P on the (dev, mean) stacks, that is
     K_i = 1/2 R_i^{-1} B_i' P_dev and L_i = 1/2 R_tilde_i^{-1} B_tilde_i' P_mean.
     """
-    der = validate(params)
-    K1, K2 = _nash_gains(der.dev, sol.P_dev)
-    L1, L2 = _nash_gains(der.mean, sol.P_mean)
-    return PolicyPair(K1=K1, L1=L1, K2=K2, L2=L2)
+    S = validate(params).stack
+    return PolicyPair.from_stack(np.stack([0.5 * np.linalg.solve(R, _mT(B) @ sol.P)
+                                           for B, R in ((S.B1, S.R1), (S.B2, S.R2))]))

@@ -11,11 +11,13 @@ stage weights W of its two blocks (`LQBlock.closed_loop`,
 `LQBlock.stage_weights`). The mean-field engine steps a state's deviation
 y from its conditional mean and that mean z as one (2, n, d) stack
 s = (y, z): s <- M s + w, scored as the sum over blocks of s' W s. Shared
-gains are always folded into M and W; per-path gain stacks only where
-per-path (2, n, d, d) loops are no larger than the stacks (d <= ell).
-Otherwise a player acts through u = G s, with its signed B u in the step
-and u' R u in the cost. The finite-population engine steps N coupled
-agents as their deviations y from the empirical mean and that mean x-bar.
+gains are always folded into M and W. One player's per-path gains, a
+(2, n, ell, d) stack G laid out like its slice of `PolicyPair.stack`, are
+folded only where per-path (2, n, d, d) loops are no larger than G
+(d <= ell); otherwise that player acts through u = G s, with its signed
+B u in the step and u' R u in the cost. The finite-population engine
+steps N coupled agents as their deviations y from the empirical mean and
+that mean x-bar.
 Every step recentres y on its mean (the step's mean idiosyncratic draw, up
 to rounding), which then moves x-bar, so agents that start and stay alike
 keep y exactly zero.
@@ -180,28 +182,25 @@ def simulate_mkv(params: ModelParams, theta: PolicyPair, horizon: int,
 
 
 def mkv_utility_batch(params: ModelParams, theta: PolicyPair, horizon: int,
-                      n_paths: int, seed,
-                      gain_stacks: dict[str, np.ndarray] | None = None) -> np.ndarray:
+                      n_paths: int, seed, per_path=None) -> np.ndarray:
     """Utilities of `n_paths` independent mean-field rollouts (vectorized).
 
-    `gain_stacks` may override individual gains with per-path stacks of
-    shape (n_paths, ell, d); untouched gains are shared across paths. Draws
-    come from the four named streams, one batched draw per step, so
-    `nagent_utility_batch` given the same seed sees the same common-noise
-    arrays.
+    `per_path = (player, G)` gives player 1 or 2 its own gains on every
+    path: G is a (2, n_paths, ell, d) stack of its (K, L) blocks, laid out
+    like `theta.stack[player - 1]` along a path axis, and is only read. The
+    other player's gains, and both players' without `per_path`, are shared
+    across paths. Draws come from the four named streams, one batched draw
+    per step, so `nagent_utility_batch` given the same seed sees the same
+    common-noise arrays.
     """
-    steps = _mkv_steps(params, theta, horizon, n_paths, seed, gain_stacks)
+    steps = _mkv_steps(params, theta, horizon, n_paths, seed, per_path)
     # unlike a generator expression, map holds no state of a step while the
     # engine makes the next one
     return _discounted(params.gamma, map(itemgetter(-1), steps))
 
 
-# the player and block of each gain in `PolicyPair.stack`
-_GAIN_SLOTS = {"K1": (0, 0), "L1": (0, 1), "K2": (1, 0), "L2": (1, 1)}
-
-
 def _mkv_steps(params: ModelParams, theta: PolicyPair, horizon: int,
-               n_paths: int, seed, stacks):
+               n_paths: int, seed, per_path):
     """Yield (s, cost) at t = 0 ... horizon-1: the (2, n_paths, d) stack
     s = (y, z) and its (n_paths,) stage cost. No yielded array is written
     to afterwards; closing the generator early joins the helper thread."""
@@ -214,19 +213,16 @@ def _mkv_steps(params: ModelParams, theta: PolicyPair, horizon: int,
     d, ell = params.d, params.ell
     noise = params.noise
     # each player's gains stacked like `der.stack` along a path axis:
-    # (2, 1, ell, d) when shared, (2, n_paths, ell, d) with a per-path stack
+    # (2, 1, ell, d) when shared, (2, n_paths, ell, d) per path
     gains = [theta.stack[0][:, None], theta.stack[1][:, None]]
-    for name, stack in (stacks or {}).items():
-        if name not in _GAIN_SLOTS:
-            raise ValueError(f"unknown gain stack {name!r}: "
-                             f"expected one of {', '.join(_GAIN_SLOTS)}")
-        stack = np.asarray(stack, dtype=float)
-        if stack.shape != (n_paths, ell, d):
-            raise ValueError(f"{name} stack must be (n_paths, ell, d)")
-        player, block = _GAIN_SLOTS[name]
-        if np.may_share_memory(gains[player], theta.stack):  # still a view
-            gains[player] = np.repeat(gains[player], n_paths, axis=1)
-        gains[player][block] = stack
+    if per_path is not None:
+        player, G = per_path
+        if player not in (1, 2):
+            raise ValueError(f"per_path player must be 1 or 2, got {player!r}")
+        G = np.asarray(G, dtype=float)
+        if G.shape != (2, n_paths, ell, d):
+            raise ValueError(f"per_path gains must be {(2, n_paths, ell, d)}, got {G.shape}")
+        gains[player - 1] = G
     # fold each player's gains into the closed loops M and stage weights W,
     # unless per-path loops (2, n, d, d) would outgrow its gain stack; a
     # player in gain form acts through u = G s, weighed with signed B and R

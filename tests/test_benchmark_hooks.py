@@ -14,7 +14,8 @@ import importlib
 import pytest
 
 import lqmfg.cli
-from lqmfg import nash_policy, solve_riccati
+import lqmfg.estimator
+from lqmfg import EstimatorConfig, PolicyPair, estimate_gradient, nash_policy, solve_riccati
 
 from conftest import PERFBENCH, perfbench_module
 
@@ -40,6 +41,26 @@ def test_riccati_work_reads_the_doubling_steps(spans, model):
     assert isinstance(sol.iterations, int) and sol.iterations > 0
     work = spans._work_fns()["riccati.solve_riccati"]
     assert work((model,), {}, sol) == sol.iterations
+
+
+def test_rollout_work_binds_the_estimator_call(spans, model, monkeypatch):
+    """The estimator passes `per_path` by position; the rollout work of that
+    very call still binds to horizon x n_paths, so `sample_based`'s rollout
+    counters do not silently read zero."""
+    calls = []
+    batch = lqmfg.estimator.mkv_utility_batch
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return batch(*args, **kwargs)
+
+    monkeypatch.setattr(lqmfg.estimator, "mkv_utility_batch", recorded)
+    estimate_gradient(model, PolicyPair.zero(), 1,
+                      EstimatorConfig(M=7, horizon=5, tau=0.1, seed=0))
+    [(args, kwargs)] = calls
+    assert len(args) == 6 and args[-1][0] == 1
+    work = spans._work_fns()["simulate.mkv_utility_batch"]
+    assert work(args, kwargs, None) == 5 * 7
 
 
 def test_lyapunov_residuals_at_the_nash_gains(workloads, model_2d):

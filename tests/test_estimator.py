@@ -46,14 +46,14 @@ class TestSphereSample:
 
 
 def quadratic_surrogate(a, b, player):
-    """Deterministic utility a*sum(K^2) + b*sum(L^2) on the perturbed player;
-    the sphere-smoothed gradient of a quadratic has no smoothing bias."""
-    own_K, own_L = ("K1", "L1") if player == 1 else ("K2", "L2")
+    """Deterministic utility a*sum(K^2) + b*sum(L^2) on the perturbed player's
+    (player, G); the sphere-smoothed gradient of a quadratic has no
+    smoothing bias."""
 
-    def fn(gains, seed_seq):
-        K = gains[own_K]
-        L = gains[own_L]
-        return (a * (K ** 2).sum(axis=(1, 2)) + b * (L ** 2).sum(axis=(1, 2)))
+    def fn(per_path, seed_seq):
+        moving, (K, L) = per_path
+        assert moving == player
+        return a * (K ** 2).sum(axis=(1, 2)) + b * (L ** 2).sum(axis=(1, 2))
 
     return fn
 
@@ -88,29 +88,26 @@ class TestEstimateGradient:
         assert 0.15 <= var_large / var_small <= 0.4
 
     def test_opponent_never_perturbed(self, model):
+        """The hook gets (player, G) for the moving player only, so the
+        opponent keeps theta's gains: G is (2, M, ell, d), and each of its
+        blocks lies at distance tau from that player's block of theta."""
         theta = PolicyPair(K1=np.array([[0.1]]), L1=np.array([[0.2]]),
                            K2=np.array([[0.3]]), L2=np.array([[0.4]]))
-        seen = {}
+        seen = []
 
-        def spy(gains, seed_seq):
-            seen.update(gains)
-            return np.zeros(gains["K1"].shape[0] if gains["K1"].ndim == 3
-                            else gains["K2"].shape[0])
+        def spy(per_path, seed_seq):
+            seen.append(per_path)
+            return np.zeros(per_path[1].shape[1])
 
         cfg = EstimatorConfig(M=64, horizon=1, tau=0.1, seed=9)
-        estimate_gradient(model, theta, 1, cfg, utility_fn=spy)
-        assert seen["K2"] is theta.K2
-        assert seen["L2"] is theta.L2
-        assert seen["K1"].shape == (64, 1, 1)
-        assert not np.allclose(seen["K1"], theta.K1)
-        np.testing.assert_allclose(
-            np.linalg.norm(seen["K1"] - theta.K1[None], axis=(1, 2)), 0.1,
-            atol=1e-12)
-
-        estimate_gradient(model, theta, 2, cfg, utility_fn=spy)
-        assert seen["K1"] is theta.K1
-        assert seen["L1"] is theta.L1
-        assert seen["K2"].shape == (64, 1, 1)
+        for player in (1, 2):
+            estimate_gradient(model, theta, player, cfg, utility_fn=spy)
+            moving, G = seen[-1]
+            assert moving == player
+            assert G.shape == (2, 64, 1, 1)
+            np.testing.assert_allclose(
+                np.linalg.norm(G - theta.stack[player - 1][:, None], axis=(2, 3)),
+                0.1, atol=1e-12)
 
     def test_zero_utility_surface_gives_zero(self):
         m = ModelParams(**benchmark_scalars(noise=NoiseSpec.zero()))

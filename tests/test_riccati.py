@@ -71,6 +71,20 @@ class TestSolveRiccati:
         assert sol.P_mean[0, 0] == pytest.approx(P_MEAN_ORACLE, abs=1e-8)
         assert sol.residual_dev <= 1e-12
         assert sol.residual_mean <= 1e-12
+        # Python floats, which benchmark.json writes as they are
+        assert type(sol.residual_dev) is float and type(sol.residual_mean) is float
+
+    def test_solution_is_a_dev_mean_stack(self, model_2d):
+        """P and the residuals are (dev, mean) stacks; the named fields are
+        read-only views of their slices."""
+        sol = solve_riccati(model_2d)
+        assert sol.P.shape == (2, 2, 2) and sol.residual.shape == (2,)
+        assert np.shares_memory(sol.P_dev, sol.P) and np.shares_memory(sol.P_mean, sol.P)
+        np.testing.assert_array_equal(sol.P_mean, sol.P[1])
+        assert (sol.residual_dev, sol.residual_mean) == tuple(sol.residual)
+        for name in ("P_dev", "P_mean", "residual_dev", "residual_mean"):
+            with pytest.raises(AttributeError):
+                setattr(sol, name, 0.0)
 
     def test_scalar_solution_to_rounding(self, model):
         """P and the gains within 1e-13 relative of the closed-form roots."""
@@ -132,8 +146,7 @@ class TestNashPolicy:
         assert theta.L2[0, 0] == pytest.approx(L2_ORACLE, abs=1e-8)
 
     def test_zero_value_matrices(self, model):
-        sol = RiccatiSolution(P_dev=np.zeros((1, 1)), P_mean=np.zeros((1, 1)),
-                              residual_dev=0.0, residual_mean=0.0, iterations=0)
+        sol = RiccatiSolution(P=np.zeros((2, 1, 1)), residual=np.zeros(2), iterations=0)
         theta = nash_policy(model, sol)
         for name in ("K1", "L1", "K2", "L2"):
             assert getattr(theta, name)[0, 0] == 0.0
@@ -158,9 +171,10 @@ NASH_DIGESTS = {
 
 class TestPinnedBits:
     """The equilibrium gains `nash_policy(m, solve_riccati(m)).stack` pinned
-    bit for bit (sha256 of the float64 bytes) on three random games. The
-    exact runs start from and report against these gains, so a change to how
-    the gains are solved from P must leave these digests unchanged."""
+    bit for bit (sha256 of the float64 bytes) on three random games. Every
+    run reports against these gains (`benchmark.json`, `summary.json`), so a
+    change to how the gains are solved from P must leave these digests
+    unchanged."""
 
     @pytest.mark.parametrize("case", sorted(NASH_DIGESTS), ids=str)
     def test_nash_gains(self, case):

@@ -123,21 +123,24 @@ class TestMkvSimulator:
 
     def test_batch_gain_stacks_respected(self, model):
         """Per-path gain stacks reproduce per-policy single evaluations."""
-        k1s = np.array([0.0, 0.2, 0.4]).reshape(3, 1, 1)
+        G = np.zeros((2, 3, 1, 1))
+        G[0] = np.array([0.0, 0.2, 0.4]).reshape(3, 1, 1)  # K1 per path, L1 = 0
         stacked = mkv_utility_batch(model, PolicyPair.zero(), 20, 3, 17,
-                                    gain_stacks={"K1": k1s})
+                                    per_path=(1, G))
         assert np.all(np.isfinite(stacked))
         assert len(np.unique(stacked)) == 3
 
     def test_gain_stacks_leave_theta_untouched(self, model):
-        """The engine tells a view of theta's stack by memory, not by the
-        writeable flag: a one-path gain stack has the shape of its slice,
-        and is not written into a writeable stack either."""
+        """The engine only reads the gains: neither a writeable theta stack
+        nor a writeable per-path G is written, for one path (folded) or
+        several."""
         theta = PolicyPair.from_stack(PIN_THETA.stack.copy())
         theta.stack.setflags(write=True)
-        mkv_utility_batch(model, theta, 5, 1, 3,
-                          gain_stacks={"K1": np.full((1, 1, 1), 0.7)})
-        np.testing.assert_array_equal(theta.stack, PIN_THETA.stack)
+        for n in (1, 3):
+            G = np.full((2, n, 1, 1), 0.7)
+            mkv_utility_batch(model, theta, 5, n, 3, per_path=(2, G))
+            np.testing.assert_array_equal(theta.stack, PIN_THETA.stack)
+            np.testing.assert_array_equal(G, 0.7)
 
     def test_trajectory_csv_roundtrip(self, model, tmp_path):
         traj = simulate_mkv(model, PolicyPair.zero(), 12, 3)
@@ -386,8 +389,8 @@ def _steps(engine, model):
     theta = PIN_THETA if model.d == 1 else small_policy(model)
     if engine == "nagent":
         return simulate._nagent_steps(model, theta, 20, 12, 3, 5)
-    stacks = None if model.d == 1 else _gain_stacks(model, theta, ("K1", "L1"), 40)
-    return simulate._mkv_steps(model, theta, 12, 40, 3, stacks)
+    per_path = None if model.d == 1 else (1, _player_stack(model, theta, 1, 40))
+    return simulate._mkv_steps(model, theta, 12, 40, 3, per_path)
 
 
 class TestStepGenerators:
@@ -426,8 +429,9 @@ class TestStepGenerators:
 
 
 class TestBatchArguments:
-    """An empty batch and an unknown gain-stack key are a ValueError that
-    names the argument, not an error from deep inside the engine."""
+    """An empty batch and a per-path stack of no player or of the wrong
+    shape are a ValueError that names the argument, not an error from deep
+    inside the engine."""
 
     @pytest.mark.parametrize("engine", ["mkv", "nagent"])
     def test_empty_batch_rejected(self, model, engine):
@@ -438,9 +442,12 @@ class TestBatchArguments:
                 nagent_utility_batch(model, PolicyPair.zero(), 5, 10, 0, 1)
 
     def test_unknown_gain_stack_named(self, model):
-        with pytest.raises(ValueError, match=r"'X1'.*K1, L1, K2, L2$"):
+        with pytest.raises(ValueError, match=r"^per_path player must be 1 or 2, got 3$"):
             mkv_utility_batch(model, PolicyPair.zero(), 10, 3, 1,
-                              gain_stacks={"X1": np.zeros((3, 1, 1))})
+                              per_path=(3, np.zeros((2, 3, 1, 1))))
+        with pytest.raises(ValueError, match=r"^per_path gains must be .*got \(3, 1, 1\)$"):
+            mkv_utility_batch(model, PolicyPair.zero(), 10, 3, 1,
+                              per_path=(1, np.zeros((3, 1, 1))))
 
 
 def _reference_game(key, noise=None):
@@ -494,27 +501,44 @@ class TestNAgentReference:
 
 
 def _gain_stacks(model, theta, names, n):
+    """Name-keyed per-path gains, as `mkv_reference` takes them."""
     rng = np.random.default_rng(5)
     return {name: getattr(theta, name)
             + 0.05 * rng.standard_normal((n, model.ell, model.d))
             for name in names}
 
 
+def _player_stack(model, theta, player, n):
+    """The (2, n, ell, d) per-path gains of one player that
+    `_gain_stacks` draws for both of its blocks, with the same bytes."""
+    rng = np.random.default_rng(5)
+    return (theta.stack[player - 1][:, None]
+            + 0.05 * rng.standard_normal((2, n, model.ell, model.d)))
+
+
 class TestMkvReference:
     """The mean-field engine steps (y, z) as one stacked state through closed
     loops, or through gains where per-path loops would outgrow them;
     `mkv_reference` keeps the engine it replaced, which writes the split out
-    term by term. The two compute the same rollout and differ only in
-    rounding."""
+    term by term and takes per-path gains by name. The two compute the same
+    rollout and differ only in rounding."""
 
     @pytest.mark.parametrize("game", ["scalar", (3, 2), (8, 3)], ids=str)
-    @pytest.mark.parametrize("names", [(), ("K1", "L1"), ("K2", "L2"), ("K1",),
-                                       ("K1", "L2")], ids=str)
+    @pytest.mark.parametrize("names", [(), ("K1", "L1"), ("K2", "L2"), ("K1",)],
+                             ids=str)
     @pytest.mark.parametrize("n, horizon", [(1, 1), (3, 2), (400, 40)])
     def test_batch_matches_reference(self, game, names, n, horizon):
+        """The engine gets the named gains as one player's (player, G); a
+        block not named (L1 of ("K1",)) is theta's, repeated per path."""
         model, theta = _reference_game(game)
         stacks = _gain_stacks(model, theta, names, n) or None
-        got = mkv_utility_batch(model, theta, horizon, n, 11, gain_stacks=stacks)
+        per_path = None
+        if stacks:
+            player = int(names[0][1])
+            per_path = (player, np.stack([
+                stacks.get(f"{block}{player}", np.repeat(theta.stack[player - 1, i][None], n, 0))
+                for i, block in enumerate("KL")]))
+        got = mkv_utility_batch(model, theta, horizon, n, 11, per_path=per_path)
         want, _ = mkv_reference._mkv_engine(model, theta, horizon, n, 11, stacks,
                                             False)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
@@ -531,23 +555,24 @@ class TestMkvReference:
             assert a.shape == b.shape, field
             assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b)), field
 
-    def test_peak_memory_within_eight_gain_stacks(self):
-        """Per-path stacks of one player on the perfbench game at d=16,
-        ell=4 stay in gain form: the engine copies that player's gains into
-        one (2, n, ell, d) array, and the traced peak stays within eight
-        (n, ell, d) stacks (4.4 here; per-path (d, d) loops would take 26)."""
+    def test_peak_memory_within_three_gain_stacks(self):
+        """Per-path gains of one player on the perfbench game at d=16,
+        ell=4 stay in gain form: the engine reads that player's (2, n, ell, d)
+        G without copying it, and the traced peak stays within three
+        (n, ell, d) stacks (1.93 here, 3.93 while the engine copied G;
+        per-path (d, d) loops would take 26)."""
         d, ell, n = 16, 4, 2000
         model = perfbench_game(d, ell)
         theta = small_policy(model)
-        stacks = _gain_stacks(model, theta, ("K1", "L1"), n)
-        mkv_utility_batch(model, theta, 5, n, 3, gain_stacks=stacks)
+        per_path = (1, _player_stack(model, theta, 1, n))
+        mkv_utility_batch(model, theta, 5, n, 3, per_path)
         tracemalloc.start()
         try:
-            mkv_utility_batch(model, theta, 5, n, 3, gain_stacks=stacks)
+            mkv_utility_batch(model, theta, 5, n, 3, per_path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * n * ell * d * 8
+        assert peak <= 3 * n * ell * d * 8
 
 
 class TestBeyondScalar:
@@ -621,20 +646,16 @@ class TestPinnedBits:
 
     def test_mkv_gain_stacks(self, model):
         rng = np.random.default_rng(5)
-        stacks = {"K1": 0.2 + 0.05 * rng.standard_normal((500, 1, 1)),
-                  "L1": 0.4 + 0.05 * rng.standard_normal((500, 1, 1))}
-        u = mkv_utility_batch(model, PIN_THETA, 50, 500, 20261018,
-                              gain_stacks=stacks)
+        G = np.array([0.2, 0.4]).reshape(2, 1, 1, 1) + 0.05 * rng.standard_normal((2, 500, 1, 1))
+        u = mkv_utility_batch(model, PIN_THETA, 50, 500, 20261018, per_path=(1, G))
         assert digest(u) == MKV_STACKS_DIGEST
 
     def test_mkv_gain_stacks_beyond_scalar(self):
         model = random_game(3, 2)
         theta = small_policy(model)
         rng = np.random.default_rng(5)
-        stacks = {"K1": theta.K1 + 0.05 * rng.standard_normal((2000, 2, 3)),
-                  "L1": theta.L1 + 0.05 * rng.standard_normal((2000, 2, 3))}
-        u = mkv_utility_batch(model, theta, 40, 2000, 20261018,
-                              gain_stacks=stacks)
+        G = theta.stack[0][:, None] + 0.05 * rng.standard_normal((2, 2000, 2, 3))
+        u = mkv_utility_batch(model, theta, 40, 2000, 20261018, per_path=(1, G))
         assert digest(u) == MKV_STACKS_D3_DIGEST
 
     def test_nagent(self, model):
