@@ -32,7 +32,7 @@ from lqmfg.cli import (
 from lqmfg.errors import CrossFieldError, ParseError, SchemaError
 from lqmfg.simulate import derive_seed
 
-from conftest import random_game
+from conftest import perfbench_module, random_game
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -807,6 +807,51 @@ class TestPinnedArtifacts:
         rows = (tmp_path / "run_0.csv").read_bytes().split(b"\r\n")
         kept = b"\r\n".join(row.rpartition(b",")[0] for row in rows)
         assert hashlib.sha256(kept).hexdigest() == ITERATE_COLUMN_DIGESTS[case]
+
+
+# sha256 of each trajectory_<p>.csv of `lqmfg simulate --paths 2 --horizon 20`
+# on the shipped scalar game and on perfbench's d = 3, ell = 2 matrix game
+SIMULATE_DIGESTS = {
+    "table1_gda_exact": (
+        "e29c084d48c9b3b7fff83255324450aae65aab84c40ece0c5cb1e2e6960d4c75",
+        "04789e423070beee62a415ad9327457828ff8119d3f2c71f32624ae758f3198a"),
+    "matrix_d3": (
+        "db1fd86aaa85cf9fd97a47af6a93423652331c6c092991bbd76e8030752fde79",
+        "aafa21fa0d9e166006d7cfe7b0081f916c70a414f2add9aa46db5e9137bcc813"),
+}
+# sha256 of nagent_validation.csv and nagent_summary.json of a small
+# `lqmfg validate-nagent` run on the test game
+NAGENT_DIGESTS = (
+    "4cff87af7968df71c6b920c6515d313e96223e6ecb6e9be683e54c72a016ad27",
+    "91c91505ce4a60d49497384392b70068f17912fa1a6d621d975c48db371ce904")
+
+
+class TestPinnedVerbOutputs:
+    """The CSV artifacts of the simulate and validate-nagent verbs, pinned
+    bit for bit through main."""
+
+    @pytest.mark.parametrize("case", sorted(SIMULATE_DIGESTS))
+    def test_simulate(self, case, tmp_path, capsys):
+        if case == "matrix_d3":
+            path = tmp_path / "matrix_d3.cfg"
+            path.write_text(perfbench_module("workloads").matrix_game_config(1, 3, 2, 20))
+        else:
+            path = REPO_CONFIGS / f"{case}.cfg"
+        rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out"),
+                   "--paths", "2", "--horizon", "20"])
+        assert rc == 0
+        got = tuple(hashlib.sha256((tmp_path / "out" / f"trajectory_{p}.csv")
+                                   .read_bytes()).hexdigest() for p in range(2))
+        assert got == SIMULATE_DIGESTS[case]
+
+    def test_validate_nagent(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        rc = main(["validate-nagent", "--config", str(path), "--ns", "3,9",
+                   "--reps", "50", "--horizon", "10"])
+        assert rc == 0
+        got = tuple(hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+                    for name in ("nagent_validation.csv", "nagent_summary.json"))
+        assert got == NAGENT_DIGESTS
 
 
 FUZZ_SECTIONS = {
