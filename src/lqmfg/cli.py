@@ -1,18 +1,21 @@
 """Experiment harness: declarative configs in, CSV/JSON artifacts out.
 
-A config file is flat key-value text: [model] and [noise] define the game,
-[optimizer] and [estimator] the learning run, [experiment] the method, the
-oracle and the bookkeeping fields, and [validation] the N-agent sweep. The
-table _SCHEMA names every key once, with its parser and default. All
-artifacts are deterministic given the config and master seed; wall-clock
-timings go to a separate timing file excluded from that guarantee.
+A config file is flat key-value UTF-8 text: [model] and [noise] define the
+game, [optimizer] and [estimator] the learning run, and [experiment] the
+method, the oracle and the bookkeeping fields. The table _SCHEMA names every
+key once, with its parser and default. All artifacts are deterministic given
+the config and master seed; wall-clock timings go to a separate timing file
+excluded from that guarantee.
+
+This module is the only one that touches files: `_output_dir` makes the
+output directory, `_write_json` and `_write_csv` write every artifact, and
+the other modules only compute.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import json
 import math
 import sys
@@ -33,13 +36,7 @@ from .model import Distribution, ModelParams, NoiseSpec, PolicyPair
 from .model import validate as validate_model
 from .optim import OptimizerConfig, RunLog, relative_error, run
 from .riccati import nash_policy, solve_riccati
-from .simulate import (
-    derive_seed,
-    dump_trajectory_csv,
-    mkv_utility_batch,
-    nagent_utility_batch,
-    simulate_mkv,
-)
+from .simulate import derive_seed, mkv_utility_batch, nagent_utility_batch, simulate_mkv
 from .value import exact_utility
 
 
@@ -53,9 +50,6 @@ class ExperimentConfig:
     repeats: int
     output_dir: str
     master_seed: int
-    validation_ns: tuple[int, ...] = (10, 100, 1000)
-    validation_reps: int = 2000
-    validation_horizon: int = 50
 
     method = property(lambda self: self.optimizer.mode)      # "ag" | "gda"
     oracle = property(lambda self: self.optimizer.oracle)    # "exact" | "sampled"
@@ -67,12 +61,6 @@ class ExperimentConfig:
             raise SchemaError("master_seed must be >= 0")
         if not self.output_dir:  # else the artifacts would land in the working directory
             raise SchemaError("output_dir must not be empty")
-        if min(self.validation_ns, default=0) < 1 or self.validation_horizon < 1:
-            raise SchemaError("validation sizes and horizon must be >= 1")
-        if len(set(self.validation_ns)) < len(self.validation_ns):  # samples are kept per size
-            raise SchemaError("validation sizes must be distinct")
-        if self.validation_reps < 2:
-            raise SchemaError("validation reps must be >= 2 for a standard error")
 
 
 def _parse_matrix(text: str, field: str) -> np.ndarray:
@@ -163,12 +151,9 @@ _SCHEMA = {
     **{("optimizer", key): (_parse_int, None) for key in ("T1", "T2", "T", "log_every")},
     ("experiment", "repeats"): (_parse_int, _REQUIRED),
     ("experiment", "output_dir"): (lambda text, field: text, _REQUIRED),
-    ("validation", "ns"): (_parse_ints, None),
-    ("validation", "reps"): (_parse_int, None),
-    ("validation", "horizon"): (_parse_int, None),
 }
 # the order in which the sections are checked for unknown and missing fields
-_SECTIONS = ("model", "noise", "experiment", "optimizer", "validation", "estimator")
+_SECTIONS = ("model", "noise", "experiment", "optimizer", "estimator")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -179,10 +164,12 @@ def load_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ParseError(f"config syntax error: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"config file is not UTF-8: {exc}") from None
 
     unknown_sections = set(parser.sections()) - set(_SECTIONS)
     if unknown_sections:
@@ -243,9 +230,14 @@ def load_config(path) -> ExperimentConfig:
     except ValueError as exc:
         raise SchemaError(f"optimizer: {exc}") from None
 
-    return ExperimentConfig(
-        model=model, optimizer=optimizer, estimator=estimator, **exp,
-        **{f"validation_{key}": value for key, value in values["validation"].items()})
+    return ExperimentConfig(model=model, optimizer=optimizer, estimator=estimator, **exp)
+
+
+def _output_dir(cfg: ExperimentConfig) -> Path:
+    """The config's output directory, made with its parents if missing."""
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -254,12 +246,23 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _write_csv(path: Path, header, rows) -> None:
+    """Each row's fields joined by "," and ended by "\\r\\n", written as the
+    rows come: the bytes of csv.writer's default dialect, since no field
+    (a number, ";"-joined numbers or a header name) holds a comma, quote or
+    newline."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for row in rows:
+            fh.write(",".join(row) + "\r\n")
+
+
 def _theta_json(theta: PolicyPair) -> dict:
     return {name: getattr(theta, name).tolist() for name in ("K1", "L1", "K2", "L2")}
 
 
-def write_benchmark(cfg: ExperimentConfig, out: Path) -> tuple[PolicyPair, float]:
-    """Solve the equilibrium equations and record the benchmark artifact."""
+def write_benchmark(cfg: ExperimentConfig) -> tuple[PolicyPair, float]:
+    """Solve the equilibrium equations, then record the benchmark artifact."""
     sol = solve_riccati(cfg.model)
     theta_star = nash_policy(cfg.model, sol)
     cost_star = exact_utility(cfg.model, theta_star).cost
@@ -272,8 +275,7 @@ def write_benchmark(cfg: ExperimentConfig, out: Path) -> tuple[PolicyPair, float
         "theta_star": _theta_json(theta_star),
         "cost_star": cost_star,
     }
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "benchmark.json", payload)
+    _write_json(_output_dir(cfg) / "benchmark.json", payload)
     return theta_star, cost_star
 
 
@@ -293,8 +295,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> dict:
     """Benchmark, optimize `repeats` times, and write all artifacts."""
     if workers < 1:
         raise SchemaError("workers must be >= 1")
+    theta_star, cost_star = write_benchmark(cfg)
     out = Path(cfg.output_dir)
-    theta_star, cost_star = write_benchmark(cfg, out)
 
     jobs = [(cfg, r, theta_star) for r in range(cfg.repeats)]
     if workers > 1:
@@ -306,8 +308,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> dict:
         logs = [_run_one_repeat(job) for job in jobs]
 
     for r, log in enumerate(logs):
-        log.write_csv(out / f"run_{r}.csv")
-    _write_convergence(logs, out / "convergence.csv")
+        _write_csv(out / f"run_{r}.csv", _RUN_HEADER, _run_rows(log))
+    _write_csv(out / "convergence.csv", ("k", "rel_err_mean", "rel_err_min", "rel_err_max"),
+               _convergence_rows(logs))
 
     final_errs = [log.final_rel_err() for log in logs]
     summary = {
@@ -330,31 +333,40 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> dict:
     return summary
 
 
-def _write_convergence(logs: list[RunLog], path: Path) -> None:
+_RUN_HEADER = ("k", "K1", "L1", "K2", "L2", "C",
+               "gradnorm_K1", "gradnorm_L1", "gradnorm_K2", "gradnorm_L2", "rel_err")
+
+
+def _run_rows(log: RunLog):
+    """One row per logged global iteration, full-precision floats; a gain is
+    its entries joined by ";"."""
+    for rec in log.records:
+        yield [str(rec.k), *(";".join(map(repr, gain.tolist()))
+                             for gain in rec.theta.stack.reshape(4, -1)),
+               *(repr(float(v)) for v in (rec.cost, *rec.grad_norms, rec.rel_err))]
+
+
+def _convergence_rows(logs: list[RunLog]):
     """Mean and min/max envelope of the relative error per iteration."""
     by_k: dict[int, list[float]] = {}
     for log in logs:
         for rec in log.records:
             if np.isfinite(rec.rel_err):
                 by_k.setdefault(rec.k, []).append(rec.rel_err)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "rel_err_mean", "rel_err_min", "rel_err_max"])
-        for k in sorted(by_k):
-            vals = by_k[k]
-            writer.writerow([k, repr(float(np.mean(vals))),
-                             repr(float(min(vals))), repr(float(max(vals)))])
+    for k in sorted(by_k):
+        vals = by_k[k]
+        yield [str(k), repr(float(np.mean(vals))), repr(float(min(vals))),
+               repr(float(max(vals)))]
 
 
-def run_nagent_validation(cfg: ExperimentConfig, Ns=None, reps: int | None = None,
-                          horizon: int | None = None) -> dict:
+def run_nagent_validation(cfg: ExperimentConfig, Ns=(10, 100, 1000), reps: int = 2000,
+                          horizon: int = 50) -> dict:
     """Monte-Carlo gap between population and mean-field utilities at the
     benchmark policy, paired on the common-noise draws.
 
     Writes one CSV row per population size: mean, standard error, and the
     relative gap against the mean-field reference sample mean. ``Ns``,
-    ``reps`` and ``horizon`` override the config's ``validation_*`` fields
-    and are checked as they are.
+    ``reps`` and ``horizon`` are checked before anything is written.
 
     The replications come in seed chunks of at most 400 000 agents of the
     largest population. Each chunk's rollouts, the mean-field reference and
@@ -362,12 +374,14 @@ def run_nagent_validation(cfg: ExperimentConfig, Ns=None, reps: int | None = Non
     the samples are collected in chunk order, so the artifacts do not
     depend on the scheduling. A failed rollout's exception is raised and
     the queued rollouts are cancelled."""
-    flags = {"validation_ns": tuple(Ns) if Ns is not None else None,
-             "validation_reps": reps, "validation_horizon": horizon}
-    cfg = replace(cfg, **{k: v for k, v in flags.items() if v is not None})
-    Ns, reps, horizon = cfg.validation_ns, cfg.validation_reps, cfg.validation_horizon
-    out = Path(cfg.output_dir)
-    theta_star, cost_star = write_benchmark(cfg, out)
+    Ns = tuple(Ns)
+    if min(Ns, default=0) < 1 or horizon < 1:
+        raise SchemaError("validation sizes and horizon must be >= 1")
+    if len(set(Ns)) < len(Ns):  # samples are kept per size
+        raise SchemaError("validation sizes must be distinct")
+    if reps < 2:
+        raise SchemaError("validation reps must be >= 2 for a standard error")
+    theta_star, cost_star = write_benchmark(cfg)
 
     chunk = max(1, min(reps, 400_000 // max(Ns)))
     chunks = [(min(chunk, reps - done), derive_seed(cfg.master_seed, 101, idx))
@@ -405,12 +419,10 @@ def run_nagent_validation(cfg: ExperimentConfig, Ns=None, reps: int | None = Non
         rows.append({"N": N, "mean": mean, "stderr": se, "rel_gap": gap,
                      "paired_gap_stderr": paired_se / scale if scale else 0.0})
 
-    with open(out / "nagent_validation.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "mean", "stderr", "rel_gap"])
-        for row in rows:
-            writer.writerow([row["N"], repr(row["mean"]), repr(row["stderr"]),
-                             repr(row["rel_gap"])])
+    out = Path(cfg.output_dir)
+    _write_csv(out / "nagent_validation.csv", ("N", "mean", "stderr", "rel_gap"),
+               ([str(row["N"]), repr(row["mean"]), repr(row["stderr"]), repr(row["rel_gap"])]
+                for row in rows))
     payload = {"mkv_mean": mkv_mean, "mkv_stderr": mkv_se, "reps": reps,
                "horizon": horizon, "exact_cost": cost_star, "rows": rows}
     _write_json(out / "nagent_summary.json", payload)
@@ -418,18 +430,23 @@ def run_nagent_validation(cfg: ExperimentConfig, Ns=None, reps: int | None = Non
 
 
 def run_simulate(cfg: ExperimentConfig, paths: int, horizon: int) -> list[Path]:
-    """Dump one mean-field trajectory CSV per derived seed."""
+    """Write one mean-field trajectory CSV per derived seed: t, state
+    coords, mean coords, both controls, and the stage cost."""
     if paths < 1 or horizon < 1:
         raise SchemaError("paths and horizon must be >= 1")
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     theta_star = nash_policy(cfg.model, solve_riccati(cfg.model))
+    out = _output_dir(cfg)
+    d, ell = cfg.model.d, cfg.model.ell
+    header = ["t", *(f"x{i}" for i in range(d)), *(f"xbar{i}" for i in range(d)),
+              *(f"u1_{i}" for i in range(ell)), *(f"u2_{i}" for i in range(ell)), "c"]
     written = []
     for p in range(paths):
         seed = derive_seed(cfg.master_seed, 201, p)
         traj = simulate_mkv(cfg.model, theta_star, horizon, seed)
+        table = np.column_stack([traj.states, traj.means, traj.u1, traj.u2, traj.costs])
         dest = out / f"trajectory_{p}.csv"
-        dump_trajectory_csv(traj, dest)
+        _write_csv(dest, header, ([str(t), *map(repr, row.tolist())]
+                                  for t, row in enumerate(table)))
         written.append(dest)
     return written
 
@@ -474,9 +491,9 @@ def main(argv=None) -> int:
 
     p_val = sub.add_parser("validate-nagent", help="population-size sweep against the mean-field utility")
     common(p_val)
-    p_val.add_argument("--ns", help="comma-separated population sizes")
-    p_val.add_argument("--reps", type=int, help="Monte-Carlo repetitions per size")
-    p_val.add_argument("--horizon", type=int, help="rollout truncation horizon")
+    p_val.add_argument("--ns", help="comma-separated population sizes (default 10,100,1000)")
+    p_val.add_argument("--reps", type=int, help="Monte-Carlo repetitions per size (default 2000)")
+    p_val.add_argument("--horizon", type=int, help="rollout truncation horizon (default 50)")
 
     p_sim = sub.add_parser("simulate", help="dump mean-field trajectories at the benchmark policy")
     common(p_sim)
@@ -487,7 +504,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         cfg = _apply_overrides(load_config(args.config), args)
         if args.verb == "benchmark":
-            theta_star, cost_star = write_benchmark(cfg, Path(cfg.output_dir))
+            theta_star, cost_star = write_benchmark(cfg)
             print(json.dumps({"theta_star": _theta_json(theta_star),
                               "cost_star": cost_star}, sort_keys=True))
         elif args.verb == "optimize":
@@ -496,18 +513,20 @@ def main(argv=None) -> int:
                               "termination": summary["termination_per_run"]},
                              sort_keys=True))
         elif args.verb == "validate-nagent":
-            Ns = _parse_ints(args.ns, "--ns") if args.ns is not None else None
-            payload = run_nagent_validation(cfg, Ns=Ns, reps=args.reps,
-                                            horizon=args.horizon)
+            given = {"Ns": _parse_ints(args.ns, "--ns") if args.ns is not None else None,
+                     "reps": args.reps, "horizon": args.horizon}
+            payload = run_nagent_validation(
+                cfg, **{key: value for key, value in given.items() if value is not None})
             print(json.dumps({"mkv_mean": payload["mkv_mean"],
                               "gaps": {str(r["N"]): r["rel_gap"] for r in payload["rows"]}},
                              sort_keys=True))
         else:
             written = run_simulate(cfg, args.paths, args.horizon)
             print(json.dumps({"files": [str(p) for p in written]}))
-    except LqmfgError as exc:
+    except (LqmfgError, OSError) as exc:
+        # a file that cannot be read or written is a bad setting, as is a bad value
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
-        return 2 if isinstance(exc, ConfigError) else 3
+        return 2 if isinstance(exc, (ConfigError, OSError)) else 3
     return 0
 
 

@@ -81,23 +81,6 @@ class RunLog:
             return float("nan")
         return self.records[-1].rel_err if self.records else float("nan")
 
-    def write_csv(self, path) -> None:
-        """One row per logged global iteration, full-precision floats, in the
-        bytes of csv.writer's dialect: no field holds a comma, quote or newline."""
-        header = ["k", "K1", "L1", "K2", "L2", "C",
-                  "gradnorm_K1", "gradnorm_L1", "gradnorm_K2", "gradnorm_L2",
-                  "rel_err"]
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\r\n")
-            for rec in self.records:
-                row = [str(rec.k), *map(_fmt_gain, rec.theta.stack.reshape(4, -1)),
-                       *(repr(float(v)) for v in (rec.cost, *rec.grad_norms, rec.rel_err))]
-                fh.write(",".join(row) + "\r\n")
-
-
-def _fmt_gain(flat: np.ndarray) -> str:
-    return ";".join(map(repr, flat.tolist()))
-
 
 def relative_error(current: float, benchmark: float) -> float:
     """|current - benchmark| / |benchmark|."""

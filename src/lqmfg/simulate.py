@@ -45,7 +45,6 @@ elementwise product, and per-path stacks use one `einsum`.
 
 from __future__ import annotations
 
-import csv
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -324,27 +323,3 @@ def _nagent_steps(params: ModelParams, theta: PolicyPair, N: int,
             x_bar = _batch_apply(M_mean, x_bar)
             x_bar += w_common
             x_bar += m
-
-
-def dump_trajectory_csv(traj: MkvTrajectory, path) -> None:
-    """Write a mean-field trajectory as CSV: t, state coords, mean coords,
-    both controls, and the stage cost."""
-    d = traj.states.shape[1]
-    ell = traj.u1.shape[1]
-    header = (["t"]
-              + [f"x{i}" for i in range(d)]
-              + [f"xbar{i}" for i in range(d)]
-              + [f"u1_{i}" for i in range(ell)]
-              + [f"u2_{i}" for i in range(ell)]
-              + ["c"])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t in range(traj.states.shape[0]):
-            row = ([t]
-                   + [repr(float(v)) for v in traj.states[t]]
-                   + [repr(float(v)) for v in traj.means[t]]
-                   + [repr(float(v)) for v in traj.u1[t]]
-                   + [repr(float(v)) for v in traj.u2[t]]
-                   + [repr(float(traj.costs[t]))])
-            writer.writerow(row)

@@ -30,7 +30,8 @@ from lqmfg.cli import (
     run_simulate,
 )
 from lqmfg.errors import CrossFieldError, ParseError, SchemaError
-from lqmfg.simulate import derive_seed
+from lqmfg.riccati import nash_policy, solve_riccati
+from lqmfg.simulate import derive_seed, simulate_mkv
 
 from conftest import perfbench_module, random_game
 
@@ -167,8 +168,15 @@ class TestLoadConfig:
             load_config(path)
 
     def test_unknown_field(self, tmp_path):
-        path = write_config(tmp_path, extra="[validation]\nbogus = 1\n")
-        with pytest.raises(SchemaError):
+        path = write_config(tmp_path, extra="bogus = 1\n")  # lands in [optimizer]
+        with pytest.raises(SchemaError,
+                           match=r"section \[optimizer\]: unknown fields \['bogus'\]"):
+            load_config(path)
+
+    def test_removed_validation_section_is_named(self, tmp_path):
+        """The N-agent sweep sizes are arguments of the verb, not config."""
+        path = write_config(tmp_path, extra="[validation]\nreps = 10\n")
+        with pytest.raises(SchemaError, match=r"unknown sections \['validation'\]"):
             load_config(path)
 
     def test_missing_model_field(self, tmp_path):
@@ -476,7 +484,6 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("verb, flags, oracle, extra, edit", [
         ("optimize", [], "sampled", "[estimator]\nM = 0\n", None),
-        ("validate-nagent", [], "exact", "[validation]\nns = 10,abc\n", None),
         ("validate-nagent", ["--ns", "10,abc"], "exact", "", None),
         ("validate-nagent", ["--ns", "0"], "exact", "", None),
         ("validate-nagent", ["--reps", "1"], "exact", "", None),
@@ -499,16 +506,14 @@ class TestMainEntry:
         ("benchmark", ["--out", ""], "exact", "", None),
         ("validate-nagent", ["--ns", ""], "exact", "", None),
         ("validate-nagent", ["--ns", "3,3"], "exact", "", None),
-        ("validate-nagent", [], "exact", "[validation]\nns = 3,3\n", None),
         ("optimize", ["--oracle", "exact"], "exact", "", None),
-    ], ids=["estimator-M-0", "config-ns-abc", "flag-ns-abc", "flag-ns-0",
+    ], ids=["estimator-M-0", "flag-ns-abc", "flag-ns-0",
             "flag-reps-1", "simulate-horizon-0", "simulate-paths-0", "model-A-nan",
             "noise-uniform-nan", "optimizer-eta1-nan", "flag-seed-abc",
             "flag-repeats-x", "flag-workers-x", "flag-reps-x", "flag-paths-x",
             "flag-horizon-x", "flag-seed-negative", "experiment-seed-negative",
             "flag-workers-0", "flag-workers-negative", "flag-out-empty",
-            "flag-ns-empty", "flag-ns-duplicate", "config-ns-duplicate",
-            "flag-oracle"])
+            "flag-ns-empty", "flag-ns-duplicate", "flag-oracle"])
     def test_bad_setting_exit_code(self, tmp_path, capsys, verb, flags, oracle,
                                    extra, edit):
         path = write_config(tmp_path, oracle=oracle, extra=extra)
@@ -594,6 +599,80 @@ class TestMainEntry:
         assert rc == 0
         printed = json.loads(capsys.readouterr().out)
         assert set(printed["gaps"]) == {"2", "4"}
+
+
+class TestRunSimulate:
+    def test_trajectory_csv_roundtrip(self, tmp_path):
+        """Each trajectory_<p>.csv holds, row for row, the rollout of its
+        derived seed at the benchmark policy."""
+        cfg = load_config(write_config(tmp_path))
+        written = run_simulate(cfg, 2, 12)
+        theta_star = nash_policy(cfg.model, solve_riccati(cfg.model))
+        assert written == [Path(cfg.output_dir) / f"trajectory_{p}.csv" for p in range(2)]
+        for p, path in enumerate(written):
+            traj = simulate_mkv(cfg.model, theta_star, 12, derive_seed(cfg.master_seed, 201, p))
+            rows = path.read_text().strip().splitlines()
+            assert rows[0] == "t,x0,xbar0,u1_0,u2_0,c"
+            assert len(rows) == 13
+            for t, row in enumerate(rows[1:]):
+                assert [float(v) for v in row.split(",")] == [
+                    t, traj.states[t, 0], traj.means[t, 0], traj.u1[t, 0],
+                    traj.u2[t, 0], traj.costs[t]]
+
+
+# the verbs with small sizes, so that an accepted run is cheap
+VERB_FLAGS = {
+    "benchmark": [],
+    "optimize": [],
+    "validate-nagent": ["--ns", "2", "--reps", "4", "--horizon", "3"],
+    "simulate": ["--horizon", "3"],
+}
+
+
+def _one_error_line(capsys, rc) -> str:
+    """The error name of main's single JSON line; exit code 2, no traceback."""
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert rc == 2
+    assert len(lines) == 1
+    assert "Traceback" not in captured.err
+    return json.loads(lines[0])["error"]
+
+
+class TestFileFaults:
+    """An output path that cannot be made or written, or a config that
+    cannot be read, is a configuration error: exit 2 and one JSON line."""
+
+    @pytest.mark.parametrize("verb", sorted(VERB_FLAGS))
+    def test_out_is_an_existing_file(self, tmp_path, capsys, verb):
+        target = tmp_path / "taken"
+        target.write_bytes(b"keep me\n")
+        rc = main([verb, "--config", str(write_config(tmp_path)), "--out", str(target),
+                   *VERB_FLAGS[verb]])
+        assert _one_error_line(capsys, rc) == "FileExistsError"
+        assert target.read_bytes() == b"keep me\n"
+
+    def test_out_under_a_file(self, tmp_path, capsys):
+        (tmp_path / "taken").write_bytes(b"")
+        rc = main(["benchmark", "--config", str(write_config(tmp_path)),
+                   "--out", str(tmp_path / "taken" / "out")])
+        assert _one_error_line(capsys, rc) == "NotADirectoryError"
+
+    @pytest.mark.parametrize("verb", ["benchmark", "optimize", "validate-nagent"])
+    def test_artifact_name_taken_by_a_directory(self, tmp_path, capsys, verb):
+        (tmp_path / "out" / "benchmark.json").mkdir(parents=True)
+        rc = main([verb, "--config", str(write_config(tmp_path)), *VERB_FLAGS[verb]])
+        assert _one_error_line(capsys, rc) == "IsADirectoryError"
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["benchmark.json"]
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(b"\xff\xfe" + write_config(tmp_path).read_bytes())
+        with pytest.raises(ParseError, match="not UTF-8"):
+            load_config(path)
+        rc = main(["benchmark", "--config", str(path)])
+        assert _one_error_line(capsys, rc) == "ParseError"
+        assert not (tmp_path / "out").exists()
 
 
 def _cannot_parse(kind):
@@ -684,7 +763,7 @@ class TestDeterminism:
         run_experiment(cfg)
         full = (Path(cfg.output_dir) / "benchmark.json").read_bytes()
         solo_dir = tmp_path / "solo"
-        write_benchmark(cfg, solo_dir)
+        write_benchmark(replace(cfg, output_dir=str(solo_dir)))
         assert (solo_dir / "benchmark.json").read_bytes() == full
 
     def test_artifacts_byte_identical(self, tmp_path):
@@ -902,17 +981,24 @@ def fuzz_invocation(draw):
         # large default sweep never runs
         if (verb == "validate-nagent" and flag != "--seed") or draw(st.booleans()):
             flags += [flag, value]
-    return edits, verb, flags
+    # None keeps the config's output_dir, a fresh directory
+    out = draw(st.sampled_from([None, "fresh", "file", "file/out"]))
+    return edits, verb, flags, out
 
 
 class TestMainFuzz:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(fuzz_invocation())
     def test_exit_code_and_one_json_line(self, tmp_path_factory, invocation):
-        """Whatever the config values and the command line, main exits 0, 2
-        or 3 and prints exactly one JSON line, never a traceback."""
-        edits, verb, flags = invocation
+        """Whatever the config values, the command line and the output path
+        (fresh, an existing file or under one), main exits 0, 2 or 3 and
+        prints exactly one JSON line, never a traceback, and a file in the
+        way is left as it was."""
+        edits, verb, flags, out_name = invocation
         tmp = tmp_path_factory.mktemp("fuzz")
+        (tmp / "file").write_bytes(b"keep me\n")
+        if out_name is not None:
+            flags = flags + ["--out", str(tmp / out_name)]
         lines = []
         for section, items in FUZZ_SECTIONS.items():
             lines.append(f"[{section}]")
@@ -931,3 +1017,4 @@ class TestMainFuzz:
         assert len(printed) == 1
         json.loads(printed[0])
         assert "Traceback" not in err.getvalue()
+        assert (tmp / "file").read_bytes() == b"keep me\n"

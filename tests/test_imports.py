@@ -7,7 +7,10 @@ appear somewhere else in the module. The exceptions are the names that
 ``perfbench/spans.py`` looks up in a module (its ``WRAPS``), which that
 module imports for the benchmark alone.
 
-A second scan keeps test-only code out of the package: every public
+A second scan keeps the artifact format behind one module: only
+``cli.py`` opens a file, and it makes the output directory in one place.
+
+A third scan keeps test-only code out of the package: every public
 top-level function, class and method in ``src/lqmfg`` must be used by the
 package itself (an AST name, attribute or string outside its own
 definition and ``__init__``), by README's library quick tour, or by
@@ -54,6 +57,23 @@ def test_no_unused_import(path, wraps):
     module = f"lqmfg.{path.stem}" if path.parent.name == "lqmfg" else None
     wrapped = {attr for name, attr, _ in wraps if name == module}
     assert sorted(_imported(tree) - used - wrapped) == []
+
+
+def _calls(tree: ast.Module, name: str) -> int:
+    """Calls of `name`, as a bare name (``open(...)``) or an attribute
+    (``io.open(...)``, ``path.mkdir(...)``)."""
+    return sum(isinstance(node, ast.Call)
+               and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+               for node in ast.walk(tree))
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_only_the_cli_touches_files(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    is_cli = path.name == "cli.py"
+    assert (_calls(tree, "open") > 0) == is_cli
+    assert _calls(tree, "mkdir") == is_cli
+    assert "csv" not in _imported(tree)
 
 
 def _readme_tour() -> str:

@@ -17,6 +17,7 @@ from lqmfg import (
     relative_error,
     run,
 )
+from lqmfg import cli
 from lqmfg.errors import BenchmarkZero, NotStabilizing
 from lqmfg.optim import RunLog, RunRecord, _grad_norms, _Oracle
 from lqmfg.value import GradientPair
@@ -369,12 +370,17 @@ class TestGradNorms:
         assert math.isnan(norms[3])
 
 
+def write_run_csv(log: RunLog, path) -> None:
+    """The run_<r>.csv writing of lqmfg.cli, which owns the artifact format."""
+    cli._write_csv(path, cli._RUN_HEADER, cli._run_rows(log))
+
+
 class TestRunLogCsv:
     def test_columns_and_roundtrip(self, model, tmp_path):
         cfg = OptimizerConfig(mode="gda", T=6)
         log = run(model, cfg)
         path = tmp_path / "run.csv"
-        log.write_csv(path)
+        write_run_csv(log, path)
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["k", "K1", "L1", "K2", "L2", "C",
@@ -390,8 +396,9 @@ class TestRunLogCsv:
 
     @pytest.mark.parametrize("shape", [(1, 1), (2, 3)])
     def test_bytes_match_csv_writer(self, tmp_path, shape):
-        """The writer's bytes equal csv.writer's, with the gain format kept
-        here as the reference, on special and extreme values."""
+        """The CLI's run rows, written by its CSV writer, have the bytes of
+        csv.writer's, with the gain format kept here as the reference, on
+        special and extreme values."""
 
         def ref_fmt_gain(mat):
             if mat.size == 1:
@@ -407,7 +414,7 @@ class TestRunLogCsv:
             vals = rng.choice(specials, size=6).tolist()
             log.records.append(RunRecord(k=k, theta=PolicyPair(*gains), cost=vals[0],
                                          grad_norms=tuple(vals[1:5]), rel_err=vals[5]))
-        log.write_csv(tmp_path / "run.csv")
+        write_run_csv(log, tmp_path / "run.csv")
 
         buf = io.StringIO(newline="")
         writer = csv.writer(buf)

@@ -18,7 +18,6 @@ from lqmfg import (
     validate,
 )
 from lqmfg import simulate
-from lqmfg.simulate import dump_trajectory_csv
 
 from conftest import (PIN_THETA, benchmark_scalars, digest, perfbench_game,
                       random_game, small_policy)
@@ -141,17 +140,6 @@ class TestMkvSimulator:
             mkv_utility_batch(model, theta, 5, n, 3, per_path=(2, G))
             np.testing.assert_array_equal(theta.stack, PIN_THETA.stack)
             np.testing.assert_array_equal(G, 0.7)
-
-    def test_trajectory_csv_roundtrip(self, model, tmp_path):
-        traj = simulate_mkv(model, PolicyPair.zero(), 12, 3)
-        path = tmp_path / "traj.csv"
-        dump_trajectory_csv(traj, path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "t,x0,xbar0,u1_0,u2_0,c"
-        assert len(rows) == 13
-        first = rows[1].split(",")
-        assert float(first[1]) == traj.states[0, 0]
-        assert float(first[5]) == traj.costs[0]
 
 
 # scalar paths at which the mean-field engine draws its step noise four
