@@ -20,7 +20,6 @@ from .model import (
 from .optim import (
     OptimizerConfig,
     RunLog,
-    compute_benchmark,
     relative_error,
     run,
 )

@@ -18,6 +18,7 @@ import argparse
 import configparser
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -257,6 +258,15 @@ def _write_csv(path: Path, header, rows) -> None:
             fh.write(",".join(row) + "\r\n")
 
 
+def _remove_stale(out: Path, stem: str, count: int) -> None:
+    """Delete the files `<stem>_<n>.csv` with n >= count that an earlier
+    run with a larger count left in `out`; nothing else is touched."""
+    for path in out.iterdir():
+        match = re.fullmatch(rf"{stem}_(0|[1-9][0-9]*)\.csv", path.name)
+        if match and int(match[1]) >= count and path.is_file():
+            path.unlink()
+
+
 def _theta_json(theta: PolicyPair) -> dict:
     return {name: getattr(theta, name).tolist() for name in ("K1", "L1", "K2", "L2")}
 
@@ -286,33 +296,36 @@ def _repeat_config(cfg: ExperimentConfig, repeat: int) -> OptimizerConfig:
     return replace(cfg.optimizer, estimator=seeded)
 
 
-def _run_one_repeat(args) -> RunLog:
-    cfg, repeat, benchmark = args
-    return run(cfg.model, _repeat_config(cfg, repeat), benchmark)
+def _run_one_repeat(cfg: ExperimentConfig, repeat: int) -> RunLog:
+    return run(cfg.model, _repeat_config(cfg, repeat))
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> dict:
-    """Benchmark, optimize `repeats` times, and write all artifacts."""
+    """Benchmark, optimize `repeats` times, score each logged iterate's
+    exact utility against the benchmark's, and write all artifacts."""
     if workers < 1:
         raise SchemaError("workers must be >= 1")
     theta_star, cost_star = write_benchmark(cfg)
     out = Path(cfg.output_dir)
 
-    jobs = [(cfg, r, theta_star) for r in range(cfg.repeats)]
+    repeats = range(cfg.repeats)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only --workers > 1 needs it
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            logs = list(pool.map(_run_one_repeat, jobs))
+            logs = list(pool.map(_run_one_repeat, [cfg] * cfg.repeats, repeats))
     else:
-        logs = [_run_one_repeat(job) for job in jobs]
+        logs = [_run_one_repeat(cfg, r) for r in repeats]
+    # scored before any run file is written: a zero benchmark writes none
+    errs = [[relative_error(rec.cost, cost_star) if np.isfinite(rec.cost) else math.nan
+             for rec in log.records] for log in logs]
 
-    for r, log in enumerate(logs):
-        _write_csv(out / f"run_{r}.csv", _RUN_HEADER, _run_rows(log))
+    for r, (log, log_errs) in enumerate(zip(logs, errs)):
+        _write_csv(out / f"run_{r}.csv", _RUN_HEADER, _run_rows(log, log_errs))
     _write_csv(out / "convergence.csv", ("k", "rel_err_mean", "rel_err_min", "rel_err_max"),
-               _convergence_rows(logs))
+               _convergence_rows(logs, errs))
 
-    final_errs = [log.final_rel_err() for log in logs]
+    final_errs = [log_errs[-1] for log_errs in errs]
     summary = {
         "method": cfg.method,
         "oracle": cfg.oracle,
@@ -323,13 +336,14 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> dict:
         "final_theta_per_run": [_theta_json(log.final_theta) for log in logs],
         "final_rel_err_per_run": final_errs,
         "final_rel_err_mean": float(np.mean(final_errs)),
-        "iterations_per_run": [log.records[-1].k if log.records else 0 for log in logs],
+        "iterations_per_run": [log.records[-1].k for log in logs],
         "termination_per_run": [log.termination for log in logs],
     }
     _write_json(out / "summary.json", summary)
     timing = {"wall_time_per_run": [log.wall_time for log in logs],
               "wall_time_total": float(sum(log.wall_time for log in logs))}
     _write_json(out / "timing.json", timing)
+    _remove_stale(out, "run", cfg.repeats)
     return summary
 
 
@@ -337,22 +351,22 @@ _RUN_HEADER = ("k", "K1", "L1", "K2", "L2", "C",
                "gradnorm_K1", "gradnorm_L1", "gradnorm_K2", "gradnorm_L2", "rel_err")
 
 
-def _run_rows(log: RunLog):
-    """One row per logged global iteration, full-precision floats; a gain is
-    its entries joined by ";"."""
-    for rec in log.records:
+def _run_rows(log: RunLog, errs: list[float]):
+    """One row per logged global iteration, with its relative error from
+    `errs`, full-precision floats; a gain is its entries joined by ";"."""
+    for rec, err in zip(log.records, errs):
         yield [str(rec.k), *(";".join(map(repr, gain.tolist()))
                              for gain in rec.theta.stack.reshape(4, -1)),
-               *(repr(float(v)) for v in (rec.cost, *rec.grad_norms, rec.rel_err))]
+               *(repr(float(v)) for v in (rec.cost, *rec.grad_norms, err))]
 
 
-def _convergence_rows(logs: list[RunLog]):
-    """Mean and min/max envelope of the relative error per iteration."""
+def _convergence_rows(logs: list[RunLog], errs: list[list[float]]):
+    """Mean and min/max envelope of the finite relative errors per iteration."""
     by_k: dict[int, list[float]] = {}
-    for log in logs:
-        for rec in log.records:
-            if np.isfinite(rec.rel_err):
-                by_k.setdefault(rec.k, []).append(rec.rel_err)
+    for log, log_errs in zip(logs, errs):
+        for rec, err in zip(log.records, log_errs):
+            if np.isfinite(err):
+                by_k.setdefault(rec.k, []).append(err)
     for k in sorted(by_k):
         vals = by_k[k]
         yield [str(k), repr(float(np.mean(vals))), repr(float(min(vals))),
@@ -448,6 +462,7 @@ def run_simulate(cfg: ExperimentConfig, paths: int, horizon: int) -> list[Path]:
         _write_csv(dest, header, ([str(t), *map(repr, row.tolist())]
                                   for t, row in enumerate(table)))
         written.append(dest)
+    _remove_stale(out, "trajectory", paths)
     return written
 
 

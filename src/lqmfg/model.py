@@ -139,11 +139,6 @@ class NoiseSpec:
             if dist.mean_scalar != 0.0:
                 raise InvalidNoise(f"{name} must have mean zero, got {dist.mean_scalar}")
 
-    @classmethod
-    def zero(cls) -> "NoiseSpec":
-        p = Distribution.point(0.0)
-        return cls(p, p, p, p)
-
 
 @dataclass(frozen=True)
 class ModelParams:

@@ -8,7 +8,8 @@ step is one oracle gradient at the pre-step pair and one update of the
 players' rows of the (2 players, 2 blocks, ell, d) gain stack, with one
 failure path. The oracle is either the exact closed-form gradient, which
 evaluates each distinct iterate once (``_Oracle``), or the rollout-based
-estimator. Progress is tracked against the Riccati benchmark.
+estimator. A run needs no equilibrium: it logs each iterate with its exact
+utility, and the caller scores the log against its own benchmark.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import numpy as np
 
 from .errors import BenchmarkZero, NotStabilizing
 from .estimator import EstimatorConfig, estimate_gradient
-# in_stabilizing_set, validate: looked up here by perfbench/spans.py
+# in_stabilizing_set, validate, solve_riccati: looked up here by perfbench/spans.py
 from .model import ModelParams, PolicyPair, in_stabilizing_set, validate  # noqa: F401
-from .riccati import nash_policy, solve_riccati
+from .riccati import solve_riccati  # noqa: F401
 from .simulate import derive_seed
 from .value import GradientPair, exact_gradient, exact_utility
 
@@ -63,7 +64,6 @@ class RunRecord:
     theta: PolicyPair
     cost: float                     # exact utility when evaluable, else NaN
     grad_norms: tuple[float, float, float, float]
-    rel_err: float
 
 
 @dataclass
@@ -73,13 +73,7 @@ class RunLog:
     records: list[RunRecord] = field(default_factory=list)
     final_theta: PolicyPair | None = None
     termination: str = "completed"
-    benchmark_cost: float = float("nan")
     wall_time: float = 0.0
-
-    def final_rel_err(self) -> float:
-        if self.final_theta is None or not np.isfinite(self.benchmark_cost):
-            return float("nan")
-        return self.records[-1].rel_err if self.records else float("nan")
 
 
 def relative_error(current: float, benchmark: float) -> float:
@@ -87,12 +81,6 @@ def relative_error(current: float, benchmark: float) -> float:
     if benchmark == 0.0:
         raise BenchmarkZero("relative error undefined against a zero benchmark")
     return abs(current - benchmark) / abs(benchmark)
-
-
-def compute_benchmark(params: ModelParams) -> tuple[PolicyPair, float]:
-    """Equilibrium policy and utility from the Riccati path."""
-    theta_star = nash_policy(params, solve_riccati(params))
-    return theta_star, exact_utility(params, theta_star).cost
 
 
 class _Oracle:
@@ -144,42 +132,6 @@ def _same_theta(a: PolicyPair, b: PolicyPair) -> bool:
     return a is b or a.stack.tobytes() == b.stack.tobytes()
 
 
-class _Tracker:
-    """Records and outcome of one run."""
-
-    def __init__(self, cfg, oracle, benchmark_cost):
-        self.cfg = cfg
-        self.oracle = oracle
-        self.log = RunLog(benchmark_cost=benchmark_cost)
-        self.t0 = time.perf_counter()
-
-    def exact_cost(self, theta: PolicyPair) -> float:
-        try:
-            return self.oracle.utility(theta).cost
-        except NotStabilizing:
-            return float("nan")
-
-    def _append(self, k: int, theta: PolicyPair, grad_norms) -> None:
-        cost = self.exact_cost(theta)
-        rel = (relative_error(cost, self.log.benchmark_cost)
-               if np.isfinite(cost) else float("nan"))
-        self.log.records.append(RunRecord(
-            k=k, theta=theta, cost=cost, grad_norms=tuple(grad_norms),
-            rel_err=rel))
-
-    def record(self, k: int, theta: PolicyPair, grad_norms) -> None:
-        if k % self.cfg.log_every == 0 or k == 1:
-            self._append(k, theta, grad_norms)
-
-    def finish(self, theta: PolicyPair, termination: str) -> RunLog:
-        self.log.final_theta = theta
-        self.log.termination = termination
-        self.log.wall_time = time.perf_counter() - self.t0
-        if self.log.records and not _same_theta(self.log.records[-1].theta, theta):
-            self._append(self.log.records[-1].k + 1, theta, (float("nan"),) * 4)
-        return self.log
-
-
 def _grad_norms(grad: GradientPair):
     """Frobenius norm of each block, as np.linalg.norm computes it; a finite
     block whose sum of squares overflows is scaled by its largest entry."""
@@ -214,21 +166,29 @@ def _moved(theta: PolicyPair, rows: slice, delta: np.ndarray) -> PolicyPair:
     return PolicyPair.from_stack(stack)
 
 
-def run(params: ModelParams, cfg: OptimizerConfig,
-        benchmark: PolicyPair | None = None) -> RunLog:
+def run(params: ModelParams, cfg: OptimizerConfig) -> RunLog:
     """Run the scheme of ``cfg.mode`` from ``cfg.theta0`` (zero gains if unset).
 
     Each step of ``_schedule`` takes one oracle gradient at the pre-step
     pair and moves the listed players' rows of the stack at the fixed rates.
     A pre-step pair outside the stabilizing set, where the exact gradient
     raises NotStabilizing, ends the run there; a step to a non-finite pair
-    ends it at that pair. A step with a k is logged either way."""
+    ends it at that pair. A step with a k is logged either way, every
+    ``cfg.log_every`` steps and at k = 1, and a final pair that no record
+    holds gets one more, with NaN gradient norms."""
     oracle = _Oracle(params, cfg)
     theta = cfg.theta0 if cfg.theta0 is not None else PolicyPair.zero(params.d, params.ell)
     theta.check_dims(params)
-    bench_cost = (compute_benchmark(params)[1] if benchmark is None
-                  else exact_utility(params, benchmark).cost)
-    tracker = _Tracker(cfg, oracle, bench_cost)
+    log = RunLog()
+    t0 = time.perf_counter()
+
+    def record(k: int, pair: PolicyPair, grad_norms) -> None:
+        try:
+            cost = oracle.utility(pair).cost
+        except NotStabilizing:
+            cost = float("nan")
+        log.records.append(RunRecord(k=k, theta=pair, cost=cost, grad_norms=tuple(grad_norms)))
+
     # a row of theta + rates*g is K1 - eta1*dK1, ..., K2 + eta2*dK2
     # bit for bit: a + (-b) is a - b, and (-x)*y is -(x*y)
     rates = np.array([-cfg.eta1, cfg.eta2]).reshape(2, 1, 1, 1)
@@ -242,8 +202,14 @@ def run(params: ModelParams, cfg: OptimizerConfig,
             norms = _grad_norms(grad)
             theta = _moved(theta, rows, rates[rows] * grad.stack[rows])
             status = "ok" if np.isfinite(theta.stack).all() else "non_finite"
-        if k is not None:
-            tracker.record(k, theta, norms)
+        if k is not None and (k % cfg.log_every == 0 or k == 1):
+            record(k, theta, norms)
         if status != "ok":
-            return tracker.finish(theta, status)
-    return tracker.finish(theta, "completed")
+            break
+    else:
+        status = "completed"
+    if not _same_theta(log.records[-1].theta, theta):  # k = 1 is always logged
+        record(log.records[-1].k + 1, theta, (float("nan"),) * 4)
+    log.final_theta, log.termination = theta, status
+    log.wall_time = time.perf_counter() - t0
+    return log

@@ -29,6 +29,12 @@ L1_ORACLE = 0.5 * (0.8 / 0.8) * P_MEAN_ORACLE
 L2_ORACLE = 0.5 * (0.6 / 0.8) * P_MEAN_ORACLE
 
 
+def zero_noise() -> NoiseSpec:
+    """Point masses at zero for all four noise terms."""
+    p = Distribution.point(0.0)
+    return NoiseSpec(p, p, p, p)
+
+
 def benchmark_noise() -> NoiseSpec:
     return NoiseSpec(
         init_common=Distribution.uniform(-1.0, 1.0),
@@ -54,7 +60,7 @@ def model() -> ModelParams:
 
 @pytest.fixture
 def zero_noise_model() -> ModelParams:
-    return ModelParams(**benchmark_scalars(noise=NoiseSpec.zero()))
+    return ModelParams(**benchmark_scalars(noise=zero_noise()))
 
 
 @pytest.fixture

@@ -187,7 +187,7 @@ def test_c07_sample_based_convergence(model):
         est = EstimatorConfig(M=M, horizon=50, tau=0.1,
                               seed=derive_seed(2024, rep))
         cfg = OptimizerConfig(mode="gda", T=2000, estimator=est, log_every=500)
-        log = run(model, cfg, benchmark=theta_star)
+        log = run(model, cfg)
         errs.append(relative_error(exact_utility(model, log.final_theta).cost,
                                    cost_star))
     avg = float(np.mean(errs))

@@ -592,6 +592,22 @@ class TestMainEntry:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "BenchmarkZero"
 
+    def test_zero_benchmark_exit_code(self, tmp_path, capsys):
+        """A zero equilibrium utility cannot score a run: optimize exits 3
+        with one JSON line, after benchmark.json and before any run file."""
+        text = (REPO_CONFIGS / "table1_gda_exact.cfg").read_text()
+        for key, value in [("Q", "0.0"), ("Q_bar", "0.0"), ("output_dir", tmp_path / "out")]:
+            text, found = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+            assert found == 1
+        path = tmp_path / "zero.cfg"
+        path.write_text(text)
+        rc = main(["optimize", "--config", str(path)])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 3
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "BenchmarkZero"
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["benchmark.json"]
+
     def test_validate_nagent_verb(self, tmp_path, capsys):
         path = write_config(tmp_path)
         rc = main(["validate-nagent", "--config", str(path), "--ns", "2,4",
@@ -599,6 +615,37 @@ class TestMainEntry:
         assert rc == 0
         printed = json.loads(capsys.readouterr().out)
         assert set(printed["gaps"]) == {"2", "4"}
+
+
+class TestRerun:
+    """A rerun into the same directory with fewer repeats or paths removes
+    the numbered files of the earlier run beyond the new count, and nothing
+    else."""
+
+    BYSTANDERS = ("notes.txt", "run_x.csv", "run_01.csv", "trajectory_x.csv",
+                  "trajectory_01.csv")
+
+    def _rerun(self, tmp_path, capsys, verb, flag, counts):
+        out = tmp_path / "out"
+        for count in counts:
+            rc = main([verb, "--config", str(write_config(tmp_path, T=5)), flag, str(count)])
+            assert rc == 0
+            capsys.readouterr()
+            if count == counts[0]:
+                for name in self.BYSTANDERS:
+                    (out / name).write_text("keep\n")
+        for name in self.BYSTANDERS:
+            assert (out / name).read_text() == "keep\n"
+        return sorted(p.name for p in out.iterdir() if p.name not in self.BYSTANDERS)
+
+    def test_optimize_fewer_repeats(self, tmp_path, capsys):
+        names = self._rerun(tmp_path, capsys, "optimize", "--repeats", (3, 1))
+        assert names == ["benchmark.json", "convergence.csv", "run_0.csv", "summary.json",
+                         "timing.json"]
+
+    def test_simulate_fewer_paths(self, tmp_path, capsys):
+        names = self._rerun(tmp_path, capsys, "simulate", "--paths", (3, 2))
+        assert names == ["trajectory_0.csv", "trajectory_1.csv"]
 
 
 class TestRunSimulate:

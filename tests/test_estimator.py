@@ -4,14 +4,13 @@ import pytest
 from lqmfg import (
     EstimatorConfig,
     ModelParams,
-    NoiseSpec,
     PolicyPair,
     estimate_gradient,
     exact_gradient,
 )
 from lqmfg.estimator import _sphere_stack
 
-from conftest import PIN_THETA, benchmark_scalars, digest, random_game, small_policy
+from conftest import PIN_THETA, benchmark_scalars, digest, random_game, small_policy, zero_noise
 
 
 class TestSphereSample:
@@ -110,7 +109,7 @@ class TestEstimateGradient:
                 0.1, atol=1e-12)
 
     def test_zero_utility_surface_gives_zero(self):
-        m = ModelParams(**benchmark_scalars(noise=NoiseSpec.zero()))
+        m = ModelParams(**benchmark_scalars(noise=zero_noise()))
         cfg = EstimatorConfig(M=100, horizon=10, tau=0.1, seed=3)
         gK, gL = estimate_gradient(m, PolicyPair.zero(), 1, cfg)
         assert gK[0, 0] == 0.0

@@ -14,8 +14,9 @@ A third scan keeps test-only code out of the package: every public
 top-level function, class and method in ``src/lqmfg`` must be used by the
 package itself (an AST name, attribute or string outside its own
 definition and ``__init__``), by README's library quick tour, or by
-``perfbench``, ``scripts`` or ``pyproject.toml``. What only the tests use
-belongs in ``tests/``.
+``perfbench``, ``scripts`` or ``pyproject.toml``. A classmethod counts only
+in its ``Class.method`` form, so that another class's method of the same
+name does not reach it. What only the tests use belongs in ``tests/``.
 """
 
 import ast
@@ -109,18 +110,34 @@ def _public_definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item.name, item
 
 
+def _class_attributes(node: ast.AST) -> Counter:
+    """``Name.attr`` for each attribute read on a bare name under `node`."""
+    return Counter(f"{sub.value.id}.{sub.attr}" for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name))
+
+
+def _is_classmethod(node: ast.AST) -> bool:
+    return any(getattr(dec, "id", None) == "classmethod"
+               for dec in getattr(node, "decorator_list", ()))
+
+
 def test_every_public_name_is_reached():
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in PACKAGE}
     src_uses = sum((_uses(tree) for tree in trees.values()), Counter())
+    src_attrs = sum((_class_attributes(tree) for tree in trees.values()), Counter())
     outside = [_readme_tour(), (ROOT / "pyproject.toml").read_text()]
     outside += [p.read_text() for d in ("perfbench", "scripts")
                 for p in sorted((ROOT / d).glob("*.py"))]
     unreached = []
     for path, tree in trees.items():
         for qualified, name, node in _public_definitions(tree):
-            if src_uses[name] > _uses(node)[name]:
+            if _is_classmethod(node):
+                name, uses, own = qualified, src_attrs, _class_attributes(node)
+            else:
+                uses, own = src_uses, _uses(node)
+            if uses[name] > own[name]:
                 continue
-            if any(re.search(rf"\b{name}\b", text) for text in outside):
+            if any(re.search(rf"\b{re.escape(name)}\b", text) for text in outside):
                 continue
             unreached.append(f"{path.stem}.{qualified}")
     assert unreached == []

@@ -23,7 +23,7 @@ from lqmfg.errors import (
     NonPositiveDefinite,
 )
 
-from conftest import benchmark_scalars, coefficient_gap, feedback_coefs
+from conftest import benchmark_scalars, coefficient_gap, feedback_coefs, zero_noise
 
 
 class TestValidate:
@@ -88,7 +88,7 @@ class TestValidate:
                 B1_bar=np.ones((3, 1)), B2=np.ones((2, 1)), B2_bar=np.ones((2, 1)),
                 Q=np.eye(2), Q_bar=np.eye(2), R1=np.eye(1), R1_bar=np.eye(1),
                 R2=np.eye(1), R2_bar=np.eye(1), gamma=0.9,
-                noise=NoiseSpec.zero(), d=2, ell=1)
+                noise=zero_noise(), d=2, ell=1)
 
     @given(
         a=st.floats(-1.0, 1.0), abar=st.floats(-1.0, 1.0),
@@ -106,7 +106,7 @@ class TestValidate:
         m = ModelParams(
             A=a, A_bar=abar, B1=b1, B1_bar=b1bar, B2=b2, B2_bar=b2bar,
             Q=0.4, Q_bar=0.1, R1=r1, R1_bar=r1bar, R2=r2, R2_bar=r2bar,
-            gamma=gamma, noise=NoiseSpec.zero())
+            gamma=gamma, noise=zero_noise())
         validate(m)
         assert coefficient_gap(m) <= 1e-12
 
@@ -132,9 +132,9 @@ class TestStabilizingSet:
         theta = PolicyPair(K1=np.array([[gain]]), L1=np.array([[gain]]),
                            K2=np.array([[gain]]), L2=np.array([[gain]]))
         m_hi = ModelParams(**benchmark_scalars(
-            gamma=gamma, noise=NoiseSpec.zero()))
+            gamma=gamma, noise=zero_noise()))
         m_lo = ModelParams(**benchmark_scalars(
-            gamma=gamma * shrink + 1e-6, noise=NoiseSpec.zero()))
+            gamma=gamma * shrink + 1e-6, noise=zero_noise()))
         if in_stabilizing_set(m_hi, theta):
             assert in_stabilizing_set(m_lo, theta)
 

@@ -12,19 +12,25 @@ from lqmfg import (
     EstimatorConfig,
     OptimizerConfig,
     PolicyPair,
-    compute_benchmark,
     exact_gradient,
+    exact_utility,
+    nash_policy,
     relative_error,
     run,
+    solve_riccati,
 )
 from lqmfg import cli
 from lqmfg.errors import BenchmarkZero, NotStabilizing
 from lqmfg.optim import RunLog, RunRecord, _grad_norms, _Oracle
 from lqmfg.value import GradientPair
 
-from conftest import small_policy
+from conftest import random_game, small_policy
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def equilibrium(model) -> PolicyPair:
+    return nash_policy(model, solve_riccati(model))
 
 
 def theta_gap(a: PolicyPair, b: PolicyPair) -> float:
@@ -46,7 +52,8 @@ class TestRelativeError:
     def test_decreases_along_gda(self, model):
         cfg = OptimizerConfig(mode="gda", T=50)
         log = run(model, cfg)
-        errs = [r.rel_err for r in log.records]
+        cost_star = exact_utility(model, equilibrium(model)).cost
+        errs = [relative_error(r.cost, cost_star) for r in log.records]
         assert errs[0] > 0.0
         assert errs[-1] < errs[0]
 
@@ -113,7 +120,7 @@ class TestRunGda:
         np.testing.assert_allclose(first.L2, 0.1 * grad0.dL2, atol=1e-15)
 
     def test_stationary_start_stays_put(self, model):
-        theta_star, _ = compute_benchmark(model)
+        theta_star = equilibrium(model)
         cfg = OptimizerConfig(mode="gda", T=100, theta0=theta_star)
         log = run(model, cfg)
         assert theta_gap(log.final_theta, theta_star) <= 1e-8
@@ -175,6 +182,42 @@ class TestRunGda:
                 OptimizerConfig(mode="gda", **{name: eta})
 
 
+class TestRunNeedsNoEquilibrium:
+    """A run logs iterates and their exact utilities; it never solves the
+    equilibrium equations, which only the caller that scores it needs."""
+
+    @pytest.fixture(autouse=True)
+    def no_riccati(self, monkeypatch):
+        import lqmfg.optim
+        import lqmfg.riccati
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run solved the equilibrium")
+
+        for module in (lqmfg.optim, lqmfg.riccati):
+            monkeypatch.setattr(module, "solve_riccati", refuse)
+
+    @pytest.mark.parametrize("cfg", [
+        OptimizerConfig(mode="gda", T=20),
+        OptimizerConfig(mode="ag", T1=3, T2=4),
+        OptimizerConfig(mode="gda", T=3,
+                        estimator=EstimatorConfig(M=50, horizon=10, tau=0.1, seed=3)),
+    ], ids=["exact-gda", "exact-ag", "sampled-gda"])
+    def test_completes(self, model, cfg):
+        log = run(model, cfg)
+        assert log.termination == "completed"
+        assert np.isfinite([r.cost for r in log.records]).all()
+
+    def test_unsolvable_game_runs_until_it_leaves_the_set(self):
+        """On random_game(8, 2), whose equilibrium solve raises
+        NonStabilizingSolution, GDA from zero gains still runs, and leaves
+        the stabilizing set at k = 31."""
+        log = run(random_game(8, 2), OptimizerConfig(mode="gda", T=100))
+        assert log.termination == "left_stabilizing_set"
+        assert len(log.records) == 31
+        assert log.records[-1].k == 31
+
+
 class TestRunAg:
     def test_zero_rates_constant_log(self, model):
         cfg = OptimizerConfig(mode="ag", T1=5, T2=8, eta1=0.0, eta2=0.0)
@@ -194,7 +237,7 @@ class TestRunAg:
         assert np.isnan(log.records[0].grad_norms).all()
 
     def test_stationary_start_stays_put(self, model):
-        theta_star, _ = compute_benchmark(model)
+        theta_star = equilibrium(model)
         cfg = OptimizerConfig(mode="ag", T1=5, T2=20, theta0=theta_star)
         log = run(model, cfg)
         assert theta_gap(log.final_theta, theta_star) <= 1e-8
@@ -370,17 +413,19 @@ class TestGradNorms:
         assert math.isnan(norms[3])
 
 
-def write_run_csv(log: RunLog, path) -> None:
-    """The run_<r>.csv writing of lqmfg.cli, which owns the artifact format."""
-    cli._write_csv(path, cli._RUN_HEADER, cli._run_rows(log))
+def write_run_csv(log: RunLog, errs: list[float], path) -> None:
+    """The run_<r>.csv writing of lqmfg.cli, which owns the artifact format
+    and scores the records (`errs`)."""
+    cli._write_csv(path, cli._RUN_HEADER, cli._run_rows(log, errs))
 
 
 class TestRunLogCsv:
     def test_columns_and_roundtrip(self, model, tmp_path):
         cfg = OptimizerConfig(mode="gda", T=6)
         log = run(model, cfg)
+        errs = [0.5 * k for k in range(len(log.records))]
         path = tmp_path / "run.csv"
-        write_run_csv(log, path)
+        write_run_csv(log, errs, path)
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["k", "K1", "L1", "K2", "L2", "C",
@@ -392,7 +437,7 @@ class TestRunLogCsv:
         assert int(parsed[0]) == rec.k
         assert float(parsed[1]) == rec.theta.K1[0, 0]
         assert float(parsed[5]) == rec.cost
-        assert float(parsed[10]) == rec.rel_err
+        assert float(parsed[10]) == errs[2]
 
     @pytest.mark.parametrize("shape", [(1, 1), (2, 3)])
     def test_bytes_match_csv_writer(self, tmp_path, shape):
@@ -408,22 +453,23 @@ class TestRunLogCsv:
         specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -1e300,
                     0.1, -2.5e-8, 1.0 / 3.0, 123456789.0]
         rng = np.random.default_rng(5)
-        log = RunLog()
+        log, errs = RunLog(), []
         for k in range(1, 13):
             gains = rng.choice(specials, size=(4, *shape))
             vals = rng.choice(specials, size=6).tolist()
             log.records.append(RunRecord(k=k, theta=PolicyPair(*gains), cost=vals[0],
-                                         grad_norms=tuple(vals[1:5]), rel_err=vals[5]))
-        write_run_csv(log, tmp_path / "run.csv")
+                                         grad_norms=tuple(vals[1:5])))
+            errs.append(vals[5])
+        write_run_csv(log, errs, tmp_path / "run.csv")
 
         buf = io.StringIO(newline="")
         writer = csv.writer(buf)
         writer.writerow(["k", "K1", "L1", "K2", "L2", "C", "gradnorm_K1",
                          "gradnorm_L1", "gradnorm_K2", "gradnorm_L2", "rel_err"])
-        for rec in log.records:
+        for rec, err in zip(log.records, errs):
             writer.writerow([rec.k] + [ref_fmt_gain(getattr(rec.theta, n))
                                        for n in ("K1", "L1", "K2", "L2")]
                             + [repr(float(rec.cost))]
                             + [repr(float(v)) for v in rec.grad_norms]
-                            + [repr(float(rec.rel_err))])
+                            + [repr(float(err))])
         assert (tmp_path / "run.csv").read_bytes() == buf.getvalue().encode()
