@@ -613,6 +613,7 @@ TRAJECTORY_D3_DIGEST = "dea928e299f0a0b09cedebc067cca8ac9137b923eab0cf3ea78ebd09
 MKV_STACKS_D3_DIGEST = "51c1fabc0aaf6ef0e6214dbf73a184e56d8292626ba113d5d2e2a357b34f4992"
 NAGENT_D3_DIGEST = "1731e9f9d92b672e76044865a13485094e1e294555f2786cec84f472ab4ddac9"
 NAGENT_TRAJECTORY_DIGEST = "7f822d2719ab3e787ba7e110e3bca47cd1a1a4c9406ffca6bd5b33fd04de2912"
+NAGENT_BLOCKS_DIGEST = "931397915c685faa443a3e7548b92c0c8be69be0b62771e8d8bbfd276132061e"
 
 
 class TestPinnedBits:
@@ -655,6 +656,22 @@ class TestPinnedBits:
         u = nagent_utility_batch(model, small_policy(model), 20, 30, 10,
                                  20261018)
         assert digest(u) == NAGENT_D3_DIGEST
+
+    def test_nagent_across_draw_blocks(self):
+        """777 agents times 31 replications at d=3 are 24 087 agent rows:
+        one full block of the idio-step draw and a partial one, so every
+        step multiplies and draws across a block edge. The reference engine
+        bounds the values on any BLAS kernel; the digest, like the other
+        d=3 pins, holds on the kernel it was recorded on."""
+        model = random_game(3, 2)
+        theta = small_policy(model)
+        N, reps = 777, 31
+        assert simulate._DRAW_AHEAD_BYTES // (8 * model.d) < N * reps
+        u = nagent_utility_batch(model, theta, N, 20, reps, 20261018)
+        want, _ = nagent_reference._nagent_engine(model, theta, N, 20, 20261018,
+                                                  reps, False)
+        np.testing.assert_allclose(u, want, rtol=1e-14, atol=0.0)
+        assert digest(u) == NAGENT_BLOCKS_DIGEST
 
     def test_nagent_trajectory(self, model):
         """states, means, u1_means, u2_means and utility of
