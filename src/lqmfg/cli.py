@@ -386,8 +386,9 @@ def run_nagent_validation(cfg: ExperimentConfig, Ns=(10, 100, 1000), reps: int =
     largest population. Each chunk's rollouts, the mean-field reference and
     one population per N, are independent and run on two worker threads;
     the samples are collected in chunk order, so the artifacts do not
-    depend on the scheduling. A failed rollout's exception is raised and
-    the queued rollouts are cancelled."""
+    depend on the scheduling. In flight are two rollouts' states, two
+    (chunk, N, d) arrays at most, plus their draw blocks. A failed
+    rollout's exception is raised and the queued rollouts are cancelled."""
     Ns = tuple(Ns)
     if min(Ns, default=0) < 1 or horizon < 1:
         raise SchemaError("validation sizes and horizon must be >= 1")

@@ -36,6 +36,11 @@ class NotStabilizing(LqmfgError):
     """Policy pair outside the stabilizing set; discounted moments diverge."""
 
 
+class NonFiniteRollout(LqmfgError):
+    """Rollout utilities overflowed to inf or NaN: the gains drive the
+    state past the floating-point range within the horizon."""
+
+
 class DegenerateDraw(LqmfgError):
     """Repeated all-zero Gaussian draws while sampling the sphere."""
 

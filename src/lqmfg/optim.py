@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import BenchmarkZero, NotStabilizing
+from .errors import BenchmarkZero, NonFiniteRollout, NotStabilizing
 from .estimator import EstimatorConfig, estimate_gradient
 # in_stabilizing_set, validate, solve_riccati: looked up here by perfbench/spans.py
 from .model import ModelParams, PolicyPair, in_stabilizing_set, validate  # noqa: F401
@@ -172,10 +172,12 @@ def run(params: ModelParams, cfg: OptimizerConfig) -> RunLog:
     Each step of ``_schedule`` takes one oracle gradient at the pre-step
     pair and moves the listed players' rows of the stack at the fixed rates.
     A pre-step pair outside the stabilizing set, where the exact gradient
-    raises NotStabilizing, ends the run there; a step to a non-finite pair
-    ends it at that pair. A step with a k is logged either way, every
-    ``cfg.log_every`` steps and at k = 1, and a final pair that no record
-    holds gets one more, with NaN gradient norms."""
+    raises NotStabilizing, ends the run there, and so does one whose
+    sampled gradient's rollouts overflow (NonFiniteRollout, ending
+    ``non_finite``); a step to a non-finite pair ends it at that pair. A
+    step with a k is logged either way, every ``cfg.log_every`` steps and
+    at k = 1, and a final pair that no record holds gets one more, with NaN
+    gradient norms."""
     oracle = _Oracle(params, cfg)
     theta = cfg.theta0 if cfg.theta0 is not None else PolicyPair.zero(params.d, params.ell)
     theta.check_dims(params)
@@ -198,6 +200,8 @@ def run(params: ModelParams, cfg: OptimizerConfig) -> RunLog:
             grad = oracle.gradient(theta, players)
         except NotStabilizing:
             norms, status = (float("nan"),) * 4, "left_stabilizing_set"
+        except NonFiniteRollout:
+            norms, status = (float("nan"),) * 4, "non_finite"
         else:
             norms = _grad_norms(grad)
             theta = _moved(theta, rows, rates[rows] * grad.stack[rows])

@@ -2,9 +2,9 @@
 
 `_mkv_steps` and `_nagent_steps` yield each step's state and stage cost.
 The utility batches are their discounted sums by `_discounted`, the one
-place a rollout utility is summed (and where one end-of-rollout `isfinite`
-check of both engines belongs); `simulate_mkv` collects path 0 of a
-one-path mean-field run.
+place a rollout utility is summed and checked: a path whose sum overflowed
+raises NonFiniteRollout; `simulate_mkv` collects path 0 of a one-path
+mean-field run.
 
 Both views of the game step through the closed loops M and score with the
 stage weights W of its two blocks (`LQBlock.closed_loop`,
@@ -33,14 +33,15 @@ engine's first step and joined when it ends or is closed, draws k steps at
 a time as one (k, n_paths, d) array (k steps fit in `_DRAW_AHEAD_BYTES`, 4
 of the 10^4 scalar paths of a gradient estimate), while the calling thread
 draws the common step and runs the dynamics. The population engine starts
-no thread: it steps y into the spare of two (n_reps, N, d) buffers and
-adds the idio-step draw into it in blocks of at most `_DRAW_AHEAD_BYTES`,
-so that two rollouts side by side (the population sweep's) hold what one
-drawing ahead did. A generator fills an array in order, so every rollout
-keeps the bits of one draw per step and stream. A product with a matrix
-shared over the batch is one BLAS call (`_batch_apply`, `np.dot` into the
-spare buffer, or one per block in `_stack_apply`); at d = 1 it is an
-elementwise product, and per-path stacks use one `einsum`.
+no thread and keeps one (n_reps, N, d) array of y: it steps y in place, in
+blocks of at most `_DRAW_AHEAD_BYTES`, each multiplied through its closed
+loop and then given its idio-step draw, so that two rollouts side by side
+(the population sweep's) hold little more than their two states. A
+generator fills an array in order, so every rollout keeps the bits of one
+draw per step and stream. A product with a matrix shared over the batch is
+one BLAS call (`_batch_apply`, one per block of y, or one per block in
+`_stack_apply`); at d = 1 it is an elementwise product, and per-path
+stacks use one `einsum`.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from .errors import NonFiniteRollout
 from .model import LQBlock, ModelParams, NoiseSpec, PolicyPair, validate
 
 # bytes of idio-step noise drawn at once (4 steps of 10^4 scalar paths)
@@ -153,11 +155,19 @@ class MkvTrajectory:
 
 def _discounted(gamma: float, costs) -> np.ndarray:
     """sum_t gamma^t c_t over a rollout's per-step stage costs, in step
-    order from +0.0 (a rollout of -0.0 costs is worth +0.0)."""
-    utility, discount = 0.0, 1.0
-    for cost in costs:
+    order from +0.0 (a rollout of -0.0 costs is worth +0.0).
+
+    One `isfinite` pass over the sums raises NonFiniteRollout if any path
+    overflowed: an overflowing step leaves its path's sum inf or NaN, and
+    an overflow inside BLAS or `einsum` raises no floating-point warning."""
+    utility, discount, steps = 0.0, 1.0, 0
+    for steps, cost in enumerate(costs, 1):
         utility += discount * cost
         discount *= gamma
+    bad = np.size(utility) - np.count_nonzero(np.isfinite(utility))
+    if bad:
+        raise NonFiniteRollout(f"{bad} of {np.size(utility)} rollout utilities "
+                               f"are not finite after {steps} steps")
     return utility
 
 
@@ -277,9 +287,9 @@ def _nagent_steps(params: ModelParams, theta: PolicyPair, N: int,
                   horizon: int, seed, n_reps: int):
     """Yield (y, x_bar, cost) at t = 0 ... horizon-1: the (n_reps, N, d)
     deviations, their (n_reps, d) mean and the (n_reps,) population-average
-    stage cost. y alternates between two buffers, so a yielded y holds its
-    values until the next step is requested; x_bar and the cost are never
-    written to afterwards. The engine draws inline and starts no thread."""
+    stage cost. y is stepped in place, so a yielded y holds its values
+    until the next step is requested; x_bar and the cost are never written
+    to afterwards. The engine draws inline and starts no thread."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if horizon < 1:
@@ -302,7 +312,6 @@ def _nagent_steps(params: ModelParams, theta: PolicyPair, N: int,
     y -= m[:, None, :]
     x_bar = eps_common + m
 
-    spare = np.empty_like(y)
     rows = max(1, _DRAW_AHEAD_BYTES // (8 * d))  # agent rows per step draw
     for t in range(horizon):
         # population-average cost: deviation terms per agent, mean terms shared
@@ -310,13 +319,13 @@ def _nagent_steps(params: ModelParams, theta: PolicyPair, N: int,
         yield y, x_bar, cost
         if t + 1 < horizon:
             w_common = noise.step_common.sample(rng_cs, (n_reps, d))
-            # step into the spare buffer, then add the idio-step draw block
-            # by block, in the order one (n_reps, N, d) draw fills
-            y, spare = spare, y
+            # step y in place block by block, each block's product through
+            # one block-sized temporary, and add the idio-step draw in the
+            # order one (n_reps, N, d) draw fills
             flat = y.reshape(-1, d)
-            np.dot(spare.reshape(-1, d), M_dev.T, out=flat)
             for start in range(0, len(flat), rows):
                 block = flat[start:start + rows]
+                block[...] = np.dot(block, M_dev.T)
                 block += noise.step_idio.sample(rng_is, block.shape)
             m = y.mean(axis=1)
             y -= m[:, None, :]

@@ -37,7 +37,7 @@ def simulate_n_agent(params: ModelParams, theta: PolicyPair, N: int,
     discounted sum of population-average stage costs. The rollout is
     replication 0 of a one-replication `nagent_utility_batch` run. Each
     step's state y[0] + x_bar[0] is a new array formed as the step is
-    yielded, because the engine reuses y's buffer two steps later.
+    yielded, because the engine steps y in place at the next step.
     """
     states, means, costs = zip(*((y[0] + x_bar[0], x_bar[0], cost) for y, x_bar, cost
                                  in _nagent_steps(params, theta, N, horizon, seed, 1)))

@@ -175,6 +175,21 @@ class TestRunGda:
         assert np.isfinite(log.records[-1].cost)
         assert np.isfinite([r.grad_norms for r in log.records]).all()
 
+    @pytest.mark.parametrize("mode", ["gda", "ag"])
+    def test_overflowing_rollouts_end_non_finite(self, model, mode):
+        """The sampled gradient at K1 = 1e5 overflows its rollouts: the run
+        ends `non_finite` at that finite pre-step pair, which k = 1 logs
+        with NaN gradient norms (and a NaN cost, as it is not stabilizing)."""
+        theta0 = PolicyPair(1e5, 0.0, 0.0, 0.0)
+        est = EstimatorConfig(M=20, horizon=50, tau=0.1, seed=4)
+        cfg = OptimizerConfig(mode=mode, T=5, T1=2, T2=2, theta0=theta0, estimator=est)
+        log = run(model, cfg)
+        assert log.termination == "non_finite"
+        assert [r.k for r in log.records] == [1]
+        assert np.isnan(log.records[0].grad_norms).all()
+        assert np.isnan(log.records[0].cost)
+        assert log.final_theta.stack.tobytes() == theta0.stack.tobytes()
+
     @pytest.mark.parametrize("eta", [-0.1, float("nan"), float("inf"), float("-inf")])
     def test_rejects_bad_learning_rates(self, eta):
         for name in ("eta1", "eta2"):

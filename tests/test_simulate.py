@@ -6,6 +6,7 @@ import pytest
 
 from lqmfg import (
     Distribution,
+    EstimatorConfig,
     ModelParams,
     NoiseSpec,
     PolicyPair,
@@ -13,11 +14,13 @@ from lqmfg import (
     mkv_utility_batch,
     nagent_utility_batch,
     nash_policy,
+    estimate_gradient,
     simulate_mkv,
     solve_riccati,
     validate,
 )
 from lqmfg import simulate
+from lqmfg.errors import NonFiniteRollout
 
 from conftest import (PIN_THETA, benchmark_scalars, digest, perfbench_game,
                       random_game, small_policy)
@@ -355,11 +358,11 @@ class TestNAgentSimulator:
         assert len(calls) == 3
         assert threading.active_count() == before
 
-    def test_peak_memory_within_two_population_arrays(self, model):
-        """The engine steps between two (reps, N, d) buffers and adds the
-        step draw in blocks: the traced peak stays within two population
-        arrays and two draw blocks (one block, and the recentring and cost
-        temporaries, read about 0.11 array here)."""
+    def test_peak_memory_within_one_population_array(self, model):
+        """The engine steps its one (reps, N, d) array in place, block by
+        block, and adds the step draw per block: the traced peak stays
+        within one population array and two draw blocks (about 1.11 arrays
+        read here, against 2.11 while it stepped between two buffers)."""
         N, horizon, reps = 1000, 5, 400
         nagent_utility_batch(model, PIN_THETA, N, horizon, reps, 3)
         tracemalloc.start()
@@ -368,7 +371,7 @@ class TestNAgentSimulator:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * reps * N * model.d * 8 + 2 * simulate._DRAW_AHEAD_BYTES
+        assert peak <= reps * N * model.d * 8 + 2 * simulate._DRAW_AHEAD_BYTES
 
 
 def _steps(engine, model):
@@ -385,8 +388,8 @@ class TestStepGenerators:
     """The engines are generators of steps. The mean-field engine's helper
     thread is joined when it is closed early, and it never writes into an
     array it has yielded. The population engine starts no thread; it steps
-    y between two buffers, so a yielded y holds until the next step is
-    requested, and it never writes into a yielded x-bar or cost."""
+    y in place, so a yielded y holds until the next step is requested, and
+    it never writes into a yielded x-bar or cost."""
 
     @pytest.mark.parametrize("engine", ["mkv", "nagent"])
     def test_close_after_first_step_joins_the_thread(self, model, engine):
@@ -436,6 +439,43 @@ class TestBatchArguments:
         with pytest.raises(ValueError, match=r"^per_path gains must be .*got \(3, 1, 1\)$"):
             mkv_utility_batch(model, PolicyPair.zero(), 10, 3, 1,
                               per_path=(1, np.zeros((3, 1, 1))))
+
+
+class TestNonFiniteRollouts:
+    """A rollout utility that overflows is an error that says how many
+    paths overflowed, never a silent inf or NaN. Player 1's K gain at
+    scales 1e0 ... 1e6 on the scalar game and a d=3, ell=2 game: up to
+    1e3 every utility is finite (the scalar game's reach about 2e258), from
+    1e4 on every path overflows within the 50 steps."""
+
+    @pytest.mark.parametrize("scale", [10.0 ** e for e in range(7)])
+    @pytest.mark.parametrize("game", ["scalar", "d3"])
+    @pytest.mark.parametrize("call", ["mkv", "nagent", "estimator"])
+    def test_finite_or_named_error(self, model, call, game, scale):
+        game_model = model if game == "scalar" else random_game(3, 2)
+        stack = np.zeros((2, 2, game_model.ell, game_model.d))
+        stack[0, 0, 0] = scale
+        theta = PolicyPair.from_stack(stack)
+        rollout = {
+            "mkv": lambda: mkv_utility_batch(game_model, theta, 50, 40, 3),
+            "nagent": lambda: nagent_utility_batch(game_model, theta, 20, 50, 40, 3),
+            "estimator": lambda: np.stack(estimate_gradient(
+                game_model, theta, 1, EstimatorConfig(M=40, horizon=50, tau=0.1, seed=3))),
+        }[call]
+        if scale <= 1e3:
+            assert np.isfinite(rollout()).all()
+        else:
+            with pytest.raises(NonFiniteRollout,
+                               match=r"^40 of 40 rollout utilities are not finite after 50 steps$"):
+                rollout()
+
+    def test_error_counts_the_overflowing_paths(self, model):
+        """Per-path gains that overflow on 3 of 10 paths."""
+        G = np.array([0.2, 0.4]).reshape(2, 1, 1, 1) + np.zeros((2, 10, 1, 1))
+        G[0, :3] = 1e5
+        with pytest.raises(NonFiniteRollout,
+                           match=r"^3 of 10 rollout utilities are not finite after 50 steps$"):
+            mkv_utility_batch(model, PIN_THETA, 50, 10, 3, per_path=(1, G))
 
 
 def _reference_game(key, noise=None):
