@@ -411,7 +411,7 @@ class TestNAgentValidation:
         """The two seed chunks of the largest population are submitted first
         and run side by side, and stay within three (chunk, max_N, d) arrays:
         one per rollout, plus draw blocks and temporaries (about 2.2 read
-        here, against 4.2 while each rollout stepped between two buffers)."""
+        here)."""
         cfg = load_config(write_config(tmp_path))
         sweep = {"Ns": (10, 1000), "reps": 800, "horizon": 5}  # chunks of 400
         run_nagent_validation(cfg, **sweep)

@@ -10,11 +10,11 @@ from lqmfg import (
     ModelParams,
     NoiseSpec,
     PolicyPair,
+    estimate_gradient,
     exact_utility,
     mkv_utility_batch,
     nagent_utility_batch,
     nash_policy,
-    estimate_gradient,
     simulate_mkv,
     solve_riccati,
     validate,
@@ -362,7 +362,7 @@ class TestNAgentSimulator:
         """The engine steps its one (reps, N, d) array in place, block by
         block, and adds the step draw per block: the traced peak stays
         within one population array and two draw blocks (about 1.11 arrays
-        read here, against 2.11 while it stepped between two buffers)."""
+        read here)."""
         N, horizon, reps = 1000, 5, 400
         nagent_utility_batch(model, PIN_THETA, N, horizon, reps, 3)
         tracemalloc.start()
