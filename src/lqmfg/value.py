@@ -8,6 +8,7 @@ along a leading (dev, mean) axis: one stability gate, one doubling loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,16 @@ def _mT(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(-1, -2)
 
 
+def _smith(a: float, p: float) -> float:
+    """The doubling loop on one 1x1 slice, on Python floats; NaN at the cap."""
+    for _ in range(MAX_DOUBLINGS):
+        p_next = p + a * p * a
+        if p_next == p:
+            return p
+        p, a = p_next, a * a
+    return float("nan")
+
+
 def _dlyap(M: np.ndarray, source: np.ndarray, gamma: float) -> np.ndarray:
     """Solve P = source + gamma * M^T P M for each slice of the stacks M and
     source (k, d, d) by Smith's doubling iteration.
@@ -37,10 +48,19 @@ def _dlyap(M: np.ndarray, source: np.ndarray, gamma: float) -> np.ndarray:
     With A = sqrt(gamma) M, each step P <- P + A^T P A, A <- A A doubles the
     summed terms of sum_t (A^T)^t source A^t. A slice leaves the stack at the
     first step its P stops changing in floating point, with the bits of a loop
-    over it alone: at most ~60 steps under gamma*||M||^2 < 1 (57 for a scalar
-    at 1 - 2**-53), so MAX_DOUBLINGS means non-finite input.
+    over it alone: at most ~60 steps under gamma*||M||^2 < 1 (58 for a scalar
+    at exactly 1 - 2**-53), so MAX_DOUBLINGS means non-finite input.
+
+    At d = 1 ``_smith`` runs the same steps on Python floats, bit for bit: a 1x1
+    matmul is one rounded product, Python has no fused multiply-add, and a
+    signed zero cannot change a retired P. A non-finite or capped slice, which
+    Python reaches without a warning, reruns the call on the stacked loop.
     """
     A = np.sqrt(gamma) * M
+    if A.shape[-1] == 1:
+        out = list(map(_smith, A.ravel().tolist(), source.ravel().tolist()))
+        if all(map(math.isfinite, out)):
+            return np.array(out).reshape(source.shape)
     P, out, rows = source, np.empty_like(source), np.arange(len(source))
     for _ in range(MAX_DOUBLINGS):
         P_next = P + _mT(A) @ P @ A
@@ -163,8 +183,8 @@ def exact_utility(params: ModelParams, theta: PolicyPair) -> ValueSolution:
     solved = _dlyap(np.concatenate((M, _mT(M))),
                     np.concatenate((source, S.V0 + tail * S.W)), g)
     P = solved[:2]
-    cost = (np.trace(P @ S.V0, axis1=-2, axis2=-1)
-            + tail * np.trace(P @ S.W, axis1=-2, axis2=-1))
+    cost = ((P @ S.V0).trace(axis1=-2, axis2=-1)
+            + tail * (P @ S.W).trace(axis1=-2, axis2=-1))
     cost_dev, cost_mean = float(cost[0]), float(cost[1])
     return ValueSolution(P, solved[2:], cost_dev, cost_mean, cost_dev + cost_mean)
 
@@ -194,6 +214,6 @@ def exact_gradient(params: ModelParams, theta: PolicyPair,
     ``solution`` is ``exact_utility`` at theta when the caller already has it.
     """
     sol = solution if solution is not None else exact_utility(params, theta)
-    coefs = np.stack(gradient_coefs(validate(params).stack, sol.P, *theta.stack,
+    coefs = np.array(gradient_coefs(validate(params).stack, sol.P, *theta.stack,
                                     params.gamma))
     return GradientPair(2.0 * coefs @ sol.Sigma)

@@ -360,6 +360,39 @@ class TestStackedDoubling:
             want = _dlyap_alone(M.T, block.V0 + tail * block.W, model_2d.gamma)[0]
             assert Sigma.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("gamma, M, source, steps", [
+        # zero, negative and -0.0 loops, zero and -0.0 sources, a slow loop
+        (0.9, [0.0, -0.7, -0.0, 0.3, -0.3, -0.0, 1.05],
+         [1.5, 2.0, 3.0, 0.0, -0.0, -0.0, 1.0], [0, 6, 0, 0, 0, 0, 13]),
+        # gamma m^2 = 1 - 2**-53 exactly: the docstring's 58 steps
+        (1 - 2**-53, [1.0, -1.0], [1.0, 0.25], [58, 58]),
+    ])
+    def test_scalar_slices_keep_the_stacked_bits(self, gamma, M, source, steps):
+        """1x1 stacks run on Python floats with the bits of the numpy loop."""
+        M, source = np.reshape(M, (-1, 1, 1)), np.reshape(source, (-1, 1, 1))
+        got = _dlyap(M, source, gamma)
+        for i in range(len(M)):
+            want, step = _dlyap_alone(M[i], source[i], gamma)
+            assert step == steps[i]
+            assert got[i].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("gamma, m", [(0.9, np.nan),
+                                          (1.0, 1.0)])  # P doubles, finite at the cap
+    def test_unconverged_slice_raises_at_the_cap(self, gamma, m):
+        M = np.reshape([0.5, m], (2, 1, 1))
+        with pytest.raises(NotStabilizing, match="did not converge"):
+            _dlyap(M, np.ones((2, 1, 1)), gamma)
+
+    def test_overflowing_slice_warns(self):
+        """Python floats overflow silently; the call still warns as numpy
+        does, returns inf there and the other slice's usual bits."""
+        M = np.reshape([0.5, 0.1], (2, 1, 1))
+        source = np.reshape([1.5e308, 1.0], (2, 1, 1))
+        with pytest.warns(RuntimeWarning, match="overflow encountered in add"):
+            got = _dlyap(M, source, 0.9)
+        assert got[0, 0, 0] == np.inf
+        assert got[1].tobytes() == _dlyap_alone(M[1], source[1], 0.9)[0].tobytes()
+
 
 def _bump(theta: PolicyPair, name: str, delta: float, col: int = 0) -> PolicyPair:
     mats = {n: np.array(getattr(theta, n)) for n in ("K1", "L1", "K2", "L2")}
@@ -404,3 +437,10 @@ class TestPinnedBits:
                      [sol.cost_dev, sol.cost_mean, sol.cost],
                      grad.dK1, grad.dL1, grad.dK2, grad.dL2)
         assert got == ORACLE_DIGESTS[case]
+
+    @pytest.mark.parametrize("case", ["scalar_pin", "scalar_zero"])
+    def test_exact_oracle_on_the_stacked_loop(self, case, monkeypatch):
+        """The d = 1 digests also hold with every 1x1 slice sent to the
+        stacked numpy loop, the reference of the Python-float path."""
+        monkeypatch.setattr("lqmfg.value._smith", lambda a, p: float("nan"))
+        self.test_exact_oracle(case)
