@@ -317,7 +317,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> dict:
     else:
         logs = [_run_one_repeat(cfg, r) for r in repeats]
     # scored before any run file is written: a zero benchmark writes none
-    errs = [[relative_error(rec.cost, cost_star) if np.isfinite(rec.cost) else math.nan
+    errs = [[relative_error(rec.cost, cost_star) if math.isfinite(rec.cost) else math.nan
              for rec in log.records] for log in logs]
 
     for r, (log, log_errs) in enumerate(zip(logs, errs)):
@@ -355,9 +355,9 @@ def _run_rows(log: RunLog, errs: list[float]):
     """One row per logged global iteration, with its relative error from
     `errs`, full-precision floats; a gain is its entries joined by ";"."""
     for rec, err in zip(log.records, errs):
-        yield [str(rec.k), *(";".join(map(repr, gain.tolist()))
-                             for gain in rec.theta.stack.reshape(4, -1)),
-               *(repr(float(v)) for v in (rec.cost, *rec.grad_norms, err))]
+        yield [str(rec.k), *(";".join(map(repr, gain))
+                             for gain in rec.theta.stack.reshape(4, -1).tolist()),
+               *map(repr, map(float, (rec.cost, *rec.grad_norms, err)))]
 
 
 def _convergence_rows(logs: list[RunLog], errs: list[list[float]]):
@@ -365,12 +365,12 @@ def _convergence_rows(logs: list[RunLog], errs: list[list[float]]):
     by_k: dict[int, list[float]] = {}
     for log, log_errs in zip(logs, errs):
         for rec, err in zip(log.records, log_errs):
-            if np.isfinite(err):
+            if math.isfinite(err):
                 by_k.setdefault(rec.k, []).append(err)
     for k in sorted(by_k):
         vals = by_k[k]
-        yield [str(k), repr(float(np.mean(vals))), repr(float(min(vals))),
-               repr(float(max(vals)))]
+        mean = vals[0] if len(vals) == 1 else np.mean(vals)  # np.mean([x]) is x
+        yield [str(k), *map(repr, map(float, (mean, min(vals), max(vals))))]
 
 
 def run_nagent_validation(cfg: ExperimentConfig, Ns=(10, 100, 1000), reps: int = 2000,

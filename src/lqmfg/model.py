@@ -246,6 +246,13 @@ class DerivedParams:
     dev: LQBlock
     mean: LQBlock
 
+    @cached_property
+    def scalars(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """At d = ell = 1, the entries of ``stack`` as Python floats: one
+        (A, B1, B2, Q, R1, R2, V0, W) tuple per block, dev first, read on
+        first access and kept."""
+        return tuple(zip(*(m.ravel().tolist() for m in vars(self.stack).values())))
+
 
 @dataclass(frozen=True, init=False, eq=False)
 class PolicyPair:

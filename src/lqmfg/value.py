@@ -4,6 +4,14 @@ A policy pair is scored by the value and discounted second-moment matrices
 of the deviation and the mean process, the exact utility and its gradient in
 all four gains. Both processes are evaluated at once, on arrays stacked
 along a leading (dev, mean) axis: one stability gate, one doubling loop.
+
+At d = ell = 1 the same formulas run on the eight entries of each block as
+Python floats, with the bits of the stacked path: a 1x1 matmul or trace is
+one rounded product that numpy sums onto +0.0, so each is written
+``x * y + 0.0``, which turns -0.0 into +0.0 as numpy does. Python floats
+overflow without a warning, so a pair whose loop fails the gate, or whose
+value or gradient is not finite, reruns on the stacked path and raises or
+warns there.
 """
 
 from __future__ import annotations
@@ -173,12 +181,18 @@ def exact_utility(params: ModelParams, theta: PolicyPair) -> ValueSolution:
     cost_dev = tr(P_dev V0_dev) + gamma/(1-gamma) tr(P_dev W_dev), and the
     mean part analogously; the total is their sum. Both blocks are gated by
     one ``loop_stable`` call, and their four Lyapunov equations (P on M,
-    Sigma on M') are solved in one doubling loop.
+    Sigma on M') are solved in one doubling loop; at d = 1 on Python floats,
+    with the same bits (module docstring).
     """
-    S = validate(params).stack
+    der = validate(params)
     theta.check_dims(params)
     g = params.gamma
     tail = g / (1.0 - g)
+    if theta.stack.shape[2:] == (1, 1):
+        sol = _scalar_utility(der.scalars, theta.stack.ravel().tolist(), g, tail)
+        if sol is not None:
+            return sol
+    S = der.stack
     M, source = _gated_loop(S, *theta.stack, g)
     solved = _dlyap(np.concatenate((M, _mT(M))),
                     np.concatenate((source, S.V0 + tail * S.W)), g)
@@ -214,6 +228,54 @@ def exact_gradient(params: ModelParams, theta: PolicyPair,
     ``solution`` is ``exact_utility`` at theta when the caller already has it.
     """
     sol = solution if solution is not None else exact_utility(params, theta)
-    coefs = np.array(gradient_coefs(validate(params).stack, sol.P, *theta.stack,
-                                    params.gamma))
+    der = validate(params)
+    if params.d == params.ell == 1 and theta.stack.shape[2:] == (1, 1):
+        grad = _scalar_gradient(der.scalars, theta.stack.ravel().tolist(),
+                                sol.P.ravel().tolist(), sol.Sigma.ravel().tolist(),
+                                params.gamma)
+        if grad is not None:
+            return grad
+    coefs = np.array(gradient_coefs(der.stack, sol.P, *theta.stack, params.gamma))
     return GradientPair(2.0 * coefs @ sol.Sigma)
+
+
+def _scalar_utility(blocks, gains, g: float, tail: float) -> ValueSolution | None:
+    """``exact_utility`` on the ``DerivedParams.scalars`` blocks and the
+    gains [K1, L1, K2, L2] as Python floats; None where a loop fails the
+    gate or a result is not finite."""
+    root, loops = math.sqrt(g), []
+    for (a, b1, b2, *_), G1, G2 in zip(blocks, gains[:2], gains[2:]):
+        m = a - (b1 * G1 + 0.0) + (b2 * G2 + 0.0)
+        if not g * abs(m) * abs(m) < 1.0:  # loop_stable at d = 1; fails NaN
+            return None
+        loops.append(root * m)  # _dlyap's A
+    P, Sigma, costs = [], [], []
+    for (_, _, _, q, r1, r2, v0, w), G1, G2, root_m in zip(blocks, gains[:2], gains[2:],
+                                                           loops):
+        p = _smith(root_m, q + ((G1 * r1 + 0.0) * G1 + 0.0) - ((G2 * r2 + 0.0) * G2 + 0.0))
+        P.append(p)
+        Sigma.append(_smith(root_m, v0 + tail * w))
+        costs.append((p * v0 + 0.0) + tail * (p * w + 0.0))
+    if not all(map(math.isfinite, P + Sigma + costs)):
+        return None
+    solved = np.array(P + Sigma).reshape(4, 1, 1)
+    return ValueSolution(solved[:2], solved[2:], *costs, costs[0] + costs[1])
+
+
+def _scalar_gradient(blocks, gains, P, Sigma, g: float) -> GradientPair | None:
+    """``exact_gradient``'s ``gradient_coefs`` formulas on Python floats, as
+    in ``_scalar_utility``; None where an entry is not finite."""
+    player_1, player_2 = [], []  # (dK1, dL1), (dK2, dL2)
+    for (a, b1, b2, _, r1, r2, _, _), G1, G2, p, s in zip(blocks, gains[:2], gains[2:],
+                                                          P, Sigma):
+        b1p, b2p = b1 * p + 0.0, b2 * p + 0.0
+        c1 = (((r1 + g * (b1p * b1 + 0.0)) * G1 + 0.0) - (g * (b1p * b2 + 0.0) * G2 + 0.0)
+              - g * (b1p * a + 0.0))
+        c2 = ((-g * (b2p * b1 + 0.0) * G1 + 0.0) + ((-r2 + g * (b2p * b2 + 0.0)) * G2 + 0.0)
+              + g * (b2p * a + 0.0))
+        player_1.append(2.0 * c1 * s + 0.0)
+        player_2.append(2.0 * c2 * s + 0.0)
+    grad = player_1 + player_2
+    if not all(map(math.isfinite, grad)):
+        return None
+    return GradientPair(np.array(grad).reshape(2, 2, 1, 1))

@@ -150,6 +150,28 @@ def coefficient_gap(model: ModelParams) -> float:
                for dev, mf, mean in feedback_coefs(model).values())
 
 
+def game_are_oracle(params: ModelParams) -> np.ndarray:
+    """Nash gains (2 players, 2 blocks, ell, d) from scipy's game Riccati
+    equation of each block: X = solve_discrete_are(sqrt(g) A, sqrt(g) [B1 B2],
+    Q, diag(R1, -R2)), F = (R + g B'XB)^{-1} g B'XA, K1 = F[:ell],
+    K2 = -F[ell:] (independent solver path)."""
+    import scipy.linalg
+
+    g, ell = params.gamma, params.ell
+    A_bar, B1_bar, B2_bar = params.A_bar, params.B1_bar, params.B2_bar
+    gains = []
+    for A, B1, B2, Q, R1, R2 in (
+            (params.A, params.B1, params.B2, params.Q, params.R1, params.R2),
+            (params.A + A_bar, params.B1 + B1_bar, params.B2 + B2_bar,
+             params.Q + params.Q_bar, params.R1 + params.R1_bar, params.R2 + params.R2_bar)):
+        B = np.hstack((B1, B2))
+        R = scipy.linalg.block_diag(R1, -R2)
+        X = scipy.linalg.solve_discrete_are(np.sqrt(g) * A, np.sqrt(g) * B, Q, R)
+        F = np.linalg.solve(R + g * B.T @ X @ B, g * B.T @ X @ A)
+        gains.append((F[:ell], -F[ell:]))
+    return np.array(gains).swapaxes(0, 1)
+
+
 def small_policy(model, seed: int = 0) -> PolicyPair:
     rng = np.random.default_rng(seed)
     return PolicyPair(*(0.1 * rng.standard_normal((model.ell, model.d))
@@ -167,3 +189,13 @@ def digest(*arrays) -> str:
     for values in arrays:
         h.update(np.ascontiguousarray(values, dtype=float).tobytes())
     return h.hexdigest()
+
+
+def stacked_oracle(monkeypatch) -> None:
+    """Send the whole exact oracle down its stacked numpy path: no 1x1 pair
+    is scored on Python floats (``value._scalar_utility``,
+    ``_scalar_gradient``), and the doubling loop sends no 1x1 slice to
+    ``value._smith``. The reference of the d = 1 path's bits."""
+    monkeypatch.setattr("lqmfg.value._scalar_utility", lambda *args: None)
+    monkeypatch.setattr("lqmfg.value._scalar_gradient", lambda *args: None)
+    monkeypatch.setattr("lqmfg.value._smith", lambda a, p: float("nan"))

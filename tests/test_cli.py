@@ -33,7 +33,7 @@ from lqmfg.errors import CrossFieldError, ParseError, SchemaError
 from lqmfg.riccati import nash_policy, solve_riccati
 from lqmfg.simulate import derive_seed, simulate_mkv
 
-from conftest import perfbench_module, random_game
+from conftest import perfbench_module, random_game, stacked_oracle
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -927,6 +927,13 @@ class TestPinnedArtifacts:
                     for name in EXACT_ARTIFACTS)
         assert dict(zip(EXACT_ARTIFACTS, got)) == dict(
             zip(EXACT_ARTIFACTS, EXACT_RUN_DIGESTS[case]))
+
+    @pytest.mark.parametrize("case", ["table1_ag_exact", "table1_gda_exact"])
+    def test_exact_run_on_the_stacked_path(self, case, tmp_path, monkeypatch):
+        """The shipped exact runs keep their bytes with the whole oracle on
+        its stacked numpy path, the reference of the d = 1 Python-float path."""
+        stacked_oracle(monkeypatch)
+        self.test_exact_run(case, tmp_path)
 
     @pytest.mark.parametrize("case", sorted(SAMPLED_RUN_DIGESTS))
     def test_sampled_run(self, case, tmp_path):

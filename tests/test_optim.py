@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import warnings
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from lqmfg import (
     solve_riccati,
 )
 from lqmfg import cli
+from lqmfg.cli import load_config
 from lqmfg.errors import BenchmarkZero, NotStabilizing
 from lqmfg.optim import RunLog, RunRecord, _grad_norms, _Oracle
 from lqmfg.value import GradientPair
@@ -58,52 +60,71 @@ class TestRelativeError:
         assert errs[-1] < errs[0]
 
 
+@pytest.fixture
+def lyapunov_solves(monkeypatch):
+    """(kernel, equations) of each Lyapunov solve of `lqmfg.value`: one
+    equation per `_smith` call (the doubling loop on one scalar) and one per
+    slice of a stacked `_dlyap` call."""
+    import lqmfg.value
+
+    calls = []
+    smith, dlyap = lqmfg.value._smith, lqmfg.value._dlyap
+
+    def counting_smith(a, p):
+        calls.append(("_smith", 1))
+        return smith(a, p)
+
+    def counting_dlyap(M, source, gamma):
+        calls.append(("_dlyap", len(source)))
+        return dlyap(M, source, gamma)
+
+    monkeypatch.setattr(lqmfg.value, "_smith", counting_smith)
+    monkeypatch.setattr(lqmfg.value, "_dlyap", counting_dlyap)
+    return calls
+
+
 class TestRunGda:
-    def test_four_lyapunov_solves_per_exact_iteration(self, monkeypatch):
-        """The progress record and the next gradient share one evaluation,
-        whose four Lyapunov equations are one stacked doubling call."""
-        import lqmfg.value
-        from lqmfg.cli import load_config
-
-        real = lqmfg.value._dlyap
-        solves = []  # equations per _dlyap call
-
-        def counting(M, source, gamma):
-            solves.append(len(source))
-            return real(M, source, gamma)
-
-        monkeypatch.setattr(lqmfg.value, "_dlyap", counting)
+    def test_four_lyapunov_solves_per_exact_iteration(self, lyapunov_solves):
+        """The progress record and the next gradient share one evaluation.
+        At d = 1 it solves its four Lyapunov equations as four scalar
+        doubling loops (`_smith`), with no stacked call."""
         cfg = load_config(REPO_CONFIGS / "table1_gda_exact.cfg")
         counts = []
         for T in (50, 100):
-            solves.clear()
+            lyapunov_solves.clear()
             run(cfg.model, replace(cfg.optimizer, T=T))
-            counts.append((len(solves), sum(solves)))
-        assert counts[1][0] - counts[0][0] == 50
-        assert counts[1][1] - counts[0][1] == 4 * 50
+            counts.append(Counter(kernel for kernel, _ in lyapunov_solves))
+        assert counts[1]["_smith"] - counts[0]["_smith"] == 4 * 50
+        assert counts[0]["_dlyap"] == counts[1]["_dlyap"] == 0
 
-    def test_fixed_point_costs_no_evaluation(self, monkeypatch):
+    def test_one_stacked_call_per_exact_iteration_beyond_d1(self, lyapunov_solves):
+        """Beyond d = 1 the evaluation's four Lyapunov equations are one
+        stacked doubling call (`_dlyap`)."""
+        model = random_game(3, 2)
+        counts = []
+        for T in (20, 40):
+            lyapunov_solves.clear()
+            log = run(model, OptimizerConfig(mode="gda", T=T, theta0=PolicyPair.zero(3, 2)))
+            assert log.termination == "completed"
+            counts.append((len(lyapunov_solves), sum(n for _, n in lyapunov_solves)))
+            assert {kernel for kernel, _ in lyapunov_solves} == {"_dlyap"}
+        assert counts[1][0] - counts[0][0] == 20
+        assert counts[1][1] - counts[0][1] == 4 * 20
+
+    def test_fixed_point_costs_no_evaluation(self, lyapunov_solves):
         """Exact GDA on the shipped game reaches a floating-point fixed point:
         each iterate from k = 804 on repeats the one before it bit for bit, so
-        T = 1000 -> 2000 adds no Lyapunov solve."""
-        import lqmfg.value
-        from lqmfg.cli import load_config
-
-        real = lqmfg.value._dlyap
-        calls = []
-
-        def counting(M, source, gamma):
-            calls.append(len(source))
-            return real(M, source, gamma)
-
-        monkeypatch.setattr(lqmfg.value, "_dlyap", counting)
+        T = 1000 -> 2000 adds no Lyapunov solve. Each distinct iterate, the
+        zero start included, costs four."""
         cfg = load_config(REPO_CONFIGS / "table1_gda_exact.cfg")
         counts, logs = [], []
         for T in (1000, 2000):
-            calls.clear()
+            lyapunov_solves.clear()
             logs.append(run(cfg.model, replace(cfg.optimizer, T=T)))
-            counts.append(len(calls))
+            counts.append(Counter(kernel for kernel, _ in lyapunov_solves))
         assert counts[1] == counts[0]
+        distinct = {r.theta.stack.tobytes() for r in logs[1].records}
+        assert counts[0] == {"_smith": 4 * (len(distinct) + 1)}
         fixed = logs[1].records[802].theta.stack
         assert all(r.theta.stack.tobytes() == fixed.tobytes()
                    for r in logs[1].records[802:])

@@ -30,10 +30,12 @@ from conftest import (
     P_MEAN_ORACLE,
     benchmark_scalars,
     digest,
+    game_are_oracle,
     perfbench_game,
     random_game,
 )
 from gradient_root_reference import DegenerateProblem, NoRoot, nash_via_gradient_root
+
 
 def discounted_dare_oracle(A, B, Q, R, gamma):
     """One-player discounted LQ solution via the sqrt(gamma) rescaling of
@@ -42,26 +44,6 @@ def discounted_dare_oracle(A, B, Q, R, gamma):
     S = scipy.linalg.solve_discrete_are(s * A, s * B, Q, R)
     K = gamma * np.linalg.solve(R + gamma * B.T @ S @ B, B.T @ S @ A)
     return S, K
-
-
-def game_are_oracle(params: ModelParams) -> np.ndarray:
-    """Nash gains (2 players, 2 blocks, ell, d) from scipy's game Riccati
-    equation of each block: X = solve_discrete_are(sqrt(g) A, sqrt(g) [B1 B2],
-    Q, diag(R1, -R2)), F = (R + g B'XB)^{-1} g B'XA, K1 = F[:ell],
-    K2 = -F[ell:] (independent solver path)."""
-    g, ell = params.gamma, params.ell
-    A_bar, B1_bar, B2_bar = params.A_bar, params.B1_bar, params.B2_bar
-    gains = []
-    for A, B1, B2, Q, R1, R2 in (
-            (params.A, params.B1, params.B2, params.Q, params.R1, params.R2),
-            (params.A + A_bar, params.B1 + B1_bar, params.B2 + B2_bar,
-             params.Q + params.Q_bar, params.R1 + params.R1_bar, params.R2 + params.R2_bar)):
-        B = np.hstack((B1, B2))
-        R = scipy.linalg.block_diag(R1, -R2)
-        X = scipy.linalg.solve_discrete_are(np.sqrt(g) * A, np.sqrt(g) * B, Q, R)
-        F = np.linalg.solve(R + g * B.T @ X @ B, g * B.T @ X @ A)
-        gains.append((F[:ell], -F[ell:]))
-    return np.array(gains).swapaxes(0, 1)
 
 
 class TestSolveRiccati:

@@ -1,3 +1,7 @@
+import math
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,11 +20,21 @@ from lqmfg import (
     solve_riccati,
     validate,
 )
+import lqmfg.value
 from lqmfg.errors import NotStabilizing
 from lqmfg.model import loop_stable
 from lqmfg.value import MAX_DOUBLINGS, _dlyap
 
-from conftest import PIN_THETA, benchmark_scalars, digest, random_game, small_policy
+from conftest import (
+    PIN_THETA,
+    benchmark_noise,
+    benchmark_scalars,
+    digest,
+    random_game,
+    small_policy,
+    stacked_oracle,
+    zero_noise,
+)
 
 
 def series_value_oracle(M, S, gamma, T=500):
@@ -394,6 +408,136 @@ class TestStackedDoubling:
         assert got[1].tobytes() == _dlyap_alone(M[1], source[1], 0.9)[0].tobytes()
 
 
+def _oracle_outcome(model, theta):
+    """What exact_utility and exact_gradient at theta give: the bytes of P,
+    Sigma, the three costs and the gradient, or the exception each raised,
+    with every warning each emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            sol = exact_utility(model, theta)
+        except NotStabilizing as exc:
+            return [repr(exc), [(w.category, str(w.message)) for w in caught]]
+        outcome = [sol.P.tobytes(), sol.Sigma.tobytes(),
+                   np.array([sol.cost_dev, sol.cost_mean, sol.cost]).tobytes(),
+                   [(w.category, str(w.message)) for w in caught]]
+        caught.clear()
+        outcome += [exact_gradient(model, theta, solution=sol).stack.tobytes(),
+                    [(w.category, str(w.message)) for w in caught]]
+    return outcome
+
+
+def _scalar_game(rng) -> ModelParams:
+    """A random 1x1 game whose entries are often 0.0, -0.0 or negative, with
+    the shipped noise or noise of variance -0.0 (so V0 and W may be -0.0)."""
+    def entry():
+        return rng.choice([0.0, -0.0, -0.3, 0.5, float(rng.normal())])
+
+    entries = {name: entry() for name in ("A", "A_bar", "B1", "B1_bar", "B2", "B2_bar",
+                                          "Q", "Q_bar")}
+    R1, R2 = (0.1 + abs(rng.normal()) for _ in range(2))
+    R1_bar, R2_bar = (rng.choice([0.0, -0.0, -0.05, 0.2]) for _ in range(2))
+    signed_zero = Distribution.gaussian(0.0, -0.0)
+    noise = (benchmark_noise(), NoiseSpec(*[signed_zero] * 4))[rng.integers(2)]
+    return ModelParams(**benchmark_scalars(R1=R1, R1_bar=R1_bar, R2=R2, R2_bar=R2_bar,
+                                           gamma=rng.choice([0.5, 0.9, 0.99]), noise=noise,
+                                           **entries))
+
+
+class TestScalarPath:
+    """At d = 1 the oracle runs on Python floats (``_scalar_utility``,
+    ``_scalar_gradient``) with the bits, exceptions and warnings of its
+    stacked numpy path."""
+
+    @pytest.fixture(autouse=True)
+    def scalar_calls(self, monkeypatch):
+        """(name, took) of each call of the Python-float path; took is False
+        where it declined and the stacked path ran."""
+        calls = []
+        for name in ("_scalar_utility", "_scalar_gradient"):
+            def spy(*args, name=name, real=getattr(lqmfg.value, name)):
+                out = real(*args)
+                calls.append((name, out is not None))
+                return out
+
+            monkeypatch.setattr(lqmfg.value, name, spy)
+        return calls
+
+    def both_paths(self, model, theta, monkeypatch):
+        scalar = _oracle_outcome(model, theta)
+        with monkeypatch.context() as patch:
+            stacked_oracle(patch)
+            stacked = _oracle_outcome(model, theta)
+        assert scalar == stacked
+        return scalar
+
+    @pytest.mark.parametrize("theta", ["zero", "pin", "nash"])
+    def test_shipped_game(self, model, theta, monkeypatch, scalar_calls):
+        theta = {"zero": PolicyPair.zero(), "pin": PIN_THETA,
+                 "nash": nash_policy(model, solve_riccati(model))}[theta]
+        outcome = self.both_paths(model, theta, monkeypatch)
+        assert scalar_calls == [("_scalar_utility", True), ("_scalar_gradient", True)]
+        assert outcome[3] == outcome[5] == []
+
+    def test_signed_zeros_and_negative_entries(self, monkeypatch, scalar_calls):
+        """Random 1x1 games and gains drawn from 0.0, -0.0, negative and
+        Gaussian values: every entry or product that is -0.0 in Python is
+        +0.0 after numpy's 1x1 matmul."""
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            model = _scalar_game(rng)
+            theta = PolicyPair(*(rng.choice([0.0, -0.0, -0.2, 0.3, float(rng.normal(0, 0.5))])
+                                 for _ in range(4)))
+            self.both_paths(model, theta, monkeypatch)
+        assert scalar_calls.count(("_scalar_gradient", True)) > 100
+
+    @pytest.mark.parametrize("gamma", [0.9, 1 - 2**-53])
+    def test_loop_at_the_gate(self, gamma, monkeypatch, scalar_calls):
+        """gamma m^2 just below 1 on both loops: the slowest doublings."""
+        m = math.sqrt(1.0 / gamma)
+        while not gamma * m * m < 1.0:
+            m = math.nextafter(m, 0.0)
+        model = ModelParams(**benchmark_scalars(A=m, A_bar=0.0, gamma=gamma))
+        for K2 in (0.0, -0.0):
+            self.both_paths(model, PolicyPair(0.0, 0.0, K2, -K2), monkeypatch)
+        assert all(took for _, took in scalar_calls)
+
+    def test_loop_exactly_on_the_gate(self, monkeypatch):
+        """gamma m^2 = 1 exactly, with zero sources: the doubling returns
+        0 at once, yet the gate rejects the pair."""
+        model = ModelParams(**benchmark_scalars(A=2.0, A_bar=0.0, Q=0.0, Q_bar=0.0,
+                                                gamma=0.25, noise=zero_noise()))
+        outcome = self.both_paths(model, PolicyPair.zero(), monkeypatch)
+        assert outcome[0].startswith("NotStabilizing")
+
+    def test_cost_overflow_falls_back(self, monkeypatch, scalar_calls):
+        """P and Sigma finite, tr(P V0) overflows."""
+        noise = replace(benchmark_noise(), init_idio=Distribution.uniform(-3.0, 3.0))
+        model = ModelParams(**benchmark_scalars(B1=0.0, B1_bar=0.0, noise=noise))
+        outcome = self.both_paths(model, PolicyPair(1.5e154, 0.0, 0.0, 0.0), monkeypatch)
+        assert scalar_calls[0] == ("_scalar_utility", False)
+        assert outcome[3] == [(RuntimeWarning, "overflow encountered in matmul")]
+
+    @pytest.mark.parametrize("gains, B1, warns", [
+        ((np.nan, 0.0, 0.0, 0.0), 0.4, False),   # NaN loop: fails the gate
+        ((0.0, 0.0, 0.0, np.inf), 0.4, False),   # -inf mean loop
+        ((np.inf, 0.0, 0.0, 0.0), 0.0, True),    # 0 * inf: NaN loop
+        ((1e160, 0.0, 0.0, 0.0), 0.4, False),    # loop 4e159 fails the gate
+        ((1e160, 0.0, 0.0, 0.0), 0.0, True),     # stable loop, source overflows
+        ((1e154, 0.0, 0.0, 0.0), 0.0, True),     # finite value, gradient overflows
+    ], ids=["nan", "inf", "inf_times_zero", "large_loop", "source_overflow",
+            "gradient_overflow"])
+    def test_non_finite_falls_back(self, gains, B1, warns, monkeypatch, scalar_calls):
+        """Python floats overflow silently; the stacked rerun raises and
+        warns as the stacked path alone does."""
+        model = ModelParams(**benchmark_scalars(B1=B1, B1_bar=0.0, B2=1e5, B2_bar=0.0))
+        outcome = self.both_paths(model, PolicyPair(*gains), monkeypatch)
+        assert not all(took for _, took in scalar_calls)
+        warned = [w for part in outcome if isinstance(part, list) for w in part]
+        assert bool(warned) == warns
+        assert {category for category, _ in warned} <= {RuntimeWarning}
+
+
 def _bump(theta: PolicyPair, name: str, delta: float, col: int = 0) -> PolicyPair:
     mats = {n: np.array(getattr(theta, n)) for n in ("K1", "L1", "K2", "L2")}
     mats[name] = mats[name].copy()
@@ -440,7 +584,7 @@ class TestPinnedBits:
 
     @pytest.mark.parametrize("case", ["scalar_pin", "scalar_zero"])
     def test_exact_oracle_on_the_stacked_loop(self, case, monkeypatch):
-        """The d = 1 digests also hold with every 1x1 slice sent to the
-        stacked numpy loop, the reference of the Python-float path."""
-        monkeypatch.setattr("lqmfg.value._smith", lambda a, p: float("nan"))
+        """The d = 1 digests also hold with the whole oracle on its stacked
+        numpy path, the reference of the Python-float path."""
+        stacked_oracle(monkeypatch)
         self.test_exact_oracle(case)
