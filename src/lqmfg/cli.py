@@ -357,7 +357,7 @@ def _run_rows(log: RunLog, errs: list[float]):
     for rec, err in zip(log.records, errs):
         yield [str(rec.k), *(";".join(map(repr, gain))
                              for gain in rec.theta.stack.reshape(4, -1).tolist()),
-               *map(repr, map(float, (rec.cost, *rec.grad_norms, err)))]
+               *(repr(float(v)) for v in (rec.cost, *rec.grad_norms, err))]
 
 
 def _convergence_rows(logs: list[RunLog], errs: list[list[float]]):
@@ -370,7 +370,7 @@ def _convergence_rows(logs: list[RunLog], errs: list[list[float]]):
     for k in sorted(by_k):
         vals = by_k[k]
         mean = vals[0] if len(vals) == 1 else np.mean(vals)  # np.mean([x]) is x
-        yield [str(k), *map(repr, map(float, (mean, min(vals), max(vals))))]
+        yield [str(k), repr(float(mean)), repr(float(min(vals))), repr(float(max(vals)))]
 
 
 def run_nagent_validation(cfg: ExperimentConfig, Ns=(10, 100, 1000), reps: int = 2000,

@@ -9,6 +9,7 @@ decomposition.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -227,6 +228,10 @@ class LQBlock:
                 - G2.swapaxes(-1, -2) @ self.R2 @ G2)
 
 
+# The entries of a 1x1 LQBlock as Python floats, by field name.
+ScalarBlock = namedtuple("ScalarBlock", [f.name for f in fields(LQBlock)])
+
+
 @dataclass(frozen=True)
 class DerivedParams:
     """The two blocks the game splits into.
@@ -247,11 +252,11 @@ class DerivedParams:
     mean: LQBlock
 
     @cached_property
-    def scalars(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """At d = ell = 1, the entries of ``stack`` as Python floats: one
-        (A, B1, B2, Q, R1, R2, V0, W) tuple per block, dev first, read on
-        first access and kept."""
-        return tuple(zip(*(m.ravel().tolist() for m in vars(self.stack).values())))
+    def scalars(self) -> tuple[ScalarBlock, ScalarBlock]:
+        """At d = ell = 1, the entries of ``stack`` as Python floats, one
+        ``ScalarBlock`` per block, dev first, read on first access and kept."""
+        columns = (getattr(self.stack, name).ravel().tolist() for name in ScalarBlock._fields)
+        return tuple(map(ScalarBlock._make, zip(*columns)))
 
 
 @dataclass(frozen=True, init=False, eq=False)

@@ -40,7 +40,10 @@ def _mT(x: np.ndarray) -> np.ndarray:
 
 
 def _smith(a: float, p: float) -> float:
-    """The doubling loop on one 1x1 slice, on Python floats; NaN at the cap."""
+    """``_dlyap``'s doubling steps on one scalar a = sqrt(gamma) m, on Python
+    floats, bit for bit: a 1x1 matmul is one rounded product, Python has no
+    fused multiply-add, and a signed zero cannot change a retired P. NaN at
+    the cap."""
     for _ in range(MAX_DOUBLINGS):
         p_next = p + a * p * a
         if p_next == p:
@@ -58,17 +61,8 @@ def _dlyap(M: np.ndarray, source: np.ndarray, gamma: float) -> np.ndarray:
     first step its P stops changing in floating point, with the bits of a loop
     over it alone: at most ~60 steps under gamma*||M||^2 < 1 (58 for a scalar
     at exactly 1 - 2**-53), so MAX_DOUBLINGS means non-finite input.
-
-    At d = 1 ``_smith`` runs the same steps on Python floats, bit for bit: a 1x1
-    matmul is one rounded product, Python has no fused multiply-add, and a
-    signed zero cannot change a retired P. A non-finite or capped slice, which
-    Python reaches without a warning, reruns the call on the stacked loop.
     """
     A = np.sqrt(gamma) * M
-    if A.shape[-1] == 1:
-        out = list(map(_smith, A.ravel().tolist(), source.ravel().tolist()))
-        if all(map(math.isfinite, out)):
-            return np.array(out).reshape(source.shape)
     P, out, rows = source, np.empty_like(source), np.arange(len(source))
     for _ in range(MAX_DOUBLINGS):
         P_next = P + _mT(A) @ P @ A
@@ -185,10 +179,9 @@ def exact_utility(params: ModelParams, theta: PolicyPair) -> ValueSolution:
     with the same bits (module docstring).
     """
     der = validate(params)
-    theta.check_dims(params)
     g = params.gamma
     tail = g / (1.0 - g)
-    if theta.stack.shape[2:] == (1, 1):
+    if _on_floats(params, theta):
         sol = _scalar_utility(der.scalars, theta.stack.ravel().tolist(), g, tail)
         if sol is not None:
             return sol
@@ -229,7 +222,7 @@ def exact_gradient(params: ModelParams, theta: PolicyPair,
     """
     sol = solution if solution is not None else exact_utility(params, theta)
     der = validate(params)
-    if params.d == params.ell == 1 and theta.stack.shape[2:] == (1, 1):
+    if _on_floats(params, theta):
         grad = _scalar_gradient(der.scalars, theta.stack.ravel().tolist(),
                                 sol.P.ravel().tolist(), sol.Sigma.ravel().tolist(),
                                 params.gamma)
@@ -239,23 +232,30 @@ def exact_gradient(params: ModelParams, theta: PolicyPair,
     return GradientPair(2.0 * coefs @ sol.Sigma)
 
 
+def _on_floats(params: ModelParams, theta: PolicyPair) -> bool:
+    """Whether theta is scored on Python floats (d = ell = 1, module
+    docstring); raises DimensionMismatch unless theta fits params."""
+    theta.check_dims(params)
+    return params.d == params.ell == 1
+
+
 def _scalar_utility(blocks, gains, g: float, tail: float) -> ValueSolution | None:
     """``exact_utility`` on the ``DerivedParams.scalars`` blocks and the
     gains [K1, L1, K2, L2] as Python floats; None where a loop fails the
     gate or a result is not finite."""
     root, loops = math.sqrt(g), []
-    for (a, b1, b2, *_), G1, G2 in zip(blocks, gains[:2], gains[2:]):
-        m = a - (b1 * G1 + 0.0) + (b2 * G2 + 0.0)
+    for blk, G1, G2 in zip(blocks, gains[:2], gains[2:]):
+        m = blk.A - (blk.B1 * G1 + 0.0) + (blk.B2 * G2 + 0.0)
         if not g * abs(m) * abs(m) < 1.0:  # loop_stable at d = 1; fails NaN
             return None
         loops.append(root * m)  # _dlyap's A
     P, Sigma, costs = [], [], []
-    for (_, _, _, q, r1, r2, v0, w), G1, G2, root_m in zip(blocks, gains[:2], gains[2:],
-                                                           loops):
-        p = _smith(root_m, q + ((G1 * r1 + 0.0) * G1 + 0.0) - ((G2 * r2 + 0.0) * G2 + 0.0))
+    for blk, G1, G2, root_m in zip(blocks, gains[:2], gains[2:], loops):
+        p = _smith(root_m, blk.Q + ((G1 * blk.R1 + 0.0) * G1 + 0.0)
+                   - ((G2 * blk.R2 + 0.0) * G2 + 0.0))
         P.append(p)
-        Sigma.append(_smith(root_m, v0 + tail * w))
-        costs.append((p * v0 + 0.0) + tail * (p * w + 0.0))
+        Sigma.append(_smith(root_m, blk.V0 + tail * blk.W))
+        costs.append((p * blk.V0 + 0.0) + tail * (p * blk.W + 0.0))
     if not all(map(math.isfinite, P + Sigma + costs)):
         return None
     solved = np.array(P + Sigma).reshape(4, 1, 1)
@@ -266,8 +266,8 @@ def _scalar_gradient(blocks, gains, P, Sigma, g: float) -> GradientPair | None:
     """``exact_gradient``'s ``gradient_coefs`` formulas on Python floats, as
     in ``_scalar_utility``; None where an entry is not finite."""
     player_1, player_2 = [], []  # (dK1, dL1), (dK2, dL2)
-    for (a, b1, b2, _, r1, r2, _, _), G1, G2, p, s in zip(blocks, gains[:2], gains[2:],
-                                                          P, Sigma):
+    for blk, G1, G2, p, s in zip(blocks, gains[:2], gains[2:], P, Sigma):
+        a, b1, b2, r1, r2 = blk.A, blk.B1, blk.B2, blk.R1, blk.R2
         b1p, b2p = b1 * p + 0.0, b2 * p + 0.0
         c1 = (((r1 + g * (b1p * b1 + 0.0)) * G1 + 0.0) - (g * (b1p * b2 + 0.0) * G2 + 0.0)
               - g * (b1p * a + 0.0))

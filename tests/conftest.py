@@ -194,8 +194,6 @@ def digest(*arrays) -> str:
 def stacked_oracle(monkeypatch) -> None:
     """Send the whole exact oracle down its stacked numpy path: no 1x1 pair
     is scored on Python floats (``value._scalar_utility``,
-    ``_scalar_gradient``), and the doubling loop sends no 1x1 slice to
-    ``value._smith``. The reference of the d = 1 path's bits."""
+    ``_scalar_gradient``). The reference of the d = 1 path's bits."""
     monkeypatch.setattr("lqmfg.value._scalar_utility", lambda *args: None)
     monkeypatch.setattr("lqmfg.value._scalar_gradient", lambda *args: None)
-    monkeypatch.setattr("lqmfg.value._smith", lambda a, p: float("nan"))

@@ -2,15 +2,16 @@
 
 On the seeded conftest games (d, ell) = (2, 1), (3, 2), (4, 2) and (8, 3),
 the Nash gains are those of scipy's game Riccati equation
-(``game_are_oracle``). ``solve_riccati`` finds them, the exact gradient
-vanishes there, and exact GDA from zero gains reaches them. The d = 1 oracle
-runs on Python floats, so these check the stacked formulas' convergence.
+(``game_are_oracle``; ``tests/test_riccati.py`` checks that
+``solve_riccati`` finds them). The exact gradient vanishes there, and exact
+GDA from zero gains reaches them. The d = 1 oracle runs on Python floats,
+so these check the stacked formulas' convergence.
 """
 
 import numpy as np
 import pytest
 
-from lqmfg import OptimizerConfig, PolicyPair, exact_gradient, nash_policy, run, solve_riccati
+from lqmfg import OptimizerConfig, PolicyPair, exact_gradient, run
 
 from conftest import game_are_oracle, random_game
 
@@ -21,12 +22,6 @@ def game(request):
     """A conftest game and its Nash gains, (2 players, 2 blocks, ell, d)."""
     model = random_game(*request.param)
     return model, game_are_oracle(model)
-
-
-def test_solve_riccati_finds_the_nash_gains(game):
-    model, nash = game
-    theta = nash_policy(model, solve_riccati(model))
-    assert np.max(np.abs(theta.stack - nash)) <= 1e-12
 
 
 def test_exact_gradient_vanishes_at_the_nash_gains(game):

@@ -23,7 +23,7 @@ from lqmfg import (
 import lqmfg.value
 from lqmfg.errors import NotStabilizing
 from lqmfg.model import loop_stable
-from lqmfg.value import MAX_DOUBLINGS, _dlyap
+from lqmfg.value import MAX_DOUBLINGS, _dlyap, _smith
 
 from conftest import (
     PIN_THETA,
@@ -382,13 +382,16 @@ class TestStackedDoubling:
         (1 - 2**-53, [1.0, -1.0], [1.0, 0.25], [58, 58]),
     ])
     def test_scalar_slices_keep_the_stacked_bits(self, gamma, M, source, steps):
-        """1x1 stacks run on Python floats with the bits of the numpy loop."""
-        M, source = np.reshape(M, (-1, 1, 1)), np.reshape(source, (-1, 1, 1))
-        got = _dlyap(M, source, gamma)
+        """1x1 slices of the stacked loop, and ``_smith`` on Python floats,
+        give the bits of the per-matrix loop."""
+        root = math.sqrt(gamma)
+        got = _dlyap(np.reshape(M, (-1, 1, 1)), np.reshape(source, (-1, 1, 1)), gamma)
         for i in range(len(M)):
-            want, step = _dlyap_alone(M[i], source[i], gamma)
+            want, step = _dlyap_alone(np.reshape(M[i], (1, 1)), np.reshape(source[i], (1, 1)),
+                                      gamma)
             assert step == steps[i]
             assert got[i].tobytes() == want.tobytes()
+            assert np.float64(_smith(root * M[i], source[i])).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("gamma, m", [(0.9, np.nan),
                                           (1.0, 1.0)])  # P doubles, finite at the cap
@@ -396,10 +399,11 @@ class TestStackedDoubling:
         M = np.reshape([0.5, m], (2, 1, 1))
         with pytest.raises(NotStabilizing, match="did not converge"):
             _dlyap(M, np.ones((2, 1, 1)), gamma)
+        assert math.isnan(_smith(math.sqrt(gamma) * m, 1.0))
 
     def test_overflowing_slice_warns(self):
-        """Python floats overflow silently; the call still warns as numpy
-        does, returns inf there and the other slice's usual bits."""
+        """An overflowing slice warns, returns inf, and leaves the other
+        slice's usual bits."""
         M = np.reshape([0.5, 0.1], (2, 1, 1))
         source = np.reshape([1.5e308, 1.0], (2, 1, 1))
         with pytest.warns(RuntimeWarning, match="overflow encountered in add"):
