@@ -353,11 +353,15 @@ _RUN_HEADER = ("k", "K1", "L1", "K2", "L2", "C",
 
 def _run_rows(log: RunLog, errs: list[float]):
     """One row per logged global iteration, with its relative error from
-    `errs`, full-precision floats; a gain is its entries joined by ";"."""
+    `errs`, full-precision floats; a gain is its entries joined by ";", a
+    1x1 gain its one entry. The gains are read with one tolist() of the
+    flat stack; the cost, the norms and `errs` are Python floats already."""
     for rec, err in zip(log.records, errs):
-        yield [str(rec.k), *(";".join(map(repr, gain))
-                             for gain in rec.theta.stack.reshape(4, -1).tolist()),
-               *(repr(float(v)) for v in (rec.cost, *rec.grad_norms, err))]
+        flat = rec.theta.stack.ravel().tolist()
+        n = len(flat) // 4
+        gains = (map(repr, flat) if n == 1
+                 else (";".join(map(repr, flat[i:i + n])) for i in range(0, 4 * n, n)))
+        yield [str(rec.k), *gains, *map(repr, (rec.cost, *rec.grad_norms, err))]
 
 
 def _convergence_rows(logs: list[RunLog], errs: list[list[float]]):
@@ -369,8 +373,11 @@ def _convergence_rows(logs: list[RunLog], errs: list[list[float]]):
                 by_k.setdefault(rec.k, []).append(err)
     for k in sorted(by_k):
         vals = by_k[k]
-        mean = vals[0] if len(vals) == 1 else np.mean(vals)  # np.mean([x]) is x
-        yield [str(k), repr(float(mean)), repr(float(min(vals))), repr(float(max(vals)))]
+        if len(vals) == 1:  # mean, min and max are the one value
+            text = repr(vals[0])
+            yield [str(k), text, text, text]
+        else:
+            yield [str(k), repr(float(np.mean(vals))), repr(min(vals)), repr(max(vals))]
 
 
 def run_nagent_validation(cfg: ExperimentConfig, Ns=(10, 100, 1000), reps: int = 2000,

@@ -6,10 +6,13 @@ the same pre-step pair; alternating gradient steps the minimizer T1 times,
 then the maximizer once, warm-started from the last minimizer iterate. Each
 step is one oracle gradient at the pre-step pair and one update of the
 players' rows of the (2 players, 2 blocks, ell, d) gain stack, with one
-failure path. The oracle is either the exact closed-form gradient, which
-evaluates each distinct iterate once (``_Oracle``), or the rollout-based
-estimator. A run needs no equilibrium: it logs each iterate with its exact
-utility, and the caller scores the log against its own benchmark.
+failure path. At d = ell = 1 the step runs on the four gains as Python
+floats with the array step's bits (``_float_step``); a step to a gain that
+is not finite reruns on the arrays, which warn as numpy does. The oracle is
+either the exact closed-form gradient, which evaluates each distinct
+iterate once (``_Oracle``), or the rollout-based estimator. A run needs no
+equilibrium: it logs each iterate with its exact utility, and the caller
+scores the log against its own benchmark.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .estimator import EstimatorConfig, estimate_gradient
 from .model import ModelParams, PolicyPair, in_stabilizing_set, validate  # noqa: F401
 from .riccati import solve_riccati  # noqa: F401
 from .simulate import derive_seed
-from .value import GradientPair, exact_gradient, exact_utility
+from .value import GradientPair, _on_floats, exact_gradient, exact_utility
 
 
 @dataclass(frozen=True)
@@ -166,6 +169,25 @@ def _moved(theta: PolicyPair, rows: slice, delta: np.ndarray) -> PolicyPair:
     return PolicyPair.from_stack(stack)
 
 
+def _float_step(theta: PolicyPair, rows: slice, rates, grad: GradientPair):
+    """``run``'s step at d = ell = 1 on the four gains as Python floats, with
+    the array step's bits: a norm is sqrt(g * g), or |g| where the square
+    overflows (``_scaled_norm``), and a moved gain a + rate * g, each
+    operation rounded. (norms, pair), the pair being theta itself where the
+    gains kept their values and none is zero; None where a gain is not
+    finite, so that the array step reruns and warns as numpy does."""
+    old, g = theta.stack.ravel().tolist(), grad.stack.ravel().tolist()
+    gains = old.copy()
+    for i in range(2 * rows.start, 2 * rows.stop):
+        gains[i] += rates[i // 2] * g[i]
+    if not all(map(math.isfinite, gains)):
+        return None
+    norms = tuple(math.sqrt(s) if (s := x * x) != math.inf else abs(x) for x in g)
+    if gains == old and 0.0 not in old:  # bit for bit: no -0.0 turned +0.0
+        return norms, theta
+    return norms, PolicyPair.from_stack(np.array(gains).reshape(2, 2, 1, 1))
+
+
 def run(params: ModelParams, cfg: OptimizerConfig) -> RunLog:
     """Run the scheme of ``cfg.mode`` from ``cfg.theta0`` (zero gains if unset).
 
@@ -180,7 +202,7 @@ def run(params: ModelParams, cfg: OptimizerConfig) -> RunLog:
     gradient norms."""
     oracle = _Oracle(params, cfg)
     theta = cfg.theta0 if cfg.theta0 is not None else PolicyPair.zero(params.d, params.ell)
-    theta.check_dims(params)
+    floats = _on_floats(params, theta)
     log = RunLog()
     t0 = time.perf_counter()
 
@@ -194,6 +216,7 @@ def run(params: ModelParams, cfg: OptimizerConfig) -> RunLog:
     # a row of theta + rates*g is K1 - eta1*dK1, ..., K2 + eta2*dK2
     # bit for bit: a + (-b) is a - b, and (-x)*y is -(x*y)
     rates = np.array([-cfg.eta1, cfg.eta2]).reshape(2, 1, 1, 1)
+    float_rates = rates.ravel().tolist()
     for k, players in _schedule(cfg):
         rows = slice(players[0] - 1, players[-1])
         try:
@@ -203,9 +226,13 @@ def run(params: ModelParams, cfg: OptimizerConfig) -> RunLog:
         except NonFiniteRollout:
             norms, status = (float("nan"),) * 4, "non_finite"
         else:
-            norms = _grad_norms(grad)
-            theta = _moved(theta, rows, rates[rows] * grad.stack[rows])
-            status = "ok" if np.isfinite(theta.stack).all() else "non_finite"
+            step = _float_step(theta, rows, float_rates, grad) if floats else None
+            if step is None:
+                norms = _grad_norms(grad)
+                theta = _moved(theta, rows, rates[rows] * grad.stack[rows])
+                status = "ok" if np.isfinite(theta.stack).all() else "non_finite"
+            else:
+                (norms, theta), status = step, "ok"
         if k is not None and (k % cfg.log_every == 0 or k == 1):
             record(k, theta, norms)
         if status != "ok":

@@ -197,3 +197,10 @@ def stacked_oracle(monkeypatch) -> None:
     ``_scalar_gradient``). The reference of the d = 1 path's bits."""
     monkeypatch.setattr("lqmfg.value._scalar_utility", lambda *args: None)
     monkeypatch.setattr("lqmfg.value._scalar_gradient", lambda *args: None)
+
+
+def array_step(monkeypatch) -> None:
+    """Send every learning step of ``optim.run`` down its numpy array path:
+    no 1x1 step runs on Python floats (``optim._float_step``). The
+    reference of the d = 1 step's bits."""
+    monkeypatch.setattr("lqmfg.optim._float_step", lambda *args: None)

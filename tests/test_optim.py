@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import math
 import warnings
 from collections import Counter
@@ -10,7 +11,10 @@ import numpy as np
 import pytest
 
 from lqmfg import (
+    Distribution,
     EstimatorConfig,
+    ModelParams,
+    NoiseSpec,
     OptimizerConfig,
     PolicyPair,
     exact_gradient,
@@ -26,7 +30,7 @@ from lqmfg.errors import BenchmarkZero, NotStabilizing
 from lqmfg.optim import RunLog, RunRecord, _grad_norms, _Oracle
 from lqmfg.value import GradientPair
 
-from conftest import random_game, small_policy
+from conftest import array_step, benchmark_scalars, random_game, small_policy
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -417,6 +421,136 @@ class TestSimultaneity:
         assert stepped.stack.tobytes() == by_hand.stack.tobytes()
 
 
+def _run_outcome(model, cfg):
+    """What run gives: per record its k, the bytes of its gains and the bits
+    of its cost and four norms; the termination, the final gains, and every
+    warning emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        log = run(model, cfg)
+    return ([(r.k, r.theta.stack.tobytes(), np.array([r.cost, *r.grad_norms]).tobytes())
+             for r in log.records],
+            log.termination, log.final_theta.stack.tobytes(),
+            [(w.category, str(w.message)) for w in caught])
+
+
+def _scaled_game_run(rng):
+    """A random 1x1 game and a short exact run on it. Every noise second
+    moment is v = 10^e, and the discounted second moments, and with them
+    the gradient entries, scale with v: from squares that underflow
+    (|g| <= 1e-160) to squares that overflow (|g| >= 1e155), or exactly
+    zero without noise. Gains are drawn from 0.0, -0.0 and Gaussian values,
+    rates from 0, 0.1, a Gaussian and 1e308."""
+    e = rng.choice([-175, -168, -2, 0, 2, 157, 165])
+    v = 10.0 ** e * rng.uniform(1.0, 10.0)
+    half_width = math.sqrt(3.0 * v)  # a uniform(-w, w) draw has variance w^2 / 3
+    noise = (NoiseSpec(*[Distribution.uniform(-half_width, half_width)] * 2,
+                       *[Distribution.gaussian(0.0, v)] * 2),
+             NoiseSpec(*[Distribution.point(0.0)] * 4))[int(rng.random() < 0.15)]
+    entries = {name: float(rng.normal(0.0, 0.4)) for name in
+               ("A", "A_bar", "B1", "B1_bar", "B2", "B2_bar", "Q", "Q_bar")}
+    model = ModelParams(**benchmark_scalars(
+        R1=0.1 + abs(rng.normal()), R2=0.1 + abs(rng.normal()),
+        gamma=rng.choice([0.5, 0.9, 0.99]), noise=noise, **entries))
+
+    def gain():
+        return rng.choice([0.0, -0.0, float(rng.normal(0.0, 0.3))])
+
+    def rate():
+        return rng.choice([0.0, 0.1, abs(float(rng.normal(0.0, 0.2))), 1e308])
+
+    cfg = OptimizerConfig(mode=rng.choice(["gda", "ag"]), T=4, T1=2, T2=2,
+                          eta1=rate(), eta2=rate(),
+                          theta0=PolicyPair(*(gain() for _ in range(4))))
+    return model, cfg
+
+
+class TestFloatStep:
+    """At d = ell = 1 each learning step runs on Python floats
+    (``optim._float_step``) with the bits, endings and warnings of the
+    array step, which ``conftest.array_step`` forces."""
+
+    def both_paths(self, model, cfg, monkeypatch):
+        floats = _run_outcome(model, cfg)
+        with monkeypatch.context() as patch:
+            array_step(patch)
+            arrays = _run_outcome(model, cfg)
+        assert floats == arrays
+        return floats
+
+    @pytest.fixture
+    def moved_calls(self, monkeypatch):
+        """The number of array steps (``optim._moved`` calls) run so far."""
+        import lqmfg.optim
+
+        calls = []
+        moved = lqmfg.optim._moved
+
+        def counting(*args):
+            calls.append(None)
+            return moved(*args)
+
+        monkeypatch.setattr(lqmfg.optim, "_moved", counting)
+        return calls
+
+    @pytest.mark.parametrize("name", ["table1_ag_exact", "table1_gda_exact"])
+    def test_shipped_exact_runs(self, name, monkeypatch):
+        cfg = load_config(REPO_CONFIGS / f"{name}.cfg")
+        records, termination, _, caught = self.both_paths(cfg.model, cfg.optimizer,
+                                                          monkeypatch)
+        assert termination == "completed" and caught == []
+        assert len(records) in (2000, 2001)
+
+    @pytest.mark.parametrize("mode", ["gda", "ag"])
+    def test_sampled_run(self, model, mode, monkeypatch):
+        """The sampled oracle's gradients, NaN in the blocks of a player an
+        AG step does not move."""
+        est = EstimatorConfig(M=50, horizon=10, tau=0.1, seed=3)
+        cfg = OptimizerConfig(mode=mode, T=5, T1=2, T2=2, estimator=est)
+        assert self.both_paths(model, cfg, monkeypatch)[1] == "completed"
+
+    def test_random_games(self, monkeypatch):
+        """240 runs on random 1x1 games (``_scaled_game_run``), which reach
+        every case of the float step."""
+        import lqmfg.optim
+
+        seen = []  # (gradient entries, gains before, float step taken) per step
+        float_step = lqmfg.optim._float_step
+
+        def spy(theta, rows, rates, grad):
+            out = float_step(theta, rows, rates, grad)
+            seen.append((grad.stack.ravel().tolist(), theta.stack.ravel(), out is not None))
+            return out
+
+        monkeypatch.setattr(lqmfg.optim, "_float_step", spy)
+        rng = np.random.default_rng(29)
+        endings = Counter(self.both_paths(*_scaled_game_run(rng), monkeypatch)[1]
+                          for _ in range(240))
+        entries = [abs(g) for grad, _, _ in seen for g in grad]
+        assert any(1e155 <= g < math.inf for g in entries)
+        assert any(0.0 < g <= 1e-160 for g in entries)
+        assert any(np.signbit(gains[gains == 0.0]).any() for _, gains, _ in seen)
+        assert {took for _, _, took in seen} == {True, False}
+        assert set(endings) == {"completed", "left_stabilizing_set", "non_finite"}
+
+    def test_d1_array_step_only_where_a_gain_is_not_finite(self, model, moved_calls):
+        cfg = load_config(REPO_CONFIGS / "table1_gda_exact.cfg")
+        assert run(cfg.model, replace(cfg.optimizer, T=50)).termination == "completed"
+        assert run(model, OptimizerConfig(mode="ag", T1=3, T2=4)).termination == "completed"
+        assert moved_calls == []
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            log = run(model, OptimizerConfig(mode="gda", T=10, eta1=1e308))
+        assert log.termination == "non_finite"
+        assert len(moved_calls) == 1
+
+    def test_array_step_beyond_d1(self, moved_calls):
+        model = random_game(3, 2)
+        run(model, OptimizerConfig(mode="gda", T=20, theta0=PolicyPair.zero(3, 2)))
+        assert len(moved_calls) == 20
+        run(model, OptimizerConfig(mode="ag", T1=3, T2=2, theta0=PolicyPair.zero(3, 2)))
+        assert len(moved_calls) == 20 + 2 * (3 + 1)
+
+
 class TestGradNorms:
     def test_overflowing_block_is_rescaled(self):
         """A finite block whose squares overflow keeps a finite norm, and
@@ -509,3 +643,51 @@ class TestRunLogCsv:
                             + [repr(float(v)) for v in rec.grad_norms]
                             + [repr(float(err))])
         assert (tmp_path / "run.csv").read_bytes() == buf.getvalue().encode()
+
+    @pytest.mark.parametrize("repeats", [1, 3])
+    @pytest.mark.parametrize("dims", [(1, 1), (3, 2)], ids=["d1", "d3_ell2"])
+    def test_experiment_files_match_csv_writer(self, dims, repeats, tmp_path, monkeypatch):
+        """run_<r>.csv and convergence.csv of run_experiment have the bytes
+        of csv.writer's on the rows formatted here. The first run leaves the
+        stabilizing set on its last row (NaN cost, norms and relative
+        error); the second completes; the third's first step overflows or
+        leaves the set (a NaN cost on its first row)."""
+        model = (ModelParams(**benchmark_scalars()) if dims == (1, 1)
+                 else random_game(*dims))
+        zero = PolicyPair.zero(model.d, model.ell)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            logs = [run(model, OptimizerConfig(mode="ag", T1=3, T2=3, eta2=6.0, theta0=zero)),
+                    run(model, OptimizerConfig(mode="gda", T=9, theta0=zero)),
+                    run(model, OptimizerConfig(mode="gda", T=9, eta1=1e308,
+                                               theta0=zero))][:repeats]
+        last = logs[0].records[-1]
+        assert math.isnan(last.cost) and np.isnan(last.grad_norms).all()
+        monkeypatch.setattr(cli, "_run_one_repeat", lambda cfg, r: logs[r])
+        cfg = cli.ExperimentConfig(model=model, optimizer=OptimizerConfig(mode="gda"),
+                                   estimator=None, repeats=repeats,
+                                   output_dir=str(tmp_path), master_seed=0)
+        cli.run_experiment(cfg)
+
+        cost_star = json.loads((tmp_path / "benchmark.json").read_text())["cost_star"]
+        by_k = {}
+        for r, log in enumerate(logs):
+            buf = io.StringIO(newline="")
+            writer = csv.writer(buf)
+            writer.writerow(cli._RUN_HEADER)
+            for rec in log.records:
+                err = (abs(rec.cost - cost_star) / abs(cost_star)
+                       if math.isfinite(rec.cost) else math.nan)
+                if math.isfinite(err):
+                    by_k.setdefault(rec.k, []).append(err)
+                writer.writerow([rec.k] + [";".join(repr(float(v)) for v in block.ravel())
+                                           for block in rec.theta.stack.reshape(4, -1)]
+                                + [repr(float(v)) for v in (rec.cost, *rec.grad_norms, err)])
+            assert (tmp_path / f"run_{r}.csv").read_bytes() == buf.getvalue().encode()
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(["k", "rel_err_mean", "rel_err_min", "rel_err_max"])
+        for k in sorted(by_k):
+            writer.writerow([k, repr(float(np.mean(by_k[k]))), repr(min(by_k[k])),
+                             repr(max(by_k[k]))])
+        assert (tmp_path / "convergence.csv").read_bytes() == buf.getvalue().encode()
