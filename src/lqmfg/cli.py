@@ -20,6 +20,7 @@ import json
 import math
 import re
 import sys
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -289,15 +290,14 @@ def write_benchmark(cfg: ExperimentConfig) -> tuple[PolicyPair, float]:
     return theta_star, cost_star
 
 
-def _repeat_config(cfg: ExperimentConfig, repeat: int) -> OptimizerConfig:
-    if cfg.oracle != "sampled":
-        return cfg.optimizer
-    seeded = replace(cfg.optimizer.estimator, seed=derive_seed(cfg.master_seed, repeat))
-    return replace(cfg.optimizer, estimator=seeded)
-
-
-def _run_one_repeat(cfg: ExperimentConfig, repeat: int) -> RunLog:
-    return run(cfg.model, _repeat_config(cfg, repeat))
+def _run_one_repeat(cfg: ExperimentConfig, repeat: int) -> tuple[RunLog, float]:
+    """The repeat's run log and its wall time in s; a sampled repeat has its own seed."""
+    opt = cfg.optimizer
+    if cfg.oracle == "sampled":
+        opt = replace(opt, estimator=replace(opt.estimator,
+                                             seed=derive_seed(cfg.master_seed, repeat)))
+    start = time.perf_counter()
+    return run(cfg.model, opt), time.perf_counter() - start
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> dict:
@@ -313,12 +313,13 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> dict:
         from concurrent.futures import ProcessPoolExecutor  # only --workers > 1 needs it
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            logs = list(pool.map(_run_one_repeat, [cfg] * cfg.repeats, repeats))
+            logs, seconds = zip(*pool.map(_run_one_repeat, [cfg] * cfg.repeats, repeats))
     else:
-        logs = [_run_one_repeat(cfg, r) for r in repeats]
-    # scored before any run file is written: a zero benchmark writes none
-    errs = [[relative_error(rec.cost, cost_star) if math.isfinite(rec.cost) else math.nan
-             for rec in log.records] for log in logs]
+        logs, seconds = zip(*(_run_one_repeat(cfg, r) for r in repeats))
+    # scored first, as a zero benchmark writes no run file; one error per cost value
+    scores = {rec.cost: relative_error(rec.cost, cost_star) if math.isfinite(rec.cost)
+              else math.nan for log in logs for rec in log.records}
+    errs = [[scores[rec.cost] for rec in log.records] for log in logs]
 
     for r, (log, log_errs) in enumerate(zip(logs, errs)):
         _write_csv(out / f"run_{r}.csv", _RUN_HEADER, _run_rows(log, log_errs))
@@ -340,8 +341,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> dict:
         "termination_per_run": [log.termination for log in logs],
     }
     _write_json(out / "summary.json", summary)
-    timing = {"wall_time_per_run": [log.wall_time for log in logs],
-              "wall_time_total": float(sum(log.wall_time for log in logs))}
+    timing = {"wall_time_per_run": list(seconds), "wall_time_total": float(sum(seconds))}
     _write_json(out / "timing.json", timing)
     _remove_stale(out, "run", cfg.repeats)
     return summary
@@ -354,14 +354,19 @@ _RUN_HEADER = ("k", "K1", "L1", "K2", "L2", "C",
 def _run_rows(log: RunLog, errs: list[float]):
     """One row per logged global iteration, with its relative error from
     `errs`, full-precision floats; a gain is its entries joined by ";", a
-    1x1 gain its one entry. The gains are read with one tolist() of the
-    flat stack; the cost, the norms and `errs` are Python floats already."""
+    1x1 gain its one entry. A row whose pair, cost, norms and error are the
+    previous row's objects reuses that row's value texts."""
+    last = None
     for rec, err in zip(log.records, errs):
-        flat = rec.theta.stack.ravel().tolist()
-        n = len(flat) // 4
-        gains = (map(repr, flat) if n == 1
-                 else (";".join(map(repr, flat[i:i + n])) for i in range(0, 4 * n, n)))
-        yield [str(rec.k), *gains, *map(repr, (rec.cost, *rec.grad_norms, err))]
+        if last is None or not (rec.theta is last[0] and rec.cost is last[1]
+                                and rec.grad_norms is last[2] and err is last[3]):
+            flat = rec.theta.stack.ravel().tolist()
+            n = len(flat) // 4
+            gains = (map(repr, flat) if n == 1
+                     else (";".join(map(repr, flat[i:i + n])) for i in range(0, 4 * n, n)))
+            values = [*gains, *map(repr, (rec.cost, *rec.grad_norms, err))]
+            last = rec.theta, rec.cost, rec.grad_norms, err
+        yield [str(rec.k), *values]
 
 
 def _convergence_rows(logs: list[RunLog], errs: list[list[float]]):
@@ -371,10 +376,11 @@ def _convergence_rows(logs: list[RunLog], errs: list[list[float]]):
         for rec, err in zip(log.records, log_errs):
             if math.isfinite(err):
                 by_k.setdefault(rec.k, []).append(err)
+    last = text = None
     for k in sorted(by_k):
         vals = by_k[k]
-        if len(vals) == 1:  # mean, min and max are the one value
-            text = repr(vals[0])
+        if len(vals) == 1:  # mean, min and max are the one value, formatted once per object
+            last, text = (last, text) if vals[0] is last else (vals[0], repr(vals[0]))
             yield [str(k), text, text, text]
         else:
             yield [str(k), repr(float(np.mean(vals))), repr(min(vals)), repr(max(vals))]

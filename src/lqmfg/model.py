@@ -265,8 +265,9 @@ class PolicyPair:
 
     The pair holds one read-only array, ``stack`` (2 players, 2 blocks, ell,
     d) = [[K1, L1], [K2, L2]], each player's slice stacked like
-    ``DerivedParams.stack``; ``K1`` ... ``L2`` are its views, made and kept on
-    first access. A learning step updates a player's rows of a copy of it.
+    ``DerivedParams.stack``; ``K1`` ... ``L2`` are its views and ``flat`` its
+    entries as a tuple of Python floats, each made and kept on first access.
+    A learning step updates a player's rows of a copy of it.
     """
 
     stack: np.ndarray
@@ -285,6 +286,7 @@ class PolicyPair:
     L1 = cached_property(lambda self: self.stack[0, 1])
     K2 = cached_property(lambda self: self.stack[1, 0])
     L2 = cached_property(lambda self: self.stack[1, 1])
+    flat = cached_property(lambda self: tuple(self.stack.ravel().tolist()))
 
     @classmethod
     def from_stack(cls, stack: np.ndarray) -> "PolicyPair":

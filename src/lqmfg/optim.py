@@ -6,19 +6,18 @@ the same pre-step pair; alternating gradient steps the minimizer T1 times,
 then the maximizer once, warm-started from the last minimizer iterate. Each
 step is one oracle gradient at the pre-step pair and one update of the
 players' rows of the (2 players, 2 blocks, ell, d) gain stack, with one
-failure path. At d = ell = 1 the step runs on the four gains as Python
-floats with the array step's bits (``_float_step``); a step to a gain that
-is not finite reruns on the arrays, which warn as numpy does. The oracle is
-either the exact closed-form gradient, which evaluates each distinct
-iterate once (``_Oracle``), or the rollout-based estimator. A run needs no
-equilibrium: it logs each iterate with its exact utility, and the caller
-scores the log against its own benchmark.
+failure path. At d = ell = 1 the step runs on Python floats with the array
+step's bits, once per distinct pair, gradient and rows (``_float_step``); a
+step to a gain that is not finite reruns on the arrays, which warn as numpy
+does. The oracle is either the exact closed-form gradient, which evaluates
+each distinct iterate once (``_Oracle``, in floats at d = 1), or the
+rollout-based estimator. A run needs no equilibrium: it logs each iterate
+with its exact utility, which the caller scores against its own benchmark.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,7 +28,8 @@ from .estimator import EstimatorConfig, estimate_gradient
 from .model import ModelParams, PolicyPair, in_stabilizing_set, validate  # noqa: F401
 from .riccati import solve_riccati  # noqa: F401
 from .simulate import derive_seed
-from .value import GradientPair, _on_floats, exact_gradient, exact_utility
+from . import value
+from .value import GradientPair, ValueSolution, _on_floats, exact_gradient, exact_utility
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,6 @@ class RunLog:
     records: list[RunRecord] = field(default_factory=list)
     final_theta: PolicyPair | None = None
     termination: str = "completed"
-    wall_time: float = 0.0
 
 
 def relative_error(current: float, benchmark: float) -> float:
@@ -92,23 +91,23 @@ class _Oracle:
     It keeps the last iterate that evaluated, with its solution and, once
     asked for, its gradient: an iterate with the same gains bit for bit
     (``_same_theta``), a new object or not, reuses them, and one that fails
-    to evaluate is never stored, so a NaN iterate cannot match. ``calls``
+    to evaluate is never stored, so a NaN iterate cannot match; at d = 1
+    both are floats, where ``value._scalar_*`` take the pair. ``calls``
     counts every gradient call, reused or not, as the seeds derive from it."""
 
     def __init__(self, params: ModelParams, cfg: OptimizerConfig):
-        self.params = params
-        self.cfg = cfg
-        self.calls = 0
+        self.params, self.cfg, self.calls = params, cfg, 0
         self._theta = self._solution = self._grad = None
 
     def utility(self, theta: PolicyPair):
-        """exact_utility at theta, reused while theta has the stored gains."""
+        """The solution at theta, reused while theta has the stored gains."""
         if self._theta is None or not _same_theta(self._theta, theta):
-            solution = exact_utility(self.params, theta)
+            sol = _on_floats(self.params, theta) and value._scalar_utility(self.params, theta.flat)
+            solution = sol or exact_utility(self.params, theta)
             self._theta, self._solution, self._grad = theta, solution, None
         return self._solution
 
-    def gradient(self, theta: PolicyPair, players) -> GradientPair:
+    def gradient(self, theta: PolicyPair, players) -> GradientPair | value.ScalarGradient:
         """Utility gradient at theta for `players`, a tuple of 1 and/or 2.
 
         Exact mode evaluates the closed form for both players (theta must be
@@ -117,9 +116,11 @@ class _Oracle:
         seed; the blocks of a player not listed are NaN."""
         if self.cfg.estimator is None:
             self.calls += 1
-            solution = self.utility(theta)
-            if self._grad is None:
-                self._grad = exact_gradient(self.params, theta, solution)
+            sol = self.utility(theta)
+            if self._grad is None:  # exact_gradient reruns a pair the floats decline
+                floats = not isinstance(sol, ValueSolution)
+                self._grad = (floats and value._scalar_gradient(self.params, theta.flat, *sol[:2])
+                              or exact_gradient(self.params, theta, None if floats else sol))
             return self._grad
         est = self.cfg.estimator
         grad = np.full((2, 2, self.params.ell, self.params.d), np.nan)
@@ -169,23 +170,26 @@ def _moved(theta: PolicyPair, rows: slice, delta: np.ndarray) -> PolicyPair:
     return PolicyPair.from_stack(stack)
 
 
-def _float_step(theta: PolicyPair, rows: slice, rates, grad: GradientPair):
-    """``run``'s step at d = ell = 1 on the four gains as Python floats, with
-    the array step's bits: a norm is sqrt(g * g), or |g| where the square
+def _float_step(theta: PolicyPair, rows: slice, rates, grad):
+    """``run``'s step at d = ell = 1 on the floats of theta and grad, with the
+    array step's bits: a norm is sqrt(g * g), or |g| where the square
     overflows (``_scaled_norm``), and a moved gain a + rate * g, each
     operation rounded. (norms, pair), the pair being theta itself where the
     gains kept their values and none is zero; None where a gain is not
     finite, so that the array step reruns and warns as numpy does."""
-    old, g = theta.stack.ravel().tolist(), grad.stack.ravel().tolist()
-    gains = old.copy()
+    old = theta.flat
+    g = grad.stack.ravel().tolist() if isinstance(grad, GradientPair) else grad
+    gains = list(old)
     for i in range(2 * rows.start, 2 * rows.stop):
         gains[i] += rates[i // 2] * g[i]
     if not all(map(math.isfinite, gains)):
         return None
-    norms = tuple(math.sqrt(s) if (s := x * x) != math.inf else abs(x) for x in g)
-    if gains == old and 0.0 not in old:  # bit for bit: no -0.0 turned +0.0
+    norms = tuple([math.sqrt(s) if (s := x * x) != math.inf else abs(x) for x in g])
+    if (gains := tuple(gains)) == old and 0.0 not in old:  # bit for bit: no -0.0 turned +0.0
         return norms, theta
-    return norms, PolicyPair.from_stack(np.array(gains).reshape(2, 2, 1, 1))
+    pair = PolicyPair.from_stack(np.array(gains).reshape(2, 2, 1, 1))
+    vars(pair)["flat"] = gains  # seeds the cached PolicyPair.flat
+    return norms, pair
 
 
 def run(params: ModelParams, cfg: OptimizerConfig) -> RunLog:
@@ -204,19 +208,19 @@ def run(params: ModelParams, cfg: OptimizerConfig) -> RunLog:
     theta = cfg.theta0 if cfg.theta0 is not None else PolicyPair.zero(params.d, params.ell)
     floats = _on_floats(params, theta)
     log = RunLog()
-    t0 = time.perf_counter()
 
     def record(k: int, pair: PolicyPair, grad_norms) -> None:
         try:
             cost = oracle.utility(pair).cost
         except NotStabilizing:
             cost = float("nan")
-        log.records.append(RunRecord(k=k, theta=pair, cost=cost, grad_norms=tuple(grad_norms)))
+        log.records.append(RunRecord(k, pair, cost, grad_norms))
 
     # a row of theta + rates*g is K1 - eta1*dK1, ..., K2 + eta2*dK2
     # bit for bit: a + (-b) is a - b, and (-x)*y is -(x*y)
     rates = np.array([-cfg.eta1, cfg.eta2]).reshape(2, 1, 1, 1)
     float_rates = rates.ravel().tolist()
+    last = (None,) * 4  # the last float step's pair, gradient, rows and result
     for k, players in _schedule(cfg):
         rows = slice(players[0] - 1, players[-1])
         try:
@@ -226,7 +230,9 @@ def run(params: ModelParams, cfg: OptimizerConfig) -> RunLog:
         except NonFiniteRollout:
             norms, status = (float("nan"),) * 4, "non_finite"
         else:
-            step = _float_step(theta, rows, float_rates, grad) if floats else None
+            if floats and not (theta is last[0] and grad is last[1] and rows == last[2]):
+                last = theta, grad, rows, _float_step(theta, rows, float_rates, grad)
+            step = last[3] if floats else None
             if step is None:
                 norms = _grad_norms(grad)
                 theta = _moved(theta, rows, rates[rows] * grad.stack[rows])
@@ -242,5 +248,4 @@ def run(params: ModelParams, cfg: OptimizerConfig) -> RunLog:
     if not _same_theta(log.records[-1].theta, theta):  # k = 1 is always logged
         record(log.records[-1].k + 1, theta, (float("nan"),) * 4)
     log.final_theta, log.termination = theta, status
-    log.wall_time = time.perf_counter() - t0
     return log

@@ -17,6 +17,7 @@ warns there.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,14 +179,10 @@ def exact_utility(params: ModelParams, theta: PolicyPair) -> ValueSolution:
     Sigma on M') are solved in one doubling loop; at d = 1 on Python floats,
     with the same bits (module docstring).
     """
-    der = validate(params)
-    g = params.gamma
+    S, g = validate(params).stack, params.gamma
+    if _on_floats(params, theta) and (sol := _scalar_utility(params, theta.flat)):
+        return ValueSolution(*(np.array(x).reshape(2, 1, 1) for x in sol[:2]), *sol[2:])
     tail = g / (1.0 - g)
-    if _on_floats(params, theta):
-        sol = _scalar_utility(der.scalars, theta.stack.ravel().tolist(), g, tail)
-        if sol is not None:
-            return sol
-    S = der.stack
     M, source = _gated_loop(S, *theta.stack, g)
     solved = _dlyap(np.concatenate((M, _mT(M))),
                     np.concatenate((source, S.V0 + tail * S.W)), g)
@@ -221,14 +218,10 @@ def exact_gradient(params: ModelParams, theta: PolicyPair,
     ``solution`` is ``exact_utility`` at theta when the caller already has it.
     """
     sol = solution if solution is not None else exact_utility(params, theta)
-    der = validate(params)
-    if _on_floats(params, theta):
-        grad = _scalar_gradient(der.scalars, theta.stack.ravel().tolist(),
-                                sol.P.ravel().tolist(), sol.Sigma.ravel().tolist(),
-                                params.gamma)
-        if grad is not None:
-            return grad
-    coefs = np.array(gradient_coefs(der.stack, sol.P, *theta.stack, params.gamma))
+    if _on_floats(params, theta) and (grad := _scalar_gradient(
+            params, theta.flat, sol.P.ravel().tolist(), sol.Sigma.ravel().tolist())):
+        return GradientPair(grad.stack)
+    coefs = np.array(gradient_coefs(validate(params).stack, sol.P, *theta.stack, params.gamma))
     return GradientPair(2.0 * coefs @ sol.Sigma)
 
 
@@ -239,11 +232,20 @@ def _on_floats(params: ModelParams, theta: PolicyPair) -> bool:
     return params.d == params.ell == 1
 
 
-def _scalar_utility(blocks, gains, g: float, tail: float) -> ValueSolution | None:
+ScalarSolution = namedtuple("ScalarSolution", "P Sigma cost_dev cost_mean cost")
+
+
+class ScalarGradient(tuple):
+    """``_scalar_gradient``'s [dK1, dL1, dK2, dL2]; ``stack`` makes their array."""
+    stack = property(lambda self: np.array(self).reshape(2, 2, 1, 1))
+
+
+def _scalar_utility(params: ModelParams, gains) -> ScalarSolution | None:
     """``exact_utility`` on the ``DerivedParams.scalars`` blocks and the
-    gains [K1, L1, K2, L2] as Python floats; None where a loop fails the
-    gate or a result is not finite."""
-    root, loops = math.sqrt(g), []
+    gains [K1, L1, K2, L2] as Python floats, P and Sigma as [dev, mean];
+    None where a loop fails the gate or a result is not finite."""
+    blocks, g = validate(params).scalars, params.gamma
+    tail, root, loops = g / (1.0 - g), math.sqrt(g), []
     for blk, G1, G2 in zip(blocks, gains[:2], gains[2:]):
         m = blk.A - (blk.B1 * G1 + 0.0) + (blk.B2 * G2 + 0.0)
         if not g * abs(m) * abs(m) < 1.0:  # loop_stable at d = 1; fails NaN
@@ -258,13 +260,13 @@ def _scalar_utility(blocks, gains, g: float, tail: float) -> ValueSolution | Non
         costs.append((p * blk.V0 + 0.0) + tail * (p * blk.W + 0.0))
     if not all(map(math.isfinite, P + Sigma + costs)):
         return None
-    solved = np.array(P + Sigma).reshape(4, 1, 1)
-    return ValueSolution(solved[:2], solved[2:], *costs, costs[0] + costs[1])
+    return ScalarSolution(P, Sigma, *costs, costs[0] + costs[1])
 
 
-def _scalar_gradient(blocks, gains, P, Sigma, g: float) -> GradientPair | None:
+def _scalar_gradient(params: ModelParams, gains, P, Sigma) -> ScalarGradient | None:
     """``exact_gradient``'s ``gradient_coefs`` formulas on Python floats, as
     in ``_scalar_utility``; None where an entry is not finite."""
+    blocks, g = validate(params).scalars, params.gamma
     player_1, player_2 = [], []  # (dK1, dL1), (dK2, dL2)
     for blk, G1, G2, p, s in zip(blocks, gains[:2], gains[2:], P, Sigma):
         a, b1, b2, r1, r2 = blk.A, blk.B1, blk.B2, blk.R1, blk.R2
@@ -278,4 +280,4 @@ def _scalar_gradient(blocks, gains, P, Sigma, g: float) -> GradientPair | None:
     grad = player_1 + player_2
     if not all(map(math.isfinite, grad)):
         return None
-    return GradientPair(np.array(grad).reshape(2, 2, 1, 1))
+    return ScalarGradient(grad)

@@ -1,11 +1,41 @@
+import ctypes
 import hashlib
 import importlib.util
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lqmfg import Distribution, ModelParams, NoiseSpec, PolicyPair
+
+
+def openblas_kernel(blas: dict) -> str:
+    """The kernel of the OpenBLAS library that numpy loaded, as its
+    ``scipy_openblas_get_corename64_`` reports it; "unknown" where no loaded
+    library answers. ``blas`` is numpy's build entry of its BLAS. Only a
+    library already loaded opens (RTLD_NOLOAD)."""
+    dirs = [Path(np.__file__).resolve().parent.parent / "numpy.libs"]
+    if blas.get("lib directory"):
+        dirs.append(Path(blas["lib directory"]))
+    for path in (p for d in dirs for p in sorted(d.glob("*openblas*"))):
+        try:  # no RTLD_NOLOAD (not POSIX) or no such symbol: not readable
+            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+            corename = lib.scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def pytest_report_header(config):
+    """numpy, its BLAS and the OpenBLAS kernel, which decides the bits of
+    the pins at d > 1 (README, "Install and test")."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}, "
+            f"OpenBLAS kernel {openblas_kernel(blas)}")
+
 
 # Positive roots of the scalar equilibrium quadratics
 #   0.0315 P^2 + 0.919 P - 0.288 = 0   (deviation part)

@@ -275,6 +275,11 @@ class TestRunExperiment:
         assert len(names) == 5  # benchmark, summary, convergence, two runs
         for name in names:
             assert (seq / name).read_bytes() == (par / name).read_bytes(), name
+        for out in (seq, par):  # the CLI times each repeat, in the worker or not
+            timing = json.loads((out / "timing.json").read_text())
+            assert len(timing["wall_time_per_run"]) == 2
+            assert min(timing["wall_time_per_run"]) > 0.0
+            assert timing["wall_time_total"] == sum(timing["wall_time_per_run"])
 
     def test_sampled_run_reads_the_optimizer_estimator(self, tmp_path):
         """Each repeat seeds the optimizer's estimator: a sampled config

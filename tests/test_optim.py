@@ -1,3 +1,4 @@
+import builtins
 import csv
 import io
 import json
@@ -30,7 +31,7 @@ from lqmfg.errors import BenchmarkZero, NotStabilizing
 from lqmfg.optim import RunLog, RunRecord, _grad_norms, _Oracle
 from lqmfg.value import GradientPair
 
-from conftest import array_step, benchmark_scalars, random_game, small_policy
+from conftest import PIN_THETA, array_step, benchmark_scalars, random_game, small_policy
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -361,17 +362,23 @@ class TestOracleReuse:
 
     @pytest.fixture
     def counted(self, model, monkeypatch):
+        """An exact oracle on the scalar game, and its calls of the d = 1
+        float kernels and of ``exact_utility``, which reruns a pair they
+        decline on the stacked path."""
         import lqmfg.optim
+        import lqmfg.value
 
-        counts = {"exact_utility": 0, "exact_gradient": 0}
-        for name in counts:
-            real = getattr(lqmfg.optim, name)
+        counts = Counter()
+        for module, name in ((lqmfg.value, "_scalar_utility"),
+                             (lqmfg.value, "_scalar_gradient"),
+                             (lqmfg.optim, "exact_utility")):
+            real = getattr(module, name)
 
             def counting(*args, _real=real, _name=name):
                 counts[_name] += 1
                 return _real(*args)
 
-            monkeypatch.setattr(lqmfg.optim, name, counting)
+            monkeypatch.setattr(module, name, counting)
         return _Oracle(model, OptimizerConfig(mode="gda")), counts
 
     def test_equal_pair_in_new_arrays_reuses(self, model, counted):
@@ -381,7 +388,7 @@ class TestOracleReuse:
         grad = oracle.gradient(theta, (1, 2))
         assert oracle.utility(_copy(theta)) is sol
         assert oracle.gradient(_copy(theta), (1, 2)) is grad
-        assert counts == {"exact_utility": 1, "exact_gradient": 1}
+        assert counts == {"_scalar_utility": 1, "_scalar_gradient": 1}
         assert oracle.calls == 2
         expected = exact_gradient(model, theta)
         np.testing.assert_array_equal(grad.stack, expected.stack)
@@ -391,7 +398,7 @@ class TestOracleReuse:
         oracle.utility(PolicyPair.zero())
         oracle.utility(PolicyPair(0.0, 0.0, 0.0, -0.0))
         oracle.utility(PolicyPair.zero())
-        assert counts["exact_utility"] == 3
+        assert counts == {"_scalar_utility": 3}
 
     def test_failed_iterate_is_not_stored(self, model, counted):
         oracle, counts = counted
@@ -404,7 +411,7 @@ class TestOracleReuse:
         oracle.utility(PolicyPair.zero())
         with pytest.raises(NotStabilizing):
             oracle.utility(bad)
-        assert counts["exact_utility"] == 4
+        assert counts["exact_utility"] == 3
 
 
 class TestSimultaneity:
@@ -551,6 +558,67 @@ class TestFloatStep:
         assert len(moved_calls) == 20 + 2 * (3 + 1)
 
 
+class TestRepeatedWork:
+    """Exact GDA on the shipped game stays at its floating-point fixed point
+    from k = 803 on (``test_fixed_point_costs_no_evaluation``): each
+    distinct pre-step pair, gradient and rows is stepped once, and each
+    distinct row of the run log is formatted once. A sampled gradient is new
+    at every call, so a sampled run steps at every schedule entry."""
+
+    @pytest.fixture
+    def float_steps(self, monkeypatch):
+        """(pair, gradient, rows) of each ``optim._float_step`` call, as bytes."""
+        import lqmfg.optim
+
+        calls, real = [], lqmfg.optim._float_step
+
+        def spy(theta, rows, rates, grad):
+            calls.append((theta.stack.tobytes(), grad.stack.tobytes(), rows.start, rows.stop))
+            return real(theta, rows, rates, grad)
+
+        monkeypatch.setattr(lqmfg.optim, "_float_step", spy)
+        return calls
+
+    def test_shipped_gda_steps_each_distinct_step_once(self, float_steps):
+        """The zero start and the 803 pairs after it: one step each."""
+        cfg = load_config(REPO_CONFIGS / "table1_gda_exact.cfg")
+        log = run(cfg.model, cfg.optimizer)
+        assert log.termination == "completed" and len(log.records) == 2000
+        assert len(float_steps) == len(set(float_steps)) == 804
+        assert len({r.theta.stack.tobytes() for r in log.records}) == 803
+
+    def test_shipped_gda_formats_each_distinct_row_once(self, tmp_path, monkeypatch):
+        """From k = 805 on, a row repeats the previous row's pair, cost,
+        norms and error, and only its k is formatted: the run log takes ten
+        value texts per distinct row, and convergence.csv one per distinct
+        error."""
+        cfg = replace(load_config(REPO_CONFIGS / "table1_gda_exact.cfg"),
+                      output_dir=str(tmp_path))
+        records = run(cfg.model, cfg.optimizer).records
+        pairs = list(zip(records, records[1:]))
+        repeats = sum(b.theta is a.theta and b.cost is a.cost and b.grad_norms is a.grad_norms
+                      for a, b in pairs)
+        assert repeats == 1196
+        errors = 1 + sum(b.cost != a.cost for a, b in pairs)
+        formatted = []
+        monkeypatch.setattr(cli, "repr", lambda x: formatted.append(x) or builtins.repr(x),
+                            raising=False)
+        cli.run_experiment(cfg)
+        assert len(formatted) == 10 * (2000 - repeats) + errors
+
+    @pytest.mark.parametrize("mode, steps", [("gda", 5), ("ag", 2 * (2 + 1))])
+    def test_sampled_run_steps_at_every_entry(self, model, mode, steps, float_steps):
+        """At zero rates the pair stays the same object, and each step still
+        runs on its new sampled gradient."""
+        est = EstimatorConfig(M=50, horizon=10, tau=0.1, seed=3)
+        cfg = OptimizerConfig(mode=mode, T=5, T1=2, T2=2, eta1=0.0, eta2=0.0,
+                              theta0=PIN_THETA, estimator=est)
+        log = run(model, cfg)
+        assert log.termination == "completed"
+        assert all(r.theta is log.records[0].theta for r in log.records)
+        assert len(float_steps) == steps
+
+
 class TestGradNorms:
     def test_overflowing_block_is_rescaled(self):
         """A finite block whose squares overflow keeps a finite norm, and
@@ -663,7 +731,7 @@ class TestRunLogCsv:
                                                theta0=zero))][:repeats]
         last = logs[0].records[-1]
         assert math.isnan(last.cost) and np.isnan(last.grad_norms).all()
-        monkeypatch.setattr(cli, "_run_one_repeat", lambda cfg, r: logs[r])
+        monkeypatch.setattr(cli, "_run_one_repeat", lambda cfg, r: (logs[r], 0.0))
         cfg = cli.ExperimentConfig(model=model, optimizer=OptimizerConfig(mode="gda"),
                                    estimator=None, repeats=repeats,
                                    output_dir=str(tmp_path), master_seed=0)
