@@ -9,9 +9,9 @@ decomposition.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, partial
+from operator import matmul
 
 import numpy as np
 
@@ -196,6 +196,13 @@ class ModelParams:
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
+def _mT(x: np.ndarray) -> np.ndarray:
+    return x.swapaxes(-1, -2)
+
+
+_trace = partial(np.trace, axis1=-2, axis2=-1)
+
+
 @dataclass(frozen=True)
 class LQBlock:
     """One of the two LQ problems a linear policy pair splits the game into.
@@ -205,7 +212,10 @@ class LQBlock:
     counterparts and is driven by the L gains. ``V0`` is the initial second
     moment of the block's state and ``W`` the covariance of its step noise.
     Every formula that acts on one block is written once against this type,
-    and runs slice by slice when the fields are stacks (``DerivedParams.stack``).
+    over a product ``mm``, transpose ``T`` and trace ``tr``: by default ``@``
+    and the matrix ones, slice by slice on stacks (``DerivedParams.stack``);
+    on the Python floats of ``DerivedParams.scalars``, numpy's 1x1 product
+    ``x * y + 0.0`` and the identity, with the bits of the arrays (``value``).
     """
 
     A: np.ndarray
@@ -217,19 +227,18 @@ class LQBlock:
     V0: np.ndarray
     W: np.ndarray
 
-    def closed_loop(self, G1, G2) -> np.ndarray:
-        """Closed-loop matrix A - B1 G1 + B2 G2, slice by slice on stacks."""
-        return self.A - self.B1 @ np.atleast_2d(G1) + self.B2 @ np.atleast_2d(G2)
+    def closed_loop(self, G1, G2, mm=matmul) -> np.ndarray:
+        """Closed-loop matrix A - B1 G1 + B2 G2."""
+        return self.A - mm(self.B1, G1) + mm(self.B2, G2)
 
-    def stage_weights(self, G1, G2) -> np.ndarray:
+    def stage_weights(self, G1, G2, mm=matmul, T=_mT) -> np.ndarray:
         """Stage-cost weights Q + G1' R1 G1 - G2' R2 G2 of the closed loop (the
-        source of the block's value equation), slice by slice on stacks."""
-        return (self.Q + G1.swapaxes(-1, -2) @ self.R1 @ G1
-                - G2.swapaxes(-1, -2) @ self.R2 @ G2)
+        source of the block's value equation)."""
+        return self.Q + mm(mm(T(G1), self.R1), G1) - mm(mm(T(G2), self.R2), G2)
 
-
-# The entries of a 1x1 LQBlock as Python floats, by field name.
-ScalarBlock = namedtuple("ScalarBlock", [f.name for f in fields(LQBlock)])
+    def cost(self, P, tail: float, mm=matmul, tr=_trace):
+        """Utility tr(P V0) + tail tr(P W) of value P, tail = gamma/(1-gamma)."""
+        return tr(mm(P, self.V0)) + tail * tr(mm(P, self.W))
 
 
 @dataclass(frozen=True)
@@ -252,11 +261,11 @@ class DerivedParams:
     mean: LQBlock
 
     @cached_property
-    def scalars(self) -> tuple[ScalarBlock, ScalarBlock]:
-        """At d = ell = 1, the entries of ``stack`` as Python floats, one
-        ``ScalarBlock`` per block, dev first, read on first access and kept."""
-        columns = (getattr(self.stack, name).ravel().tolist() for name in ScalarBlock._fields)
-        return tuple(map(ScalarBlock._make, zip(*columns)))
+    def scalars(self) -> tuple[LQBlock, LQBlock]:
+        """At d = ell = 1, the blocks of ``stack`` with Python floats for
+        fields, dev first, read on first access and kept."""
+        columns = (m.ravel().tolist() for m in vars(self.stack).values())
+        return tuple(LQBlock(*entries) for entries in zip(*columns))
 
 
 @dataclass(frozen=True, init=False, eq=False)

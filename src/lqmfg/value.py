@@ -5,13 +5,14 @@ of the deviation and the mean process, the exact utility and its gradient in
 all four gains. Both processes are evaluated at once, on arrays stacked
 along a leading (dev, mean) axis: one stability gate, one doubling loop.
 
-At d = ell = 1 the same formulas run on the eight entries of each block as
-Python floats, with the bits of the stacked path: a 1x1 matmul or trace is
-one rounded product that numpy sums onto +0.0, so each is written
-``x * y + 0.0``, which turns -0.0 into +0.0 as numpy does. Python floats
-overflow without a warning, so a pair whose loop fails the gate, or whose
-value or gradient is not finite, reruns on the stacked path and raises or
-warns there.
+At d = ell = 1 the same block formulas (``LQBlock``, ``gradient_coefs``) run
+on the eight entries of each block as Python floats, with the bits of the
+stacked path: a 1x1 matmul or trace is one rounded product that numpy sums
+onto +0.0, so the float product is ``x * y + 0.0`` (``_fmul``), which turns
+-0.0 into +0.0 as numpy does, and the transpose and trace are ``float``.
+Python floats overflow without a warning, so a pair whose loop fails the
+gate, or whose value or gradient is not finite, reruns on the stacked path
+and raises or warns there.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from operator import matmul
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from .model import (  # noqa: F401  (spectral_norm: looked up here by perfbench/
     LQBlock,
     ModelParams,
     PolicyPair,
+    _mT,
     loop_stable,
     spectral_norm,
     validate,
@@ -36,8 +39,9 @@ from .model import (  # noqa: F401  (spectral_norm: looked up here by perfbench/
 MAX_DOUBLINGS = 64
 
 
-def _mT(x: np.ndarray) -> np.ndarray:
-    return x.swapaxes(-1, -2)
+def _fmul(x: float, y: float) -> float:
+    """numpy's 1x1 matmul on Python floats (module docstring)."""
+    return x * y + 0.0
 
 
 def _smith(a: float, p: float) -> float:
@@ -83,10 +87,10 @@ def _require_stable(M: np.ndarray, gamma: float) -> None:
 
 
 def _gated_loop(block: LQBlock, G1, G2, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Closed loops M = A - B1 G1 + B2 G2 and value sources
-    Q + G1' R1 G1 - G2' R2 G2 of stacked gains (G1, G2) (k, ell, d), on the
-    slices of stacked blocks or on one block broadcast. Raises NotStabilizing
-    unless every M passes ``loop_stable``."""
+    """Closed loops M and value sources (``LQBlock.stage_weights``) of stacked
+    gains (G1, G2) (k, ell, d), on the slices of stacked blocks or on one
+    block broadcast. Raises NotStabilizing unless every M passes
+    ``loop_stable``."""
     M = block.closed_loop(G1, G2)
     _require_stable(M, gamma)
     return M, block.stage_weights(G1, G2)
@@ -103,11 +107,8 @@ def _one(G) -> np.ndarray:
 
 
 def solve_dev_value(params: ModelParams, K1, K2) -> np.ndarray:
-    """Value matrix of the deviation process for gains (K1, K2).
-
-    Unique solution of P = Q + K1' R1 K1 - K2' R2 K2 + gamma M' P M with
-    M = A - B1 K1 + B2 K2.
-    """
+    """Value matrix of the deviation process for gains (K1, K2): P =
+    ``stage_weights`` + gamma M' P M on the ``closed_loop`` M."""
     return block_value(validate(params).dev, _one(K1), _one(K2), params.gamma)[0]
 
 
@@ -171,13 +172,11 @@ class GradientPair:
 
 
 def exact_utility(params: ModelParams, theta: PolicyPair) -> ValueSolution:
-    """Exact discounted utility of a stabilizing policy pair.
-
-    cost_dev = tr(P_dev V0_dev) + gamma/(1-gamma) tr(P_dev W_dev), and the
-    mean part analogously; the total is their sum. Both blocks are gated by
-    one ``loop_stable`` call, and their four Lyapunov equations (P on M,
-    Sigma on M') are solved in one doubling loop; at d = 1 on Python floats,
-    with the same bits (module docstring).
+    """Exact discounted utility of a stabilizing policy pair, the sum of the
+    blocks' ``LQBlock.cost``. Both blocks are gated by one ``loop_stable``
+    call, and their four Lyapunov equations (P on M, Sigma on M') are solved
+    in one doubling loop; at d = 1 on Python floats, with the same bits
+    (module docstring).
     """
     S, g = validate(params).stack, params.gamma
     if _on_floats(params, theta) and (sol := _scalar_utility(params, theta.flat)):
@@ -187,24 +186,22 @@ def exact_utility(params: ModelParams, theta: PolicyPair) -> ValueSolution:
     solved = _dlyap(np.concatenate((M, _mT(M))),
                     np.concatenate((source, S.V0 + tail * S.W)), g)
     P = solved[:2]
-    cost = ((P @ S.V0).trace(axis1=-2, axis2=-1)
-            + tail * (P @ S.W).trace(axis1=-2, axis2=-1))
-    cost_dev, cost_mean = float(cost[0]), float(cost[1])
+    cost_dev, cost_mean = S.cost(P, tail).tolist()
     return ValueSolution(P, solved[2:], cost_dev, cost_mean, cost_dev + cost_mean)
 
 
-def gradient_coefs(block: LQBlock, P: np.ndarray, G1, G2,
-                   gamma: float) -> tuple[np.ndarray, np.ndarray]:
+def gradient_coefs(block: LQBlock, P: np.ndarray, G1, G2, gamma: float,
+                   mm=matmul, T=_mT) -> tuple[np.ndarray, np.ndarray]:
     """Left factors c1, c2 of the block utility gradient 2 c_i Sigma in G1, G2,
-    slice by slice on stacked blocks, P and gains:
+    over the product and transpose of ``LQBlock``:
 
       c1 = (R1 + g B1'PB1) G1 - g B1'PB2 G2 - g B1'P A
       c2 = -g B2'PB1 G1 + (-R2 + g B2'PB2) G2 + g B2'P A
     """
     g, B1, B2, A = gamma, block.B1, block.B2, block.A
-    B1P, B2P = _mT(B1) @ P, _mT(B2) @ P
-    coef_1 = (block.R1 + g * (B1P @ B1)) @ G1 - g * (B1P @ B2) @ G2 - g * (B1P @ A)
-    coef_2 = -g * (B2P @ B1) @ G1 + (-block.R2 + g * (B2P @ B2)) @ G2 + g * (B2P @ A)
+    B1P, B2P = mm(T(B1), P), mm(T(B2), P)
+    coef_1 = mm(block.R1 + g * mm(B1P, B1), G1) - mm(g * mm(B1P, B2), G2) - g * mm(B1P, A)
+    coef_2 = mm(-g * mm(B2P, B1), G1) + mm(-block.R2 + g * mm(B2P, B2), G2) + g * mm(B2P, A)
     return coef_1, coef_2
 
 
@@ -247,37 +244,28 @@ def _scalar_utility(params: ModelParams, gains) -> ScalarSolution | None:
     blocks, g = validate(params).scalars, params.gamma
     tail, root, loops = g / (1.0 - g), math.sqrt(g), []
     for blk, G1, G2 in zip(blocks, gains[:2], gains[2:]):
-        m = blk.A - (blk.B1 * G1 + 0.0) + (blk.B2 * G2 + 0.0)
+        m = blk.closed_loop(G1, G2, _fmul)
         if not g * abs(m) * abs(m) < 1.0:  # loop_stable at d = 1; fails NaN
             return None
         loops.append(root * m)  # _dlyap's A
     P, Sigma, costs = [], [], []
-    for blk, G1, G2, root_m in zip(blocks, gains[:2], gains[2:], loops):
-        p = _smith(root_m, blk.Q + ((G1 * blk.R1 + 0.0) * G1 + 0.0)
-                   - ((G2 * blk.R2 + 0.0) * G2 + 0.0))
-        P.append(p)
-        Sigma.append(_smith(root_m, blk.V0 + tail * blk.W))
-        costs.append((p * blk.V0 + 0.0) + tail * (p * blk.W + 0.0))
+    for blk, G1, G2, a in zip(blocks, gains[:2], gains[2:], loops):
+        P.append(_smith(a, blk.stage_weights(G1, G2, _fmul, float)))
+        Sigma.append(_smith(a, blk.V0 + tail * blk.W))
+        costs.append(blk.cost(P[-1], tail, _fmul, float))
     if not all(map(math.isfinite, P + Sigma + costs)):
         return None
     return ScalarSolution(P, Sigma, *costs, costs[0] + costs[1])
 
 
 def _scalar_gradient(params: ModelParams, gains, P, Sigma) -> ScalarGradient | None:
-    """``exact_gradient``'s ``gradient_coefs`` formulas on Python floats, as
-    in ``_scalar_utility``; None where an entry is not finite."""
+    """``exact_gradient``'s ``gradient_coefs`` on Python floats, as in
+    ``_scalar_utility``; None where an entry is not finite."""
     blocks, g = validate(params).scalars, params.gamma
-    player_1, player_2 = [], []  # (dK1, dL1), (dK2, dL2)
-    for blk, G1, G2, p, s in zip(blocks, gains[:2], gains[2:], P, Sigma):
-        a, b1, b2, r1, r2 = blk.A, blk.B1, blk.B2, blk.R1, blk.R2
-        b1p, b2p = b1 * p + 0.0, b2 * p + 0.0
-        c1 = (((r1 + g * (b1p * b1 + 0.0)) * G1 + 0.0) - (g * (b1p * b2 + 0.0) * G2 + 0.0)
-              - g * (b1p * a + 0.0))
-        c2 = ((-g * (b2p * b1 + 0.0) * G1 + 0.0) + ((-r2 + g * (b2p * b2 + 0.0)) * G2 + 0.0)
-              + g * (b2p * a + 0.0))
-        player_1.append(2.0 * c1 * s + 0.0)
-        player_2.append(2.0 * c2 * s + 0.0)
-    grad = player_1 + player_2
+    grad = [0.0] * 4  # [dK1, dL1, dK2, dL2]: block i of player 1, then of player 2
+    for i, (blk, G1, G2, p, s) in enumerate(zip(blocks, gains[:2], gains[2:], P, Sigma)):
+        c1, c2 = gradient_coefs(blk, p, G1, G2, g, _fmul, float)
+        grad[i], grad[i + 2] = _fmul(2.0 * c1, s), _fmul(2.0 * c2, s)
     if not all(map(math.isfinite, grad)):
         return None
     return ScalarGradient(grad)

@@ -9,6 +9,9 @@ module imports for the benchmark alone.
 
 A second scan keeps the artifact format behind one module: only
 ``cli.py`` opens a file, and it makes the output directory in one place.
+Another keeps numpy the one runtime dependency: a package module imports
+only numpy, the standard library and the package itself, and every package
+and test module parses at pyproject's ``requires-python`` floor.
 
 A third scan keeps test-only code out of the package: every public
 top-level function, class and method in ``src/lqmfg`` must be used by the
@@ -32,8 +35,10 @@ import pytest
 from conftest import perfbench_module
 
 ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = sorted(p for p in (ROOT / "src" / "lqmfg").glob("*.py") if p.name != "__init__.py")
-MODULES = PACKAGE + sorted(Path(__file__).resolve().parent.glob("*.py"))
+SOURCES = sorted((ROOT / "src" / "lqmfg").glob("*.py"))
+PACKAGE = [p for p in SOURCES if p.name != "__init__.py"]
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+MODULES = PACKAGE + TESTS
 
 
 def _imported(tree: ast.Module) -> set[str]:
@@ -75,6 +80,31 @@ def test_only_the_cli_touches_files(path):
     assert (_calls(tree, "open") > 0) == is_cli
     assert _calls(tree, "mkdir") == is_cli
     assert "csv" not in _imported(tree)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_only_numpy_and_the_standard_library(path):
+    """Relative imports are the package's own."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    roots = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    assert sorted(roots - set(sys.stdlib_module_names) - {"numpy", "lqmfg"}) == []
+
+
+def _python_floor() -> tuple[int, int]:
+    """pyproject's ``requires-python`` floor as (major, minor)."""
+    spec = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$',
+                     (ROOT / "pyproject.toml").read_text(), flags=re.M)
+    return int(spec[1]), int(spec[2])
+
+
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_parses_at_the_python_floor(path):
+    ast.parse(path.read_text(), filename=str(path), feature_version=_python_floor())
 
 
 def _readme_tour() -> str:

@@ -36,9 +36,15 @@ def forced_start_noise(common: float, idio: float) -> NoiseSpec:
                      step_idio=Distribution.point(0.0))
 
 
-def exact_truncated_mean(model, theta, horizon):
+def exact_truncated_mean(model, theta, horizon, N=None):
     """Closed-form mean of the truncated utility: propagate the second
-    moments of both processes and sum the discounted quadratic costs."""
+    moments of both processes and sum the discounted quadratic costs.
+
+    N = None gives the mean-field utility. For N agents with i.i.d.
+    idiosyncratic noise it gives the population average of
+    ``nagent_utility_batch``: the deviations from the empirical mean keep
+    1 - 1/N of the idiosyncratic covariances V0_idio and W_idio, and the
+    empirical mean adds the other 1/N to the mean block's own."""
     der = validate(model)
     M_dev = der.dev.closed_loop(theta.K1, theta.K2)
     M_mean = der.mean.closed_loop(theta.L1, theta.L2)
@@ -48,11 +54,12 @@ def exact_truncated_mean(model, theta, horizon):
               - theta.L2.T @ der.R2_tilde @ theta.L2)
     noise = model.noise
     d = model.d
-    V_dev = noise.init_idio.cov(d)
+    share = 0.0 if N is None else 1.0 / N
+    V_idio, W_idio = noise.init_idio.cov(d), noise.step_idio.cov(d)
+    V_dev, W_dev = (1.0 - share) * V_idio, (1.0 - share) * W_idio
     mu = noise.init_common.mean(d) + noise.init_idio.mean(d)
-    V_mean = noise.init_common.cov(d) + np.outer(mu, mu)
-    W_dev = noise.step_idio.cov(d)
-    W_mean = noise.step_common.cov(d)
+    V_mean = noise.init_common.cov(d) + np.outer(mu, mu) + share * V_idio
+    W_mean = noise.step_common.cov(d) + share * W_idio
     total = 0.0
     for t in range(horizon):
         total += model.gamma ** t * (np.trace(S_dev @ V_dev)
@@ -624,6 +631,32 @@ class TestBeyondScalar:
         pop = nagent_utility_batch(model, theta, 8, 30, 200, 4242)
         mkv = mkv_utility_batch(model, theta, 30, 200, 4242)
         np.testing.assert_allclose(pop, mkv, atol=1e-10)
+
+
+FINITE_N_REPS = {2: 4000, 10: 2000, 100: 500}  # repetitions per seed
+FINITE_N_SEEDS = (1, 2, 3)
+FINITE_N_HORIZON = 20
+FINITE_N_MAX_Z = 4.0
+
+
+class TestFinitePopulation:
+    """The N-agent engine's mean utility against the finite-N closed form
+    (``exact_truncated_mean`` with N): within FINITE_N_MAX_Z standard errors
+    on each seed, on the scalar game and the (3, 2) random game, at the Nash
+    pair and ``small_policy``. The gap to the mean-field form is c/N."""
+
+    @pytest.mark.parametrize("N", sorted(FINITE_N_REPS))
+    @pytest.mark.parametrize("policy", ["nash", "small"])
+    @pytest.mark.parametrize("dims", [(1, 1), (3, 2)], ids=["scalar", "d3"])
+    def test_nagent_mean_matches_closed_form(self, dims, policy, N):
+        model = ModelParams(**benchmark_scalars()) if dims == (1, 1) else random_game(*dims)
+        theta = (nash_policy(model, solve_riccati(model)) if policy == "nash"
+                 else small_policy(model))
+        exact = exact_truncated_mean(model, theta, FINITE_N_HORIZON, N)
+        for seed in FINITE_N_SEEDS:
+            u = nagent_utility_batch(model, theta, N, FINITE_N_HORIZON, FINITE_N_REPS[N], seed)
+            se = u.std(ddof=1) / np.sqrt(len(u))
+            assert abs(u.mean() - exact) <= FINITE_N_MAX_Z * se
 
 
 class TestUtilityConsistency:
