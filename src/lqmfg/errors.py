@@ -26,10 +26,10 @@ class InvalidNoise(LqmfgError):
 
 
 class NonStabilizingSolution(LqmfgError):
-    """The equilibrium equations have no stabilizing solution: the doubling
-    does not converge, the minimizer's curvature is not positive definite,
-    the players' joint curvature is singular, or the induced gains fall
-    outside the stabilizing set."""
+    """The equilibrium equations have no stabilizing solution in floating
+    point: the doubling does not converge, X, F, P or the residual overflow,
+    the minimizer's curvature is indefinite, the joint one singular, or the
+    induced gains fall outside the stabilizing set."""
 
 
 class NotStabilizing(LqmfgError):

@@ -8,9 +8,10 @@ c_i = -+1/2 R_i^{-1} B_i' (minus for the minimizing player 1, plus for the
 maximizing player 2). In the symmetric X with P = 2 g X M, M the closed loop,
 each is the game Riccati equation
   X = Q + g A'XA - g^2 A'XB (R + g B'XB)^{-1} B'XA,  B = [B1 B2], R = diag(R1, -R2),
-solved for both blocks at once by one structure-preserving doubling kernel
-(Chu, Fan, Lin & Wang 2004; Lin & Xu, SIAM J. Matrix Anal. Appl. 2006).
-The tests reuse that kernel for a player's best response against a frozen
+solved for both blocks at once by structure-preserving doubling (Chu, Fan,
+Lin & Wang 2004; Lin & Xu, SIAM J. Matrix Anal. Appl. 2006) in
+``value._doubling``, the kernel that also solves the values' Lyapunov
+equations. The tests reuse it for a player's best response against a frozen
 opponent, as a test-only oracle.
 """
 
@@ -23,7 +24,7 @@ import numpy as np
 from .errors import NonStabilizingSolution
 from .model import ModelParams, PolicyPair, in_stabilizing_set, validate
 # solve_dev_value / solve_mean_value: looked up here by perfbench/spans.py
-from .value import MAX_DOUBLINGS, _mT, solve_dev_value, solve_mean_value  # noqa: F401
+from .value import _doubling, _mT, solve_dev_value, solve_mean_value  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -44,76 +45,54 @@ class RiccatiSolution:
     residual_mean = property(lambda self: float(self.residual[1]))
 
 
-def _sda(A: np.ndarray, G: np.ndarray, H: np.ndarray):
-    """Stabilizing solutions X = H + A'X (I + G X)^{-1} A for each slice of
-    the stacks (k, d, d) by structure-preserving doubling, and the doubling
-    steps each slice took.
-
-    With W = (I + G H)^{-1}, each step A <- A W A, G <- G + A W G A',
-    H <- H + A'H W A doubles the horizon that H sums. As in ``value._dlyap``,
-    a slice leaves the stack at the first step its H stops changing in
-    floating point. Raises NonStabilizingSolution when MAX_DOUBLINGS, a
-    singular I + G H or a non-finite H shows that no stabilizing solution
-    was reached.
-    """
-    X, steps = np.empty_like(H), np.zeros(len(H), dtype=int)
-    rows, eye = np.arange(len(H)), np.eye(H.shape[-1])
-    with np.errstate(all="ignore"):
-        for step in range(1, MAX_DOUBLINGS + 1):
-            try:
-                W = np.linalg.solve(eye + G @ H, np.concatenate((A, G), -1))
-            except np.linalg.LinAlgError:
-                break
-            WA, WG = np.split(W, 2, -1)
-            H_next = H + _mT(A) @ H @ WA
-            if not np.isfinite(H_next).all():
-                break
-            done = (H_next == H).all(axis=(-2, -1))
-            X[rows[done]], steps[rows[done]] = H[done], step
-            if done.all():
-                return X, steps
-            rows, H = rows[~done], H_next[~done]
-            A, G = (A @ WA)[~done], (G + A @ WG @ _mT(A))[~done]
-    raise NonStabilizingSolution("doubling found no stabilizing solution")
-
-
 def _positive_definite(C: np.ndarray) -> bool:
     """Every slice of the stack C has a positive definite symmetric part."""
     return bool((np.linalg.eigvalsh(0.5 * (C + _mT(C))) > 0.0).all())
 
 
 def solve_riccati(params: ModelParams) -> RiccatiSolution:
-    """Solve both equilibrium equations in one stacked doubling call.
+    """Solve both equilibrium equations in one stacked ``_doubling`` call.
 
     The stabilizing X of the game Riccati equation gives the Nash feedback
     F = (R + g B'XB)^{-1} g B'XA = [K1; -K2] and the paper's
     P = 2 g X (A - B F). NonStabilizingSolution is raised unless the
-    doubling converges, the minimizer's curvature R1 + g B1'XB1 is positive
-    definite, R + g B'XB is regular and the induced gains lie in the
-    stabilizing set.
+    doubling converges, X, F, P and the residual's gap are finite, the
+    minimizer's curvature R1 + g B1'XB1 is positive definite, R + g B'XB is
+    regular and the induced gains lie in the stabilizing set.
     """
     der = validate(params)
     g, S, ell = params.gamma, der.stack, params.ell
     B = np.concatenate((S.B1, S.B2), -1)
     R = np.zeros((2, 2 * ell, 2 * ell))
     R[:, :ell, :ell], R[:, ell:, ell:] = S.R1, -S.R2
-    G = g * B @ np.linalg.solve(R, _mT(B))
-    X, steps = _sda(np.sqrt(g) * S.A, G, S.Q)
-    curvature = R + g * _mT(B) @ X @ B
-    if not _positive_definite(curvature[:, :ell, :ell]):
-        raise NonStabilizingSolution("the minimizer's curvature is not positive definite")
-    try:
-        F = np.linalg.solve(curvature, g * _mT(B) @ X @ S.A)
-    except np.linalg.LinAlgError:
-        raise NonStabilizingSolution("the players' joint curvature is singular") from None
-    P = 2.0 * g * X @ (S.A - B @ F)
-    # the paper's map, with B1 c1 + B2 c2 = -G / (2 g)
-    mapped = g * (_mT(S.A) @ P + 2.0 * S.Q) @ (S.A - G @ P / (2.0 * g))
-    residual = np.linalg.norm(P - mapped, ord=2, axis=(-2, -1))
-    sol = RiccatiSolution(P, residual, int(steps.sum()))
-    if not in_stabilizing_set(params, nash_policy(params, sol)):
-        raise NonStabilizingSolution("the solution induces an unstable loop")
+    with np.errstate(all="ignore"):
+        G = g * B @ np.linalg.solve(R, _mT(B))
+        try:
+            X, steps = _doubling(np.sqrt(g) * S.A, S.Q, G)
+        except np.linalg.LinAlgError:
+            raise NonStabilizingSolution("doubling found no stabilizing solution") from None
+        _require_finite(X)
+        curvature = R + g * _mT(B) @ X @ B
+        if not _positive_definite(curvature[:, :ell, :ell]):
+            raise NonStabilizingSolution("the minimizer's curvature is not positive definite")
+        try:
+            F = np.linalg.solve(curvature, g * _mT(B) @ X @ S.A)
+        except np.linalg.LinAlgError:
+            raise NonStabilizingSolution("the players' joint curvature is singular") from None
+        P = 2.0 * g * X @ (S.A - B @ F)
+        # P less the paper's map, with B1 c1 + B2 c2 = -G / (2 g)
+        gap = P - g * (_mT(S.A) @ P + 2.0 * S.Q) @ (S.A - G @ P / (2.0 * g))
+        _require_finite(F, P, gap)
+        residual = np.linalg.norm(gap, ord=2, axis=(-2, -1))
+        sol = RiccatiSolution(P, residual, int(steps.sum()))
+        if not in_stabilizing_set(params, nash_policy(params, sol)):
+            raise NonStabilizingSolution("the solution induces an unstable loop")
     return sol
+
+
+def _require_finite(*arrays: np.ndarray) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NonStabilizingSolution("the equilibrium overflows the floating-point range")
 
 
 def nash_policy(params: ModelParams, sol: RiccatiSolution) -> PolicyPair:

@@ -3,7 +3,8 @@
 A policy pair is scored by the value and discounted second-moment matrices
 of the deviation and the mean process, the exact utility and its gradient in
 all four gains. Both processes are evaluated at once, on arrays stacked
-along a leading (dev, mean) axis: one stability gate, one doubling loop.
+along a leading (dev, mean) axis: one stability gate, one doubling loop,
+``_doubling``, which ``riccati.solve_riccati`` also runs for the equilibrium.
 
 At d = ell = 1 the same block formulas (``LQBlock``, ``gradient_coefs``) run
 on the eight entries of each block as Python floats, with the bits of the
@@ -45,10 +46,9 @@ def _fmul(x: float, y: float) -> float:
 
 
 def _smith(a: float, p: float) -> float:
-    """``_dlyap``'s doubling steps on one scalar a = sqrt(gamma) m, on Python
+    """``_doubling``'s Lyapunov steps on one scalar a = sqrt(gamma) m in Python
     floats, bit for bit: a 1x1 matmul is one rounded product, Python has no
-    fused multiply-add, and a signed zero cannot change a retired P. NaN at
-    the cap."""
+    fused multiply-add, a signed zero cannot change a retired P. NaN at the cap."""
     for _ in range(MAX_DOUBLINGS):
         p_next = p + a * p * a
         if p_next == p:
@@ -57,28 +57,48 @@ def _smith(a: float, p: float) -> float:
     return float("nan")
 
 
-def _dlyap(M: np.ndarray, source: np.ndarray, gamma: float) -> np.ndarray:
-    """Solve P = source + gamma * M^T P M for each slice of the stacks M and
-    source (k, d, d) by Smith's doubling iteration.
+def _doubling(A: np.ndarray, H: np.ndarray, G: np.ndarray | None = None):
+    """Fixed points X = H + A'X (I + G X)^{-1} A of each slice of the stacks
+    (k, d, d), and the doubling steps each slice took.
 
-    With A = sqrt(gamma) M, each step P <- P + A^T P A, A <- A A doubles the
-    summed terms of sum_t (A^T)^t source A^t. A slice leaves the stack at the
-    first step its P stops changing in floating point, with the bits of a loop
-    over it alone: at most ~60 steps under gamma*||M||^2 < 1 (58 for a scalar
-    at exactly 1 - 2**-53), so MAX_DOUBLINGS means non-finite input.
+    With W = (I + G H)^{-1}, each step A <- A W A, G <- G + A W G A',
+    H <- H + A'H W A doubles the horizon that H sums (Chu, Fan, Lin & Wang
+    2004). G = None skips the solve: Smith's Lyapunov iteration, with the
+    bits of G = 0. A slice leaves the stack, before the next products, at
+    the first step its H stops changing, with the bits of a call on it alone.
+
+    The cap: after k steps H lacks a tail r^(2^k) of its sum, r < 1 the
+    loop's rate (gamma ||M||^2 for a value), below 2**-53 once 2^k (1 - r)
+    > 53 ln 2: 59 steps at the slowest rate ``loop_stable`` admits, 1 - 2**-53.
+    So MAX_DOUBLINGS steps mean non-finite input or no stabilizing solution;
+    they and a singular I + G H raise LinAlgError. No step checks for inf or
+    NaN or sets ``np.errstate``: callers read X.
     """
-    A = np.sqrt(gamma) * M
-    P, out, rows = source, np.empty_like(source), np.arange(len(source))
-    for _ in range(MAX_DOUBLINGS):
-        P_next = P + _mT(A) @ P @ A
-        eq = P_next == P
+    X, steps, rows, d = np.empty_like(H), np.zeros(len(H), int), np.arange(len(H)), H.shape[-1]
+    for step in range(1, MAX_DOUBLINGS + 1):
+        if G is not None:
+            W = np.linalg.solve(np.eye(d) + G @ H, np.concatenate((A, G), -1))
+        H_next = H + _mT(A) @ H @ (A if G is None else W[..., :d])
+        eq = H_next == H
         if eq.any() and (done := eq.all(axis=(-2, -1))).any():
-            out[rows[done]] = P[done]
+            X[rows[done]], steps[rows[done]] = H[done], step
             if done.all():
-                return out
-            rows, P_next, A = rows[~done], P_next[~done], A[~done]
-        P, A = P_next, A @ A
-    raise NotStabilizing("Lyapunov doubling did not converge")
+                return X, steps
+            rows, H_next, A = rows[~done], H_next[~done], A[~done]
+            if G is not None:
+                G, W = G[~done], W[~done]
+        G = None if G is None else G + A @ W[..., d:] @ _mT(A)
+        H, A = H_next, A @ (A if G is None else W[..., :d])
+    raise np.linalg.LinAlgError("doubling did not converge")
+
+
+def _dlyap(M: np.ndarray, source: np.ndarray, gamma: float) -> np.ndarray:
+    """P = source + gamma M'PM for each slice of the stacks (k, d, d):
+    ``_doubling`` on A = sqrt(gamma) M, NotStabilizing at its cap."""
+    try:
+        return _doubling(np.sqrt(gamma) * M, source)[0]
+    except np.linalg.LinAlgError:
+        raise NotStabilizing("Lyapunov doubling did not converge") from None
 
 
 def _require_stable(M: np.ndarray, gamma: float) -> None:

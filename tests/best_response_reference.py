@@ -10,9 +10,10 @@ searches the maximizer's gain.
 
 import numpy as np
 
-from lqmfg.errors import LqmfgError, NonStabilizingSolution
+from lqmfg.errors import LqmfgError
 from lqmfg.model import LQBlock, ModelParams, loop_stable, validate
-from lqmfg.riccati import _positive_definite, _sda
+from lqmfg.riccati import _positive_definite
+from lqmfg.value import _doubling
 
 
 class IndefiniteInnerProblem(LqmfgError):
@@ -30,19 +31,22 @@ def _best_response(block: LQBlock, player: int, G_opp, gamma: float) -> np.ndarr
     for effective weight Q_eff = Q -+ G_opp' R_opp G_opp and drift
     A_eff = A +- B_opp G_opp (upper signs for the minimizing player 1, lower
     signs for the maximizing player 2). IndefiniteInnerProblem is raised
-    unless the doubling converges, R +- g B'XB is positive definite and the
-    closed loop passes ``loop_stable``."""
+    unless the doubling converges to a finite X, R +- g B'XB is positive
+    definite and the closed loop passes ``loop_stable``."""
     sgn = 1.0 if player == 1 else -1.0
     B, R, B_opp, R_opp = ((block.B1, block.R1, block.B2, block.R2) if player == 1
                           else (block.B2, block.R2, block.B1, block.R1))
     G_opp = np.atleast_2d(G_opp)
     A_eff = block.A + sgn * B_opp @ G_opp
     Q_eff = block.Q - sgn * G_opp.T @ R_opp @ G_opp
-    try:
-        X = _sda(np.sqrt(gamma) * A_eff[None], sgn * gamma * (B @ np.linalg.solve(R, B.T))[None],
-                 Q_eff[None])[0][0]
-    except NonStabilizingSolution as exc:
-        raise IndefiniteInnerProblem(str(exc)) from None
+    with np.errstate(all="ignore"):
+        try:
+            X = _doubling(np.sqrt(gamma) * A_eff[None], Q_eff[None],
+                          sgn * gamma * (B @ np.linalg.solve(R, B.T))[None])[0][0]
+        except np.linalg.LinAlgError as exc:
+            raise IndefiniteInnerProblem(str(exc)) from None
+    if not np.isfinite(X).all():
+        raise IndefiniteInnerProblem("the inner solution overflows")
     curvature = R + sgn * gamma * B.T @ X @ B
     if not _positive_definite(curvature):
         raise IndefiniteInnerProblem("inner curvature is not positive definite")

@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from concurrent import futures
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields, replace
@@ -794,6 +795,36 @@ class TestPinnedFaults:
         expected = {"error": error, "message": message.format(key=key, value=value)}
         assert capsys.readouterr().out.splitlines() == [json.dumps(expected)]
         assert rc == 2
+        assert not (tmp_path / "out").exists()
+
+
+
+# One model key of the shipped exact config set so far that the equilibrium
+# overflows: main prints the same error line for each.
+OVERFLOWING_EQUILIBRIA = {"Q": "1e308", "Q_bar": "1e308", "B2": "1e200"}
+
+
+class TestOverflowingEquilibrium:
+    @pytest.mark.parametrize("key", sorted(OVERFLOWING_EQUILIBRIA))
+    def test_one_error_line(self, tmp_path, capsys, key):
+        """main exits 3 with one JSON line, no traceback and no warning,
+        before writing any artifact."""
+        text = (REPO_CONFIGS / "table1_gda_exact.cfg").read_text()
+        for name, value in [(key, OVERFLOWING_EQUILIBRIA[key]), ("output_dir", tmp_path / "out")]:
+            text, found = re.subn(rf"^{name} = .*$", f"{name} = {value}", text, flags=re.M)
+            assert found == 1
+        path = tmp_path / "overflow.cfg"
+        path.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["benchmark", "--config", str(path)])
+        captured = capsys.readouterr()
+        expected = {"error": "NonStabilizingSolution",
+                    "message": "the equilibrium overflows the floating-point range"}
+        assert captured.out.splitlines() == [json.dumps(expected)]
+        assert rc == 3
+        assert "Traceback" not in captured.err
+        assert [str(w.message) for w in caught] == []
         assert not (tmp_path / "out").exists()
 
 

@@ -122,6 +122,20 @@ class TestSolveRiccati:
             solve_riccati(m)
 
 
+    @pytest.mark.parametrize("key, value", [
+        ("Q", 1e308),      # X = Q is finite, P = 2 g X (A - B F) is not
+        ("Q_bar", 1e308),  # the same in the mean block alone
+        ("B1", 1e200),     # G = g B R^-1 B' overflows
+        ("B2", 1e200),
+    ])
+    def test_overflowing_equilibrium_is_named(self, key, value):
+        """The overflow is named before the residual's norm can fail on it,
+        with no warning."""
+        m = ModelParams(**benchmark_scalars(**{key: value}))
+        with pytest.raises(NonStabilizingSolution, match="overflows the floating-point range"):
+            solve_riccati(m)
+
+
 class TestNashPolicy:
     def test_benchmark_gains(self, model):
         theta = nash_policy(model, solve_riccati(model))

@@ -642,12 +642,13 @@ FINITE_N_MAX_Z = 4.0
 class TestFinitePopulation:
     """The N-agent engine's mean utility against the finite-N closed form
     (``exact_truncated_mean`` with N): within FINITE_N_MAX_Z standard errors
-    on each seed, on the scalar game and the (3, 2) random game, at the Nash
-    pair and ``small_policy``. The gap to the mean-field form is c/N."""
+    on each seed, on the scalar game and the (3, 2) and (8, 3) random games,
+    at the Nash pair and ``small_policy``. The gap to the mean-field form is
+    c/N."""
 
     @pytest.mark.parametrize("N", sorted(FINITE_N_REPS))
     @pytest.mark.parametrize("policy", ["nash", "small"])
-    @pytest.mark.parametrize("dims", [(1, 1), (3, 2)], ids=["scalar", "d3"])
+    @pytest.mark.parametrize("dims", [(1, 1), (3, 2), (8, 3)], ids=["scalar", "d3", "d8"])
     def test_nagent_mean_matches_closed_form(self, dims, policy, N):
         model = ModelParams(**benchmark_scalars()) if dims == (1, 1) else random_game(*dims)
         theta = (nash_policy(model, solve_riccati(model)) if policy == "nash"

@@ -23,7 +23,7 @@ from lqmfg import (
 import lqmfg.value
 from lqmfg.errors import NotStabilizing
 from lqmfg.model import loop_stable
-from lqmfg.value import MAX_DOUBLINGS, _dlyap, _smith
+from lqmfg.value import MAX_DOUBLINGS, _dlyap, _doubling, _smith
 
 from conftest import (
     PIN_THETA,
@@ -410,6 +410,62 @@ class TestStackedDoubling:
             got = _dlyap(M, source, 0.9)
         assert got[0, 0, 0] == np.inf
         assert got[1].tobytes() == _dlyap_alone(M[1], source[1], 0.9)[0].tobytes()
+
+
+
+def _doubling_stack(d, seed, loops=(0.01, 0.99, 0.5, 0.9)):
+    """A stack of loops A with the given ||A||^2 per slice, so that the
+    slices retire at different steps, and symmetric positive definite H."""
+    rng = np.random.default_rng(seed)
+    A, H = [], []
+    for loop in loops:
+        M = rng.standard_normal((d, d))
+        A.append(np.sqrt(loop) * M / np.linalg.norm(M, 2))
+        S = rng.standard_normal((d, d))
+        H.append(S @ S.T + np.eye(d))
+    return np.array(A), np.array(H)
+
+
+class TestDoublingKernel:
+    """``_doubling``'s two paths: the Lyapunov path (G = None) and the
+    Riccati path with its solve."""
+
+    @pytest.mark.parametrize("d", [1, 3, 16])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_zero_G_gives_the_lyapunov_bits(self, d, seed):
+        A, H = _doubling_stack(d, seed)
+        X, steps = _doubling(A, H)
+        X_zero, steps_zero = _doubling(A, H, np.zeros_like(H))
+        assert X_zero.tobytes() == X.tobytes()
+        assert steps_zero.tolist() == steps.tolist()
+        assert len(set(steps.tolist())) > 1
+
+    @pytest.mark.parametrize("d", [1, 3, 16])
+    def test_stacked_riccati_slices_keep_their_bits(self, d):
+        """Each slice of a stacked call has the bits and the steps of a call
+        on it alone, though the slices retire at different steps."""
+        A, H = _doubling_stack(d, d, loops=(0.01, 2.0, 0.5, 1.2))
+        rng = np.random.default_rng(100 + d)
+        B = rng.standard_normal((len(A), d, max(1, d // 2)))
+        G = B @ B.swapaxes(-1, -2) * np.array([0.1, 1.0, 0.5, 2.0])[:, None, None]
+        X, steps = _doubling(A, H, G)
+        for i in range(len(A)):
+            alone, step = _doubling(A[i:i + 1], H[i:i + 1], G[i:i + 1])
+            assert X[i].tobytes() == alone[0].tobytes()
+            assert steps[i] == step[0]
+        assert len(set(steps.tolist())) > 1
+        # the fixed point it names
+        gap = H + A.swapaxes(-1, -2) @ X @ np.linalg.solve(np.eye(d) + G @ X, A) - X
+        assert np.linalg.norm(gap) <= 1e-12 * np.linalg.norm(X)
+
+    def test_singular_solve_and_cap_raise(self):
+        """A singular I + G H and an unconverged slice raise LinAlgError, for
+        the callers to name."""
+        one = np.ones((1, 1, 1))
+        with pytest.raises(np.linalg.LinAlgError):
+            _doubling(one, one, -one)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            _doubling(np.full((1, 1, 1), np.nan), one, np.zeros((1, 1, 1)))
 
 
 def _oracle_outcome(model, theta):
