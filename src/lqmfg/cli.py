@@ -8,8 +8,19 @@ the config and master seed; wall-clock timings go to a separate timing file
 excluded from that guarantee.
 
 This module is the only one that touches files: `_output_dir` makes the
-output directory, `_write_json` and `_write_csv` write every artifact, and
-the other modules only compute.
+output directory, `_write_json`, `_write_csv` and `_write_run_csv` write
+every artifact, and the other modules only compute.
+
+A long run log is formatted on two cores, as `repr` holds the interpreter
+lock: `_write_run_csv` forks a child that formats the second half of
+`run_<r>.csv` while the parent writes the first, then copies the child's
+bytes after it from a pipe. It splits a log of `_SPLIT_TEXTS` = 50 000
+value texts (rows times values per row) or more, about five times the
+measured break-even, when `os.fork` exists, the CPU affinity mask holds
+more than one CPU and no other Python thread runs; the bytes are the
+serial writer's either way. Python 3.12 and later warn (`DeprecationWarning`)
+when `os.fork` runs in a process with other OS threads, such as
+OpenBLAS's; that is unverified, as the suite has run on 3.11 only.
 """
 
 from __future__ import annotations
@@ -36,7 +47,7 @@ from .errors import (
 from .estimator import EstimatorConfig
 from .model import Distribution, ModelParams, NoiseSpec, PolicyPair
 from .model import validate as validate_model
-from .optim import OptimizerConfig, RunLog, relative_error, run
+from .optim import OptimizerConfig, RunLog, RunRecord, relative_error, run
 from .riccati import nash_policy, solve_riccati
 from .simulate import derive_seed, mkv_utility_batch, nagent_utility_batch, simulate_mkv
 from .value import exact_utility
@@ -248,15 +259,19 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _write_rows(fh, rows) -> None:
+    """Each row's fields joined by "," and ended by "\\r\\n", written to the
+    text file `fh` (opened with newline="") as the rows come: the bytes of
+    csv.writer's default dialect, since no field (a number, ";"-joined
+    numbers or a header name) holds a comma, quote or newline."""
+    for row in rows:
+        fh.write(",".join(row) + "\r\n")
+
+
 def _write_csv(path: Path, header, rows) -> None:
-    """Each row's fields joined by "," and ended by "\\r\\n", written as the
-    rows come: the bytes of csv.writer's default dialect, since no field
-    (a number, ";"-joined numbers or a header name) holds a comma, quote or
-    newline."""
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for row in rows:
-            fh.write(",".join(row) + "\r\n")
+        _write_rows(fh, [header])
+        _write_rows(fh, rows)
 
 
 def _remove_stale(out: Path, stem: str, count: int) -> None:
@@ -322,7 +337,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> dict:
     errs = [[scores[rec.cost] for rec in log.records] for log in logs]
 
     for r, (log, log_errs) in enumerate(zip(logs, errs)):
-        _write_csv(out / f"run_{r}.csv", _RUN_HEADER, _run_rows(log, log_errs))
+        _write_run_csv(out / f"run_{r}.csv", log.records, log_errs)
     _write_csv(out / "convergence.csv", ("k", "rel_err_mean", "rel_err_min", "rel_err_max"),
                _convergence_rows(logs, errs))
 
@@ -349,15 +364,87 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> dict:
 
 _RUN_HEADER = ("k", "K1", "L1", "K2", "L2", "C",
                "gradnorm_K1", "gradnorm_L1", "gradnorm_K2", "gradnorm_L2", "rel_err")
+_SPLIT_TEXTS = 50_000  # value texts of a run log that splits (module docstring)
 
 
-def _run_rows(log: RunLog, errs: list[float]):
+def _write_run_csv(path: Path, records: list[RunRecord], errs: list[float]) -> None:
+    """`run_<r>.csv` of the records and their relative errors, with the
+    bytes of `_write_csv(path, _RUN_HEADER, _run_rows(records, errs))`. A
+    log of `_SPLIT_TEXTS` value texts or more has its second half formatted
+    by a child (`_fork_rows`), whose bytes the parent copies in chunks after
+    its own half; if the child fails, the parent formats that half itself."""
+    half = len(records) // 2
+    texts = len(records) * (records[0].theta.stack.size + 6)  # cost, 4 norms, error
+    child = _fork_rows(records[half:], errs[half:]) if texts >= _SPLIT_TEXTS else None
+    if child is None:
+        _write_csv(path, _RUN_HEADER, _run_rows(records, errs))
+        return
+    import os  # on call, like the pools: the other paths do not need it
+
+    pid, pipe = child
+    try:
+        with open(path, "w", newline="") as fh:
+            _write_rows(fh, [_RUN_HEADER])
+            _write_rows(fh, _run_rows(records[:half], errs[:half]))
+            fh.flush()
+            mark = fh.buffer.tell()
+            while chunk := os.read(pipe, 1 << 16):
+                fh.buffer.write(chunk)
+    finally:
+        os.close(pipe)  # a child still writing gets EPIPE and leaves
+        failed = os.waitpid(pid, 0)[1] != 0
+    if failed:
+        os.truncate(path, mark)
+        with open(path, "a", newline="") as fh:
+            _write_rows(fh, _run_rows(records[half:], errs[half:]))
+
+
+def _fork_rows(records: list[RunRecord], errs: list[float]) -> tuple[int, int] | None:
+    """A forked child that formats `_run_rows(records, errs)` as CSV lines
+    and writes them to a pipe, as (its pid, the pipe's read end); None where
+    the process cannot fork, has one CPU or runs other threads (a fork
+    copies no thread, so a lock another thread holds would stay held in the
+    child), or where the fork fails.
+
+    The child formats all its rows before it writes, since the parent reads
+    only after its own half, and a pipe holds far less than a half. It
+    catches everything, never prints, and leaves through `os._exit`, so it
+    never returns into the caller or runs its exit handlers."""
+    import io  # on call, like the pools: the other paths do not need them
+    import os
+    import threading
+
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1):
+        return None
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:
+        try:
+            os.close(read_end)
+            text = io.StringIO(newline="")
+            _write_rows(text, _run_rows(records, errs))
+            with open(write_end, "wb") as pipe:
+                pipe.write(text.getvalue().encode())
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _run_rows(records: list[RunRecord], errs: list[float]):
     """One row per logged global iteration, with its relative error from
     `errs`, full-precision floats; a gain is its entries joined by ";", a
     1x1 gain its one entry. A row whose pair, cost, norms and error are the
     previous row's objects reuses that row's value texts."""
     last = None
-    for rec, err in zip(log.records, errs):
+    for rec, err in zip(records, errs):
         if last is None or not (rec.theta is last[0] and rec.cost is last[1]
                                 and rec.grad_norms is last[2] and err is last[3]):
             flat = rec.theta.stack.ravel().tolist()

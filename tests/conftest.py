@@ -82,6 +82,19 @@ def benchmark_scalars(**overrides) -> dict:
     return base
 
 
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fails a test that leaves a child process running or unreaped, as a
+    split run log's writer would if it did not reap its child; the
+    benchmark refuses a run that leaves a process behind."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left child process {pid or '(still running)'}")
+
+
 @pytest.fixture
 def model() -> ModelParams:
     """The scalar benchmark game used throughout the experiments."""

@@ -31,6 +31,7 @@ from lqmfg.cli import (
     run_simulate,
 )
 from lqmfg.errors import CrossFieldError, ParseError, SchemaError
+from lqmfg.optim import RunRecord
 from lqmfg.riccati import nash_policy, solve_riccati
 from lqmfg.simulate import derive_seed, simulate_mkv
 
@@ -739,6 +740,193 @@ class TestFileFaults:
         rc = main(["benchmark", "--config", str(path)])
         assert _one_error_line(capsys, rc) == "ParseError"
         assert not (tmp_path / "out").exists()
+
+
+def _split_every_run_log(monkeypatch) -> list:
+    """Make every run log split, as on a host with two CPUs; returns the
+    list of `_fork_rows` results, one per log."""
+    if not hasattr(os, "fork"):
+        pytest.skip("the split writer needs os.fork")
+    monkeypatch.setattr(cli, "_SPLIT_TEXTS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forks = []
+    fork_rows = cli._fork_rows
+    monkeypatch.setattr(cli, "_fork_rows",
+                        lambda *args: forks.append(fork_rows(*args)) or forks[-1])
+    return forks
+
+
+def _no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _serial_bytes(records, errs, path) -> bytes:
+    cli._write_csv(path, cli._RUN_HEADER, cli._run_rows(records, errs))
+    return path.read_bytes()
+
+
+class TestSplitRunLog:
+    """A run log formatted on two cores, its second half by a forked child,
+    has the serial writer's bytes, and leaves no child behind."""
+
+    @pytest.fixture
+    def logged(self, monkeypatch):
+        """The (path, records, errs) of each run log `run_experiment` writes."""
+        logged = []
+        write = cli._write_run_csv
+        monkeypatch.setattr(cli, "_write_run_csv", lambda *args: (logged.append(args),
+                                                                  write(*args)))
+        return logged
+
+    @pytest.fixture
+    def parent_rows(self, monkeypatch):
+        """The number of records of each `_run_rows` call in this process."""
+        counts, parent, run_rows = [], os.getpid(), cli._run_rows
+
+        def counted(records, errs):
+            if os.getpid() == parent:
+                counts.append(len(records))
+            return run_rows(records, errs)
+
+        monkeypatch.setattr(cli, "_run_rows", counted)
+        return counts
+
+    @pytest.mark.parametrize("case", ["table1_gda_exact", "random_game_3_2_gda"])
+    def test_experiment_log_matches_serial(self, case, tmp_path, monkeypatch, logged,
+                                           parent_rows):
+        """The shipped exact GDA log reaches its fixed point before its middle
+        row, so reused rows cross the split; the d = 3 log has 3 x 2 gains.
+        The parent formats the first half only."""
+        forks = _split_every_run_log(monkeypatch)
+        run_experiment(_exact_run_config(case, tmp_path / "out"))
+        (path, records, errs), = logged
+        half = len(records) // 2
+        assert forks[0] is not None
+        assert parent_rows == [half]
+        _no_child_left()
+        assert path.read_bytes() == _serial_bytes(records, errs, tmp_path / "serial.csv")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == EXACT_RUN_DIGESTS[case][0]
+        if case == "table1_gda_exact":
+            assert records[half].theta is records[half - 1].theta
+            assert errs[half] is errs[half - 1]
+
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    def test_short_logs_match_serial(self, rows, tmp_path, monkeypatch, logged, parent_rows):
+        run_experiment(_exact_run_config("random_game_3_2_gda", tmp_path / "out"))
+        (_, records, errs), = logged
+        forks = _split_every_run_log(monkeypatch)
+        path = tmp_path / "split.csv"
+        parent_rows.clear()
+        cli._write_run_csv(path, records[:rows], errs[:rows])
+        assert forks[0] is not None
+        assert parent_rows == [rows // 2]
+        _no_child_left()
+        assert path.read_bytes() == _serial_bytes(records[:rows], errs[:rows],
+                                                  tmp_path / "serial.csv")
+
+    def test_fork_failure_writes_serially(self, tmp_path, monkeypatch, logged):
+        forks = _split_every_run_log(monkeypatch)
+
+        def no_fork():
+            raise OSError("no fork")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        run_experiment(_exact_run_config("random_game_3_2_gda", tmp_path / "out"))
+        (path, records, errs), = logged
+        assert forks == [None]
+        _no_child_left()
+        assert path.read_bytes() == _serial_bytes(records, errs, tmp_path / "serial.csv")
+
+    def test_failing_child_leaves_the_half_to_the_parent(self, tmp_path, monkeypatch,
+                                                          capfd, logged):
+        """A child whose formatting raises exits without a word; the parent
+        formats the second half itself."""
+        forks = _split_every_run_log(monkeypatch)
+        parent, run_rows = os.getpid(), cli._run_rows
+
+        def rows_only_in_parent(records, errs):
+            if os.getpid() != parent:
+                raise RuntimeError("formatting failed in the child")
+            return run_rows(records, errs)
+
+        monkeypatch.setattr(cli, "_run_rows", rows_only_in_parent)
+        run_experiment(_exact_run_config("random_game_3_2_gda", tmp_path / "out"))
+        (path, records, errs), = logged
+        assert forks[0] is not None
+        _no_child_left()
+        assert capfd.readouterr() == ("", "")
+        assert path.read_bytes() == _serial_bytes(records, errs, tmp_path / "serial.csv")
+
+    def test_child_failing_after_its_bytes_is_overwritten(self, tmp_path, monkeypatch,
+                                                          logged, parent_rows):
+        """A child that sends its whole half and then exits 1: the parent
+        drops the copied bytes and formats the second half itself."""
+        forks = _split_every_run_log(monkeypatch)
+        exit_ = os._exit
+        monkeypatch.setattr(os, "_exit", lambda status: exit_(1))
+        run_experiment(_exact_run_config("random_game_3_2_gda", tmp_path / "out"))
+        (path, records, errs), = logged
+        assert forks[0] is not None
+        half = len(records) // 2
+        assert parent_rows == [half, len(records) - half]
+        _no_child_left()
+        assert path.read_bytes() == _serial_bytes(records, errs, tmp_path / "serial.csv")
+
+    def test_other_thread_keeps_the_log_serial(self, tmp_path, monkeypatch, logged):
+        """A fork copies only the calling thread, so while another thread
+        runs the log is written serially."""
+        forks = _split_every_run_log(monkeypatch)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            run_experiment(_exact_run_config("random_game_3_2_gda", tmp_path / "out"))
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        (path, records, errs), = logged
+        assert forks == [None]
+        assert path.read_bytes() == _serial_bytes(records, errs, tmp_path / "serial.csv")
+
+    def test_failing_parent_reaps_the_child(self, tmp_path, monkeypatch, capfd):
+        """A run log that cannot be written fails the CLI with one JSON line,
+        and the child formatting its second half is reaped."""
+        forks = _split_every_run_log(monkeypatch)
+        (tmp_path / "out" / "run_0.csv").mkdir(parents=True)
+        rc = main(["optimize", "--config", str(write_config(tmp_path))])
+        assert forks[0] is not None
+        _no_child_left()
+        captured = capfd.readouterr()
+        assert rc == 2
+        assert json.loads(captured.out)["error"] == "IsADirectoryError"
+        assert captured.err == ""
+
+    def test_cli_prints_one_line(self, tmp_path, monkeypatch, capfd):
+        forks = _split_every_run_log(monkeypatch)
+        assert main(["optimize", "--config", str(write_config(tmp_path))]) == 0
+        assert forks[0] is not None
+        captured = capfd.readouterr()
+        assert len(captured.out.splitlines()) == 1
+        assert json.loads(captured.out)["termination"] == ["completed"]
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("d, ell, rows, splits", [(1, 1, 2001, False), (16, 4, 21, False),
+                                                      (48, 4, 301, True)])
+    def test_long_logs_split(self, d, ell, rows, splits, tmp_path, monkeypatch):
+        """perfbench's d = 48 log (T = 300) splits; its d = 16 log (T = 20)
+        and the shipped d = 1 logs (T = 2000) stay serial."""
+        calls = []
+        fork_rows = cli._fork_rows
+        monkeypatch.setattr(cli, "_fork_rows",
+                            lambda *args: calls.append(args) or fork_rows(*args))
+        rec = RunRecord(k=0, theta=PolicyPair.zero(d, ell), cost=1.0, grad_norms=(0.0,) * 4)
+        cli._write_run_csv(tmp_path / "run.csv", [rec] * rows, [0.5] * rows)
+        assert len(calls) == splits
+        _no_child_left()
+        assert (tmp_path / "run.csv").read_bytes() == _serial_bytes(
+            [rec] * rows, [0.5] * rows, tmp_path / "serial.csv")
 
 
 def _cannot_parse(kind):

@@ -654,7 +654,7 @@ class TestGradNorms:
 def write_run_csv(log: RunLog, errs: list[float], path) -> None:
     """The run_<r>.csv writing of lqmfg.cli, which owns the artifact format
     and scores the records (`errs`)."""
-    cli._write_csv(path, cli._RUN_HEADER, cli._run_rows(log, errs))
+    cli._write_csv(path, cli._RUN_HEADER, cli._run_rows(log.records, errs))
 
 
 class TestRunLogCsv:
